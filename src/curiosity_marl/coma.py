@@ -46,10 +46,12 @@ class TrainConfig:
             eps = getattr(self, name)
             # at 1/N_ACTIONS the floor-mixed policy degenerates to uniform and
             # the softmax jacobian vanishes, so the open interval is required
-            if not 0.0 <= eps < 0.2:
-                raise ValueError(f"{name} must lie in [0, 0.2)")
+            if not 0.0 <= eps < 1.0 / N_ACTIONS:
+                raise ValueError(f"{name} must lie in [0, 1/{N_ACTIONS})")
         if self.intrinsic_lambda < 0.0:
             raise ValueError("intrinsic_lambda must be >= 0")
+        if self.intrinsic_clip <= 0.0:
+            raise ValueError("intrinsic_clip must be > 0")
 
 
 @dataclass
@@ -145,13 +147,18 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
+def floor_mix(logits: np.ndarray, epsilon: float) -> np.ndarray:
     """Action distribution (1 - 5*eps) * softmax(logits) + eps."""
+    return (1.0 - N_ACTIONS * epsilon) * softmax(logits) + epsilon
+
+
+def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
+    """One agent's floor-mixed action distribution for one observation."""
     logits, _ = nc.forward(network, obs)
     logits = logits[0]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite policy logits")
-    return (1.0 - N_ACTIONS * epsilon) * softmax(logits) + epsilon
+    return floor_mix(logits, epsilon)
 
 
 def select_actions(
@@ -179,38 +186,25 @@ def epsilon_at(cfg: TrainConfig, episode_index: int) -> float:
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
-def critic_input(
-    joint_obs: np.ndarray, joint_action: tuple[int, ...], agent: int
-) -> np.ndarray:
-    """Critic feature vector: flattened joint observation, one-hot actions of
-    every agent except `agent` (ascending order), one-hot agent index."""
-    n = joint_obs.shape[0]
-    others = np.concatenate(
-        [cur.one_hot_action(joint_action[m]) for m in range(n) if m != agent]
-    )
-    agent_tag = np.zeros(n)
-    agent_tag[agent] = 1.0
-    return np.concatenate([joint_obs.ravel(), others, agent_tag])
+def critic_inputs(joint_obs: np.ndarray, joint_actions: np.ndarray) -> np.ndarray:
+    """Critic feature rows (B, N, in) for every step and agent: flattened joint
+    observation, one-hot actions of every other agent (ascending order), then
+    the agent's one-hot index. joint_obs is (B, N, d), joint_actions (B, N)."""
+    b, n, d = joint_obs.shape
+    one_hot = cur.one_hot_action(joint_actions)  # (B, N, 5)
+    x = np.empty((b, n, critic_input_dim(n, d)))
+    x[:, :, : n * d] = joint_obs.reshape(b, 1, n * d)
+    for agent in range(n):
+        others = [m for m in range(n) if m != agent]
+        x[:, agent, n * d : -n] = one_hot[:, others].reshape(b, -1)
+    x[:, :, -n:] = np.eye(n)
+    return x
 
 
-def critic_values(
-    critic: CentralCritic, joint_obs: np.ndarray, joint_action: tuple[int, ...], agent: int
-) -> np.ndarray:
-    """Q-values for all 5 candidate actions of one agent, others held fixed."""
-    outputs, _ = nc.forward(critic.network, critic_input(joint_obs, joint_action, agent))
-    return outputs[0]
-
-
-def counterfactual_advantage(
-    critic: CentralCritic,
-    joint_obs: np.ndarray,
-    joint_action: tuple[int, ...],
-    agent: int,
-    pi_n: np.ndarray,
-) -> float:
-    """Q of the taken action minus the policy-expected Q over alternatives."""
-    q = critic_values(critic, joint_obs, joint_action, agent)
-    return float(q[joint_action[agent]] - pi_n @ q)
+def counterfactual_advantages(q: np.ndarray, pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Q of each taken action u minus the policy-expected Q over all actions;
+    q and pi are (B, 5), u is (B,)."""
+    return q[np.arange(len(u)), u] - np.sum(pi * q, axis=1)
 
 
 def td_lambda_targets(
@@ -284,22 +278,16 @@ def _critic_batch(
     xs, takens, targets = [], [], []
     for buf in buffers:
         t_max = len(buf.transitions)
-        x_ep = np.stack(
-            [
-                critic_input(tr.joint_obs, tr.joint_action, agent)
-                for tr in buf.transitions
-                for agent in range(n)
-            ]
-        )
-        q_all, _ = nc.forward(critic.network, x_ep)
-        q_all = q_all[0].reshape(t_max, n, N_ACTIONS)
         taken = np.array([tr.joint_action for tr in buf.transitions])  # (T, N)
+        x_ep = critic_inputs(np.stack([tr.joint_obs for tr in buf.transitions]), taken)
+        q_all, _ = nc.forward(critic.network, x_ep.reshape(t_max * n, -1))
+        q_all = q_all[0].reshape(t_max, n, N_ACTIONS)
         q_taken = np.take_along_axis(q_all, taken[:, :, None], axis=2)[:, :, 0]
         for agent in range(n):
             tgt = td_lambda_targets(
                 buf.mixed[:, agent], q_taken[:, agent], cfg.gamma, cfg.td_lambda
             )
-            xs.append(x_ep[agent::n])
+            xs.append(x_ep[:, agent])
             takens.append(taken[:, agent])
             targets.append(tgt)
     return np.concatenate(xs), np.concatenate(takens), np.concatenate(targets)
@@ -369,7 +357,7 @@ def actor_loss_closure(
 
     def loss_and_grad(net: nc.Network):
         outputs, cache = nc.forward(net, obs)
-        probs = (1.0 - N_ACTIONS * epsilon) * softmax(outputs[0]) + epsilon
+        probs = floor_mix(outputs[0], epsilon)
         loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
         return loss, nc.backward(net, cache, [dl_dz])
 
@@ -417,33 +405,22 @@ def actor_update(
     before the fine docking signal can be expressed."""
     n = policies.n_agents
     total_loss = 0.0
-    all_obs = [
-        np.stack([tr.joint_obs[agent] for buf in buffers for tr in buf.transitions])
-        for agent in range(n)
-    ]
+    joint_obs = np.stack([tr.joint_obs for buf in buffers for tr in buf.transitions])
     actions = np.array(
         [tr.joint_action for buf in buffers for tr in buf.transitions]
     )  # (B, N)
     probs = np.concatenate([buf.probs for buf in buffers])  # (B, N, 5)
-    critic_x = np.stack(
-        [
-            critic_input(tr.joint_obs, tr.joint_action, agent)
-            for buf in buffers
-            for tr in buf.transitions
-            for agent in range(n)
-        ]
-    )
-    q_all, _ = nc.forward(critic.network, critic_x)
-    q_all = q_all[0].reshape(-1, n, N_ACTIONS)  # (B, N, 5)
     b = actions.shape[0]
+    critic_x = critic_inputs(joint_obs, actions).reshape(b * n, -1)
+    q_all, _ = nc.forward(critic.network, critic_x)
+    q_all = q_all[0].reshape(b, n, N_ACTIONS)
     for agent in range(n):
-        q = q_all[:, agent, :]
         pi = probs[:, agent, :]
         u = actions[:, agent]
-        advantages = q[np.arange(b), u] - np.sum(pi * q, axis=1)
+        advantages = counterfactual_advantages(q_all[:, agent, :], pi, u)
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         loss, dl_dz = actor_loss_grads(pi, u, advantages, epsilon, cfg.entropy_coeff)
-        _, cache = nc.forward(policies.networks[agent], all_obs[agent])
+        _, cache = nc.forward(policies.networks[agent], joint_obs[:, agent])
         grads = nc.backward(policies.networks[agent], cache, [dl_dz])
         nc.adam_step(policies.opts[agent], policies.networks[agent], grads)
         total_loss += loss

@@ -53,10 +53,9 @@ class CuriosityBank:
     opts: list[nc.AdamState]
 
 
-def one_hot_action(action: int) -> np.ndarray:
-    v = np.zeros(N_ACTIONS)
-    v[action] = 1.0
-    return v
+def one_hot_action(action) -> np.ndarray:
+    """One-hot vector (5,) for an action index; (..., 5) for an index array."""
+    return np.eye(N_ACTIONS)[action]
 
 
 def _indiv_spec(obs_dim: int, hidden_dims, leaky_slope) -> nc.NetworkSpec:
@@ -119,19 +118,6 @@ def indiv_input(t: Transition, n: int) -> np.ndarray:
     return np.concatenate([t.joint_obs[n], one_hot_action(t.joint_action[n])])
 
 
-def joint_input(t: Transition) -> np.ndarray:
-    actions = np.concatenate([one_hot_action(a) for a in t.joint_action])
-    return np.concatenate([t.joint_obs.ravel(), actions])
-
-
-def others_input(t: Transition, n: int) -> np.ndarray:
-    """Joint observation and action with agent n's slots masked out."""
-    mask = [m for m in range(t.joint_obs.shape[0]) if m != n]
-    obs = t.joint_obs[mask].ravel()
-    actions = np.concatenate([one_hot_action(t.joint_action[m]) for m in mask])
-    return np.concatenate([obs, actions])
-
-
 def mcm_forward(
     module: nc.Network,
     o_n: np.ndarray,
@@ -151,40 +137,37 @@ def mcm_forward(
     return outputs[0], outputs[1]
 
 
-def _module_batches(bank: CuriosityBank, batch: list[Transition]):
-    """Per-module (inputs, extras, targets) matrices for a training batch.
+def _module_batches(
+    bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
+):
+    """Per-module (inputs, extras, targets) matrices for stacked transitions:
+    obs and next_obs are (B, N, d), actions (B, N).
 
     Targets are a list per head. Individual module n predicts agent n's next
     observation; joint modules predict the concatenated next joint
-    observation; two-headed modules predict both.
+    observation; two-headed modules predict both, their second head taking
+    the other agents' observations and one-hot actions as extra input.
     """
     kind = bank.kind
-    n_agents = bank.n_agents
+    b, n_agents, _ = obs.shape
+    one_hot = one_hot_action(actions)  # (B, N, 5)
+    joint_target = next_obs.reshape(b, -1)
     jobs = []
-    if kind in TWO_HEADED_KINDS:
+    if kind not in (CuriosityKind.NONE, CuriosityKind.ICM_JOINT):  # one module per agent
         for n in range(n_agents):
-            x = np.stack([indiv_input(t, n) for t in batch])
-            extra = np.stack([others_input(t, n) for t in batch])
-            own = np.stack([t.next_joint_obs[n] for t in batch])
-            joint = np.stack([t.next_joint_obs.ravel() for t in batch])
-            jobs.append((x, [None, extra], [own, joint]))
-    elif kind in PER_AGENT_ONE_HEADED_KINDS:
-        for n in range(n_agents):
-            x = np.stack([indiv_input(t, n) for t in batch])
-            own = np.stack([t.next_joint_obs[n] for t in batch])
-            jobs.append((x, None, [own]))
-    elif kind is CuriosityKind.ICM_JOINT:
-        x = np.stack([joint_input(t) for t in batch])
-        joint = np.stack([t.next_joint_obs.ravel() for t in batch])
-        jobs.append((x, None, [joint]))
-    elif kind is CuriosityKind.MCM_SEP:
-        for n in range(n_agents):
-            x = np.stack([indiv_input(t, n) for t in batch])
-            own = np.stack([t.next_joint_obs[n] for t in batch])
-            jobs.append((x, None, [own]))
-        x = np.stack([joint_input(t) for t in batch])
-        joint = np.stack([t.next_joint_obs.ravel() for t in batch])
-        jobs.append((x, None, [joint]))
+            x = np.concatenate([obs[:, n], one_hot[:, n]], axis=1)
+            if kind in TWO_HEADED_KINDS:
+                others = [m for m in range(n_agents) if m != n]
+                extra = np.concatenate(
+                    [obs[:, others].reshape(b, -1), one_hot[:, others].reshape(b, -1)],
+                    axis=1,
+                )
+                jobs.append((x, [None, extra], [next_obs[:, n], joint_target]))
+            else:
+                jobs.append((x, None, [next_obs[:, n]]))
+    if kind in (CuriosityKind.ICM_JOINT, CuriosityKind.MCM_SEP):
+        x = np.concatenate([obs.reshape(b, -1), one_hot.reshape(b, -1)], axis=1)
+        jobs.append((x, None, [joint_target]))
     return jobs
 
 
@@ -199,10 +182,14 @@ def curiosity_update(bank: CuriosityBank, batch: list[Transition]) -> list[float
         raise ValueError("curiosity_update requires a non-empty batch")
     two_headed = bank.kind in TWO_HEADED_KINDS
     b = len(batch)
+    jobs = _module_batches(
+        bank,
+        np.stack([t.joint_obs for t in batch]),
+        np.array([t.joint_action for t in batch]),
+        np.stack([t.next_joint_obs for t in batch]),
+    )
     losses = []
-    for module, opt, (x, extras, targets) in zip(
-        bank.modules, bank.opts, _module_batches(bank, batch)
-    ):
+    for module, opt, (x, extras, targets) in zip(bank.modules, bank.opts, jobs):
         outputs, cache = nc.forward(module, x, extras)
         out_grads = []
         loss = 0.0
@@ -231,74 +218,39 @@ def intrinsic_rewards(bank: CuriosityBank, t: Transition) -> np.ndarray:
     n_agents = bank.n_agents
     if kind is CuriosityKind.NONE:
         return np.zeros(n_agents)
-
-    if kind in TWO_HEADED_KINDS:
-        rewards = np.empty(n_agents)
-        joint_target = t.next_joint_obs.ravel()
-        for n in range(n_agents):
-            pred_own, pred_joint = mcm_forward(
-                bank.modules[n],
-                t.joint_obs[n],
-                one_hot_action(t.joint_action[n]),
-                *_others_split(t, n),
-            )
-            own_err = _sq_err(pred_own, t.next_joint_obs[n])
-            joint_err = _sq_err(pred_joint, joint_target)
-            if kind is CuriosityKind.MCM:
-                rewards[n] = own_err + joint_err
-            elif kind is CuriosityKind.MCM_INDIV:
-                rewards[n] = own_err
-            else:
-                rewards[n] = joint_err
-        return rewards
-
-    if kind is CuriosityKind.ICM_INDIV:
-        return np.array(
-            [
-                _sq_err(
-                    nc.forward(bank.modules[n], indiv_input(t, n))[0][0],
-                    t.next_joint_obs[n],
-                )
-                for n in range(n_agents)
-            ]
-        )
-
-    if kind is CuriosityKind.ICM_JOINT:
-        pred = nc.forward(bank.modules[0], joint_input(t))[0][0]
-        shared = _sq_err(pred, t.next_joint_obs.ravel())
-        return np.full(n_agents, shared)
+    jobs = _module_batches(
+        bank, t.joint_obs[None], np.array([t.joint_action]), t.next_joint_obs[None]
+    )
 
     if kind is CuriosityKind.ICM_MIN:
         # Every agent m's model is scored on agent n's own transition; agent n
         # receives the smallest of those errors.
-        rewards = np.empty(n_agents)
-        for n in range(n_agents):
-            x = indiv_input(t, n)
-            target = t.next_joint_obs[n]
-            errors = [
-                _sq_err(nc.forward(module, x)[0][0], target)
-                for module in bank.modules
+        return np.array(
+            [
+                min(_sq_err(nc.forward(m, x)[0][0][0], own[0]) for m in bank.modules)
+                for x, _, (own,) in jobs
             ]
-            rewards[n] = min(errors)
-        return rewards
+        )
 
+    # errors[k][h]: squared error of module k's head h on the transition
+    errors = []
+    for module, (x, extras, targets) in zip(bank.modules, jobs):
+        outputs, _ = nc.forward(module, x, extras)
+        errors.append([_sq_err(out[0], target[0]) for out, target in zip(outputs, targets)])
+
+    if kind is CuriosityKind.MCM:
+        return np.array([own + joint for own, joint in errors])
+    if kind is CuriosityKind.MCM_INDIV:
+        return np.array([own for own, _ in errors])
+    if kind is CuriosityKind.MCM_JOINT:
+        return np.array([joint for _, joint in errors])
+    if kind is CuriosityKind.ICM_INDIV:
+        return np.array([own for (own,) in errors])
+    if kind is CuriosityKind.ICM_JOINT:
+        return np.full(n_agents, errors[0][0])
     if kind is CuriosityKind.MCM_SEP:
-        joint_pred = nc.forward(bank.modules[n_agents], joint_input(t))[0][0]
-        joint_err = _sq_err(joint_pred, t.next_joint_obs.ravel())
-        rewards = np.empty(n_agents)
-        for n in range(n_agents):
-            pred = nc.forward(bank.modules[n], indiv_input(t, n))[0][0]
-            rewards[n] = _sq_err(pred, t.next_joint_obs[n]) + joint_err
-        return rewards
-
+        return np.array([own + errors[-1][0] for (own,) in errors[:-1]])
     raise AssertionError(f"unhandled kind {kind}")
-
-
-def _others_split(t: Transition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    mask = [m for m in range(t.joint_obs.shape[0]) if m != n]
-    obs = t.joint_obs[mask].ravel()
-    actions = np.concatenate([one_hot_action(t.joint_action[m]) for m in mask])
-    return obs, actions
 
 
 def mix_rewards(
@@ -310,33 +262,3 @@ def mix_rewards(
     if clip_max <= 0.0:
         raise ValueError("clip_max must be > 0")
     return e + lam * np.minimum(np.asarray(i, dtype=float), clip_max)
-
-
-def save_bank(path, bank: CuriosityBank) -> None:
-    """Checkpoint every module plus the kind tag in one npz file."""
-    arrays: dict[str, np.ndarray] = {
-        "format_version": np.array(nc.CHECKPOINT_VERSION),
-        "kind": np.array(bank.kind.value),
-        "n_agents": np.array(bank.n_agents),
-        "obs_dim": np.array(bank.obs_dim),
-        "n_modules": np.array(len(bank.modules)),
-    }
-    for i, module in enumerate(bank.modules):
-        arrays.update(nc.network_to_arrays(module, prefix=f"module{i}_"))
-    np.savez(path, **arrays)
-
-
-def load_bank(path, lr: float = 1e-3) -> CuriosityBank:
-    with np.load(path) as data:
-        if int(data["format_version"]) != nc.CHECKPOINT_VERSION:
-            raise ValueError("unsupported checkpoint version")
-        arrays = {k: data[k] for k in data.files}
-    kind = CuriosityKind(str(arrays["kind"]))
-    modules = [
-        nc.network_from_arrays(arrays, prefix=f"module{i}_")
-        for i in range(int(arrays["n_modules"]))
-    ]
-    opts = [nc.init_adam(m, lr=lr) for m in modules]
-    return CuriosityBank(
-        kind, int(arrays["n_agents"]), int(arrays["obs_dim"]), modules, opts
-    )

@@ -29,6 +29,11 @@ CSV_HEADER = (
 )
 ALLOWED_N_AGENTS = (2, 4)
 AUTO_EPISODE_BUDGET = {2: 30_000, 4: 50_000}
+PROGRESS_LOG_EVERY = 5000  # episodes between progress log lines
+
+
+class IncompleteRunError(ValueError):
+    """A run's CSV stops before its episode budget: it crashed or was killed."""
 
 
 @dataclass(frozen=True)
@@ -231,16 +236,6 @@ def render_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    episode: int
-    extrinsic_return: float
-    normalized_reward: float
-    success_any: bool
-    mean_intrinsic: float
-    curiosity_loss: float
-
-
 @dataclass
 class RunResult:
     config: RunConfig
@@ -250,19 +245,6 @@ class RunResult:
     curiosity_loss: np.ndarray
     success_any: np.ndarray  # bool
     final_score: float
-
-    def episode_metrics(self) -> list[EpisodeMetrics]:
-        return [
-            EpisodeMetrics(
-                episode=i,
-                extrinsic_return=float(self.extrinsic[i]),
-                normalized_reward=float(self.normalized[i]),
-                success_any=bool(self.success_any[i]),
-                mean_intrinsic=float(self.mean_intrinsic[i]),
-                curiosity_loss=float(self.curiosity_loss[i]),
-            )
-            for i in range(len(self.normalized))
-        ]
 
 
 def resolve_results_dir(explicit: str | None = None) -> str:
@@ -324,6 +306,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     csv_path = os.path.join(out_dir, rid + ".csv")
     done = 0
     next_mark = cfg.eval_interval
+    next_log = PROGRESS_LOG_EVERY
     with open(csv_path, "w") as csv_file:
         csv_file.write(CSV_HEADER + "\n")
 
@@ -374,11 +357,12 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
             while next_mark <= done:
                 emit_row(next_mark, next_mark - cfg.eval_interval)
                 next_mark += cfg.eval_interval
-            if done % 5000 < train_cfg.episodes_per_update and done >= 5000:
+            if next_log <= done:
                 logger.info(
                     "run %s: %d/%d episodes, recent normalized %.3f",
                     rid, done, total, float(np.mean(normalized[max(0, done - 500):done])),
                 )
+                next_log = (done // PROGRESS_LOG_EVERY + 1) * PROGRESS_LOG_EVERY
         if next_mark - cfg.eval_interval < total:
             emit_row(total, next_mark - cfg.eval_interval)
 
@@ -465,14 +449,16 @@ def parse_csv_rows(text: str) -> list[dict]:
 
 def load_run(results_dir: str, rid: str) -> RunSummary:
     """Rebuild a finished run's final score from its CSV, weighting each
-    interval row by its overlap with the last 10% of episodes."""
+    interval row by its overlap with the last 10% of episodes. Raises
+    IncompleteRunError unless the last row reaches the episode budget."""
     with open(os.path.join(results_dir, rid + ".config")) as f:
         cfg = parse_config(f.read())
     with open(os.path.join(results_dir, rid + ".csv")) as f:
         rows = parse_csv_rows(f.read())
-    if not rows:
-        raise ValueError(f"run {rid}: no metric rows")
     total = cfg.resolved_total_episodes
+    last = rows[-1]["episode"] if rows else 0
+    if last != total:
+        raise IncompleteRunError(f"run {rid}: CSV ends at episode {last} of {total}")
     threshold = 0.9 * total
     weighted = 0.0
     weight = 0.0
@@ -484,9 +470,6 @@ def load_run(results_dir: str, rid: str) -> RunSummary:
             weighted += overlap * row["normalized_reward"]
             weight += overlap
         prev = end
-    if weight == 0.0:
-        # degenerate budgets: fall back to the last row
-        return RunSummary(cfg, rows[-1]["normalized_reward"])
     return RunSummary(cfg, weighted / weight)
 
 
@@ -498,10 +481,13 @@ def load_results(results_dir: str) -> list[RunSummary]:
     )
     out = []
     for rid in rids:
-        if os.path.exists(os.path.join(results_dir, rid + ".csv")):
-            out.append(load_run(results_dir, rid))
-        else:
+        if not os.path.exists(os.path.join(results_dir, rid + ".csv")):
             logger.warning("run %s: config sidecar without CSV, skipping", rid)
+            continue
+        try:
+            out.append(load_run(results_dir, rid))
+        except IncompleteRunError as e:
+            logger.warning("%s, skipping", e)
     return out
 
 

@@ -242,41 +242,3 @@ class NavEnv:
             raise RuntimeError("reset() must be called before step()")
         self.state, result = step(self.config, self.state, joint_action)
         return result
-
-
-def trajectory_line(
-    timestep: int,
-    positions: np.ndarray,
-    joint_action: tuple[int, ...] | list[int],
-    reward: float,
-    success: bool,
-) -> str:
-    """One replay-log line: timestep, positions, action names, reward, success.
-
-    Floats use 17 significant digits so parsing the line back is bit-exact.
-    """
-    fields = [str(timestep)]
-    fields.extend(f"{v:.17g}" for v in np.asarray(positions).ravel())
-    fields.extend(ACTION_NAMES[a] for a in joint_action)
-    fields.append(f"{reward:.17g}")
-    fields.append("1" if success else "0")
-    return ",".join(fields)
-
-
-def parse_trajectory_line(line: str, n_agents: int) -> dict:
-    """Inverse of trajectory_line."""
-    parts = line.strip().split(",")
-    t = int(parts[0])
-    coords = [float(v) for v in parts[1 : 1 + 2 * n_agents]]
-    actions = tuple(
-        ACTION_NAMES.index(name) for name in parts[1 + 2 * n_agents : 1 + 3 * n_agents]
-    )
-    reward = float(parts[1 + 3 * n_agents])
-    success = parts[2 + 3 * n_agents] == "1"
-    return {
-        "timestep": t,
-        "positions": np.array(coords).reshape(n_agents, 2),
-        "joint_action": actions,
-        "reward": reward,
-        "success": success,
-    }

@@ -5,7 +5,7 @@ more affine output heads, where each head may concatenate extra inputs to the
 trunk output before its affine layer. Everything is float64 and purely
 deterministic; the only randomness is the init Generator.
 
-Parameter order (used by Gradients, Adam and checkpoints): trunk layer 0
+Parameter order (used by Gradients and Adam): trunk layer 0
 weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
 Weights are (out, in); inputs are row vectors, so affine is x @ w.T + b.
 """
@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Gradients = list[np.ndarray]
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -248,22 +246,6 @@ def backward(
     return grads
 
 
-def zero_gradients(net: Network) -> Gradients:
-    return [np.zeros_like(p) for p in net.parameters()]
-
-
-def add_gradients(acc: Gradients, extra: Gradients) -> Gradients:
-    for a, g in zip(acc, extra):
-        a += g
-    return acc
-
-
-def scale_gradients(grads: Gradients, factor: float) -> Gradients:
-    for g in grads:
-        g *= factor
-    return grads
-
-
 def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState, Network]:
     """Standard Adam with bias correction; mutates opt and net in place."""
     params = net.parameters()
@@ -411,56 +393,3 @@ def squared_error_loss_closure(
         return loss, backward(net, cache, out_grads)
 
     return loss_and_grad
-
-
-def network_to_arrays(net: Network, prefix: str = "") -> dict[str, np.ndarray]:
-    """Flatten a network into named arrays for checkpointing."""
-    spec = net.spec
-    d = {
-        f"{prefix}input_dim": np.array(spec.input_dim),
-        f"{prefix}output_dims": np.array(spec.output_dims),
-        f"{prefix}hidden_dims": np.array(spec.hidden_dims),
-        f"{prefix}leaky_slope": np.array(spec.leaky_slope),
-        f"{prefix}head_extra_input_dims": np.array(spec.head_extra_input_dims),
-    }
-    for i, (w, b) in enumerate(zip(net.trunk_w, net.trunk_b)):
-        d[f"{prefix}trunk_w{i}"] = w
-        d[f"{prefix}trunk_b{i}"] = b
-    for i, (w, b) in enumerate(zip(net.head_w, net.head_b)):
-        d[f"{prefix}head_w{i}"] = w
-        d[f"{prefix}head_b{i}"] = b
-    return d
-
-
-def network_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> Network:
-    spec = NetworkSpec(
-        input_dim=int(arrays[f"{prefix}input_dim"]),
-        output_dims=tuple(int(v) for v in arrays[f"{prefix}output_dims"]),
-        hidden_dims=tuple(int(v) for v in arrays[f"{prefix}hidden_dims"]),
-        leaky_slope=float(arrays[f"{prefix}leaky_slope"]),
-        head_extra_input_dims=tuple(
-            int(v) for v in arrays[f"{prefix}head_extra_input_dims"]
-        ),
-    )
-    trunk_w = [
-        np.array(arrays[f"{prefix}trunk_w{i}"]) for i in range(len(spec.hidden_dims))
-    ]
-    trunk_b = [
-        np.array(arrays[f"{prefix}trunk_b{i}"]) for i in range(len(spec.hidden_dims))
-    ]
-    head_w = [np.array(arrays[f"{prefix}head_w{i}"]) for i in range(spec.n_heads)]
-    head_b = [np.array(arrays[f"{prefix}head_b{i}"]) for i in range(spec.n_heads)]
-    return Network(spec, trunk_w, trunk_b, head_w, head_b)
-
-
-def save_network(path, net: Network) -> None:
-    """Binary checkpoint (npz) with a version header; round-trip is bit-exact."""
-    np.savez(path, format_version=np.array(CHECKPOINT_VERSION), **network_to_arrays(net))
-
-
-def load_network(path) -> Network:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return network_from_arrays({k: data[k] for k in data.files})

@@ -62,6 +62,8 @@ def test_train_config_defaults():
         ("epsilon_start", 0.2),
         ("epsilon_end", -0.01),
         ("intrinsic_lambda", -1.0),
+        ("intrinsic_clip", 0.0),
+        ("intrinsic_clip", -1.0),
     ],
 )
 def test_train_config_rejects(field, value):
@@ -147,14 +149,25 @@ def test_select_actions_probs_respect_floor():
 
 
 def test_critic_input_layout():
-    joint_obs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    x = coma.critic_input(joint_obs, (2, 4), agent=0)
+    joint_obs = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    x = coma.critic_inputs(joint_obs, np.array([[2, 4]]))
+    assert x.shape == (1, 2, coma.critic_input_dim(2, 2))
     # joint obs flattened, then agent 1's one-hot action, then agent one-hot
     expected = np.array([1, 2, 3, 4, 0, 0, 0, 0, 1, 1, 0], float)
-    np.testing.assert_array_equal(x, expected)
-    x1 = coma.critic_input(joint_obs, (2, 4), agent=1)
+    np.testing.assert_array_equal(x[0, 0], expected)
     expected1 = np.array([1, 2, 3, 4, 0, 0, 1, 0, 0, 0, 1], float)
-    np.testing.assert_array_equal(x1, expected1)
+    np.testing.assert_array_equal(x[0, 1], expected1)
+
+    joint_obs = np.arange(8, dtype=float).reshape(1, 4, 2)
+    x = coma.critic_inputs(joint_obs, np.array([[0, 1, 2, 3]]))
+    assert x.shape == (1, 4, coma.critic_input_dim(4, 2))
+    one_hots = np.eye(5)
+    for agent in range(4):
+        others = [m for m in range(4) if m != agent]
+        expected = np.concatenate(
+            [np.arange(8.0), *(one_hots[m] for m in others), np.eye(4)[agent]]
+        )
+        np.testing.assert_array_equal(x[0, agent], expected)
 
 
 def test_critic_input_dim_matches():
@@ -165,15 +178,22 @@ def test_critic_input_dim_matches():
     assert critic.network.spec.input_dim == coma.critic_input_dim(2, 12)
 
 
+def critic_q(critic, joint_obs, joint_action, agent):
+    """Q-values (1, 5) of one agent's candidate actions at one joint state."""
+    x = coma.critic_inputs(joint_obs[None], np.array([joint_action]))
+    return nc.forward(critic.network, x[:, agent])[0][0]
+
+
 def test_counterfactual_advantage_against_hand_sum():
     rng = np.random.default_rng(6)
     critic = coma.make_critic(2, 6, rng)
     joint_obs = rng.standard_normal((2, 6))
     pi = rng.dirichlet(np.ones(5))
-    q = coma.critic_values(critic, joint_obs, (1, 3), 0)
-    adv = coma.counterfactual_advantage(critic, joint_obs, (1, 3), 0, pi)
-    hand = q[1] - sum(pi[a] * q[a] for a in range(5))
-    assert adv == pytest.approx(hand, abs=1e-12)
+    q = critic_q(critic, joint_obs, (1, 3), 0)
+    adv = coma.counterfactual_advantages(q, pi[None], np.array([1]))
+    hand = q[0, 1] - sum(pi[a] * q[0, a] for a in range(5))
+    assert adv.shape == (1,)
+    assert adv[0] == pytest.approx(hand, abs=1e-12)
 
 
 def test_counterfactual_advantage_zero_for_constant_critic():
@@ -182,10 +202,9 @@ def test_counterfactual_advantage_zero_for_constant_critic():
     zero_network(critic.network)
     critic.network.head_b[0][:] = -3.7  # every Q identical
     pi = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-    adv = coma.counterfactual_advantage(
-        critic, np.ones((2, 6)), (4, 0), 1, pi
-    )
-    assert adv == pytest.approx(0.0, abs=1e-12)
+    q = critic_q(critic, np.ones((2, 6)), (4, 0), 1)
+    adv = coma.counterfactual_advantages(q, pi[None], np.array([0]))
+    assert adv[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_counterfactual_advantage_zero_for_deterministic_policy():
@@ -193,10 +212,9 @@ def test_counterfactual_advantage_zero_for_deterministic_policy():
     critic = coma.make_critic(2, 6, rng)
     pi = np.zeros(5)
     pi[3] = 1.0
-    adv = coma.counterfactual_advantage(
-        critic, rng.standard_normal((2, 6)), (3, 2), 0, pi
-    )
-    assert adv == pytest.approx(0.0, abs=1e-12)
+    q = critic_q(critic, rng.standard_normal((2, 6)), (3, 2), 0)
+    adv = coma.counterfactual_advantages(q, pi[None], np.array([3]))
+    assert adv[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_counterfactual_advantage_policy_expectation_is_zero():
@@ -204,11 +222,12 @@ def test_counterfactual_advantage_policy_expectation_is_zero():
     critic = coma.make_critic(2, 6, rng)
     joint_obs = rng.standard_normal((2, 6))
     pi = rng.dirichlet(np.ones(5))
+    # one row per candidate action u of agent 0, agent 1 fixed at action 2
+    q = np.concatenate([critic_q(critic, joint_obs, (u, 2), 0) for u in range(5)])
+    adv = coma.counterfactual_advantages(q, np.tile(pi, (5, 1)), np.arange(5))
     total = 0.0
     for u in range(5):
-        total += pi[u] * coma.counterfactual_advantage(
-            critic, joint_obs, (u, 2), 0, pi
-        )
+        total += pi[u] * adv[u]
     assert total == pytest.approx(0.0, abs=1e-12)
 
 
@@ -379,7 +398,8 @@ def test_critic_targets_use_pre_update_bootstrap():
     buf = buffers[0]
     q0 = []
     for tr in buf.transitions:
-        q = coma.critic_values(critic, tr.joint_obs, tr.joint_action, 0)
+        x = coma.critic_inputs(tr.joint_obs[None], np.array([tr.joint_action]))
+        q = nc.forward(critic.network, x[0, 0])[0][0]
         q0.append(q[tr.joint_action[0]])
     expected = coma.td_lambda_targets(
         buf.mixed[:, 0], np.array(q0), cfg.gamma, cfg.td_lambda

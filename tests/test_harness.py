@@ -214,16 +214,6 @@ def test_parse_csv_rejects_foreign_text():
         harness.parse_csv_rows(truncated)
 
 
-def test_episode_metrics_accessor(tmp_path):
-    cfg = harness.parse_config("method = none\ntotal_episodes = 30\neval_interval = 10\n")
-    result = harness.run_experiment(cfg, str(tmp_path))
-    metrics = result.episode_metrics()
-    assert len(metrics) == 30
-    assert metrics[4].episode == 4
-    assert metrics[4].extrinsic_return == result.extrinsic[4]
-    assert isinstance(metrics[0].success_any, bool)
-
-
 def test_load_run_reconstructs_final_score(tmp_path):
     cfg = harness.parse_config(
         "method = none\ntotal_episodes = 100\neval_interval = 10\nreward_mode = dense\n"
@@ -233,6 +223,23 @@ def test_load_run_reconstructs_final_score(tmp_path):
     # interval boundary lines up with the last-10% window, so this is exact
     assert summary.final_score == pytest.approx(result.final_score, abs=1e-15)
     assert summary.config == result.config
+
+
+def test_truncated_run_is_not_reported(tmp_path):
+    """A run killed before its budget leaves a CSV that stops early; it must
+    not be scored or counted as finished."""
+    cfg = harness.parse_config(
+        "method = none\ntotal_episodes = 40\neval_interval = 10\nreward_mode = dense\n"
+    )
+    harness.run_experiment(cfg, str(tmp_path))
+    rid = harness.run_id(cfg)
+    csv_path = tmp_path / (rid + ".csv")
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 1 + 4
+    csv_path.write_text("\n".join(lines[:3]) + "\n")  # header + 2 of 4 rows
+    with pytest.raises(harness.IncompleteRunError, match="20 of 40"):
+        harness.load_run(str(tmp_path), rid)
+    assert harness.load_results(str(tmp_path)) == []
 
 
 def test_load_results_skips_orphan_sidecar(tmp_path):

@@ -302,16 +302,3 @@ class TestDeterminism:
         for (pa, ra), (pb, rb) in zip(a, b):
             np.testing.assert_array_equal(pa, pb)
             assert ra == rb
-
-
-class TestTrajectoryLines:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        positions = rng.uniform(-1, 1, (2, 2))
-        line = nav_env.trajectory_line(7, positions, (0, 3), -1.2345678901234567, True)
-        back = nav_env.parse_trajectory_line(line, 2)
-        assert back["timestep"] == 7
-        np.testing.assert_array_equal(back["positions"], positions)
-        assert back["joint_action"] == (0, 3)
-        assert back["reward"] == -1.2345678901234567
-        assert back["success"] is True
