@@ -73,19 +73,33 @@ class CentralCritic:
 
 
 @dataclass
-class EpisodeBuffer:
-    """One rolled-out episode: transitions plus everything the updates need."""
+class RolloutBuffer:
+    """One round's episodes, played in lockstep, as arrays with a leading
+    episode axis E. obs[:, t + 1] is the joint observation after the joint
+    action actions[:, t]."""
 
-    transitions: list[cur.Transition]
-    probs: np.ndarray  # (T, N, 5) mixed action probabilities
-    intrinsic: np.ndarray  # (T, N)
-    mixed: np.ndarray  # (T, N)
-    extrinsic_return: float
-    success_steps: int
+    obs: np.ndarray  # (E, T+1, N, d)
+    actions: np.ndarray  # (E, T, N)
+    probs: np.ndarray  # (E, T, N, 5) mixed action probabilities sampled from
+    extrinsic: np.ndarray  # (E, T)
+    success: np.ndarray  # (E, T) bool
+    intrinsic: np.ndarray  # (E, T, N)
+    mixed: np.ndarray  # (E, T, N)
 
-    @property
-    def success_any(self) -> bool:
-        return self.success_steps > 0
+    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step's (obs, actions, next_obs), episode by episode."""
+        return _flat_transitions(self.obs, self.actions)
+
+
+def _flat_transitions(obs: np.ndarray, actions: np.ndarray):
+    """(obs (B, N, d), actions (B, N), next_obs (B, N, d)) over all B = E*T
+    steps, episode by episode, from obs (E, T+1, N, d) and actions (E, T, N)."""
+    e, t_max, n = actions.shape
+    return (
+        obs[:, :-1].reshape(e * t_max, n, -1),
+        actions.reshape(e * t_max, n),
+        obs[:, 1:].reshape(e * t_max, n, -1),
+    )
 
 
 @dataclass
@@ -153,9 +167,10 @@ def floor_mix(logits: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
-    """One agent's floor-mixed action distribution for one observation."""
-    logits, _ = nc.forward(network, obs)
-    logits = logits[0]
+    """One agent's floor-mixed action distribution for one observation (d,),
+    or one per row of a batch (B, d)."""
+    outputs, _ = nc.forward(network, obs)
+    logits = outputs[0]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite policy logits")
     return floor_mix(logits, epsilon)
@@ -165,18 +180,19 @@ def select_actions(
     policies: PolicySet,
     joint_obs: np.ndarray,
     epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sample each agent's action independently from its floor-mixed policy."""
-    n = policies.n_agents
-    probs = np.empty((n, N_ACTIONS))
-    actions = []
-    for i in range(n):
-        probs[i] = policy_probs(policies.networks[i], joint_obs[i], epsilon)
-        u = rng.random()
-        a = int(np.searchsorted(np.cumsum(probs[i]), u, side="right"))
-        actions.append(min(a, N_ACTIONS - 1))
-    return tuple(actions), probs
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample each agent's action independently from its floor-mixed policy,
+    for a batch of joint observations (E, N, d): one forward per agent over
+    all E rows. Each action is the inverse CDF of its uniform in [0, 1),
+    given as (E, N). Returns actions (E, N) and probabilities (E, N, 5)."""
+    probs = np.stack(
+        [policy_probs(net, joint_obs[:, i], epsilon) for i, net in enumerate(policies.networks)],
+        axis=1,
+    )
+    # count of CDF entries <= u, as searchsorted(side="right") finds it
+    actions = np.sum(np.cumsum(probs, axis=-1) <= uniforms[..., None], axis=-1)
+    return np.minimum(actions, N_ACTIONS - 1), probs
 
 
 def epsilon_at(cfg: TrainConfig, episode_index: int) -> float:
@@ -211,13 +227,15 @@ def td_lambda_targets(
     rewards: np.ndarray, q_taken: np.ndarray, gamma: float, td_lambda: float
 ) -> np.ndarray:
     """Lambda-returns G_t = r_t + gamma*((1-lam)*q_{t+1} + lam*G_{t+1}) with a
-    zero terminal bootstrap (G at the last step is just its reward)."""
+    zero terminal bootstrap (G at the last step is just its reward).
+    rewards and q_taken are (T, ...): one backward pass over T serves every
+    stream along the trailing axes."""
     rewards = np.asarray(rewards, float)
     q_taken = np.asarray(q_taken, float)
     if rewards.shape != q_taken.shape:
-        raise ValueError("rewards and q_taken must have the same length")
+        raise ValueError("rewards and q_taken must have the same shape")
     t_max = len(rewards)
-    targets = np.empty(t_max)
+    targets = np.empty_like(rewards)
     targets[-1] = rewards[-1]
     for t in range(t_max - 2, -1, -1):
         targets[t] = rewards[t] + gamma * (
@@ -234,71 +252,69 @@ def rollout_episode(
     epsilon: float,
     env_rng: np.random.Generator,
     action_rng: np.random.Generator,
-) -> EpisodeBuffer:
-    """Play one full episode with the current components, scoring intrinsic
-    rewards online with the bank's pre-update parameters."""
-    joint_obs = env.reset(env_rng)
-    n = policies.n_agents
+) -> RolloutBuffer:
+    """Play the round's cfg.episodes_per_update episodes in lockstep with the
+    current components, then score every transition's intrinsic reward.
+
+    Every episode's start jitter is drawn from env_rng at reset, and every
+    action uniform from action_rng in one (E, T, N) block: the values each
+    stream would give with the episodes played one after another, step by
+    step and agent by agent. The bank does not change during the rollout, so
+    scoring all E*T transitions after the last step, in one forward per
+    module, gives the rewards that scoring each step online would."""
+    e = cfg.episodes_per_update
     t_max = env.config.episode_length
-    transitions: list[cur.Transition] = []
-    probs = np.empty((t_max, n, N_ACTIONS))
-    intrinsic = np.empty((t_max, n))
-    mixed = np.empty((t_max, n))
-    extrinsic_return = 0.0
-    success_steps = 0
+    n = policies.n_agents
+    first_obs = env.reset(env_rng, e)
+    uniforms = action_rng.random((e, t_max, n))
+    obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
+    obs[:, 0] = first_obs
+    actions = np.empty((e, t_max, n), dtype=int)
+    probs = np.empty((e, t_max, n, N_ACTIONS))
+    extrinsic = np.empty((e, t_max))
+    success = np.empty((e, t_max), dtype=bool)
     for t in range(t_max):
-        actions, probs[t] = select_actions(policies, joint_obs, epsilon, action_rng)
-        result = env.step(actions)
-        tr = cur.Transition(
-            joint_obs=joint_obs,
-            joint_action=actions,
-            extrinsic_reward=result.extrinsic_reward,
-            next_joint_obs=result.next_joint_obs,
-            done=result.done,
+        actions[:, t], probs[:, t] = select_actions(
+            policies, obs[:, t], epsilon, uniforms[:, t]
         )
-        transitions.append(tr)
-        intrinsic[t] = cur.intrinsic_rewards(bank, tr)
-        mixed[t] = cur.mix_rewards(
-            result.extrinsic_reward, intrinsic[t], cfg.intrinsic_lambda, cfg.intrinsic_clip
-        )
-        extrinsic_return += result.extrinsic_reward
-        success_steps += int(result.success)
-        joint_obs = result.next_joint_obs
-    return EpisodeBuffer(
-        transitions, probs, intrinsic, mixed, extrinsic_return, success_steps
+        result = env.step(actions[:, t])
+        obs[:, t + 1] = result.next_joint_obs
+        extrinsic[:, t] = result.extrinsic_reward
+        success[:, t] = result.success
+    intrinsic = cur.intrinsic_rewards(bank, *_flat_transitions(obs, actions))
+    intrinsic = intrinsic.reshape(e, t_max, n)
+    mixed = cur.mix_rewards(
+        extrinsic[..., None], intrinsic, cfg.intrinsic_lambda, cfg.intrinsic_clip
     )
+    return RolloutBuffer(obs, actions, probs, extrinsic, success, intrinsic, mixed)
 
 
 def _critic_batch(
-    critic: CentralCritic, buffers: list[EpisodeBuffer], cfg: TrainConfig
+    critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack critic inputs, taken-action indices, and lambda-return targets
-    for every (episode, step, agent) triple, using pre-update Q estimates."""
-    n = critic.n_agents
-    xs, takens, targets = [], [], []
-    for buf in buffers:
-        t_max = len(buf.transitions)
-        taken = np.array([tr.joint_action for tr in buf.transitions])  # (T, N)
-        x_ep = critic_inputs(np.stack([tr.joint_obs for tr in buf.transitions]), taken)
-        q_all, _ = nc.forward(critic.network, x_ep.reshape(t_max * n, -1))
-        q_all = q_all[0].reshape(t_max, n, N_ACTIONS)
-        q_taken = np.take_along_axis(q_all, taken[:, :, None], axis=2)[:, :, 0]
-        for agent in range(n):
-            tgt = td_lambda_targets(
-                buf.mixed[:, agent], q_taken[:, agent], cfg.gamma, cfg.td_lambda
-            )
-            xs.append(x_ep[:, agent])
-            takens.append(taken[:, agent])
-            targets.append(tgt)
-    return np.concatenate(xs), np.concatenate(takens), np.concatenate(targets)
+    for every (episode, agent, step) triple, in that row order, using
+    pre-update Q estimates."""
+    obs, taken, _ = buf.transitions()
+    e, t_max, n = buf.actions.shape
+    x = critic_inputs(obs, taken)  # (E*T, N, in)
+    q_all, _ = nc.forward(critic.network, x.reshape(e * t_max * n, -1))
+    q_all = q_all[0].reshape(e, t_max, n, N_ACTIONS)
+    q_taken = np.take_along_axis(q_all, buf.actions[..., None], axis=3)[..., 0]
+    targets = td_lambda_targets(  # (T, E, N)
+        buf.mixed.transpose(1, 0, 2), q_taken.transpose(1, 0, 2), cfg.gamma, cfg.td_lambda
+    )
+    return (
+        x.reshape(e, t_max, n, -1).transpose(0, 2, 1, 3).reshape(e * n * t_max, -1),
+        buf.actions.transpose(0, 2, 1).reshape(-1),
+        targets.transpose(1, 2, 0).reshape(-1),
+    )
 
 
-def critic_update(
-    critic: CentralCritic, buffers: list[EpisodeBuffer], cfg: TrainConfig
-) -> float:
+def critic_update(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig) -> float:
     """Regress the critic's taken-action Q toward frozen lambda-return targets
     for critic_epochs Adam steps; returns the pre-update mean squared error."""
-    x, taken, targets = _critic_batch(critic, buffers, cfg)
+    x, taken, targets = _critic_batch(critic, buf, cfg)
     b = x.shape[0]
     initial_loss = None
     for _ in range(cfg.critic_epochs):
@@ -391,7 +407,7 @@ def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -
 def actor_update(
     policies: PolicySet,
     critic: CentralCritic,
-    buffers: list[EpisodeBuffer],
+    buf: RolloutBuffer,
     cfg: TrainConfig,
     epsilon: float,
 ) -> float:
@@ -405,12 +421,9 @@ def actor_update(
     before the fine docking signal can be expressed."""
     n = policies.n_agents
     total_loss = 0.0
-    joint_obs = np.stack([tr.joint_obs for buf in buffers for tr in buf.transitions])
-    actions = np.array(
-        [tr.joint_action for buf in buffers for tr in buf.transitions]
-    )  # (B, N)
-    probs = np.concatenate([buf.probs for buf in buffers])  # (B, N, 5)
+    joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
     b = actions.shape[0]
+    probs = buf.probs.reshape(b, n, N_ACTIONS)
     critic_x = critic_inputs(joint_obs, actions).reshape(b * n, -1)
     q_all, _ = nc.forward(critic.network, critic_x)
     q_all = q_all[0].reshape(b, n, N_ACTIONS)
@@ -437,22 +450,18 @@ def train_round(
     env_rng: np.random.Generator,
     action_rng: np.random.Generator,
 ) -> RoundStats:
-    """Roll out a batch of episodes, then update critic, actors, and the
-    curiosity bank in that order."""
+    """Roll out a batch of episodes in lockstep, then update critic, actors,
+    and the curiosity bank in that order."""
     epsilon = epsilon_at(cfg, episode_index)
-    buffers = [
-        rollout_episode(env, policies, bank, cfg, epsilon, env_rng, action_rng)
-        for _ in range(cfg.episodes_per_update)
-    ]
-    stats = RoundStats()
-    for buf in buffers:
-        stats.extrinsic_returns.append(buf.extrinsic_return)
-        stats.success_steps.append(buf.success_steps)
-        stats.success_any.append(buf.success_any)
-        stats.mean_intrinsic.append(float(buf.intrinsic.mean()))
-    stats.critic_loss = critic_update(critic, buffers, cfg)
-    stats.actor_loss = actor_update(policies, critic, buffers, cfg, epsilon)
+    buf = rollout_episode(env, policies, bank, cfg, epsilon, env_rng, action_rng)
+    stats = RoundStats(
+        extrinsic_returns=buf.extrinsic.sum(axis=1).tolist(),
+        success_steps=buf.success.sum(axis=1).tolist(),
+        success_any=buf.success.any(axis=1).tolist(),
+        mean_intrinsic=buf.intrinsic.mean(axis=(1, 2)).tolist(),
+    )
+    stats.critic_loss = critic_update(critic, buf, cfg)
+    stats.actor_loss = actor_update(policies, critic, buf, cfg, epsilon)
     if bank.kind is not cur.CuriosityKind.NONE:
-        batch = [tr for buf in buffers for tr in buf.transitions]
-        stats.curiosity_losses = cur.curiosity_update(bank, batch)
+        stats.curiosity_losses = cur.curiosity_update(bank, *buf.transitions())
     return stats

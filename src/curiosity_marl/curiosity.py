@@ -35,15 +35,6 @@ TWO_HEADED_KINDS = (CuriosityKind.MCM, CuriosityKind.MCM_INDIV, CuriosityKind.MC
 PER_AGENT_ONE_HEADED_KINDS = (CuriosityKind.ICM_INDIV, CuriosityKind.ICM_MIN)
 
 
-@dataclass(frozen=True)
-class Transition:
-    joint_obs: np.ndarray  # (N, obs_dim)
-    joint_action: tuple[int, ...]
-    extrinsic_reward: float
-    next_joint_obs: np.ndarray  # (N, obs_dim)
-    done: bool
-
-
 @dataclass
 class CuriosityBank:
     kind: CuriosityKind
@@ -114,10 +105,6 @@ def make_bank(
     return CuriosityBank(kind, n_agents, obs_dim, modules, opts)
 
 
-def indiv_input(t: Transition, n: int) -> np.ndarray:
-    return np.concatenate([t.joint_obs[n], one_hot_action(t.joint_action[n])])
-
-
 def mcm_forward(
     module: nc.Network,
     o_n: np.ndarray,
@@ -171,23 +158,21 @@ def _module_batches(
     return jobs
 
 
-def curiosity_update(bank: CuriosityBank, batch: list[Transition]) -> list[float]:
-    """One Adam step per module on the batch-mean forward loss.
+def curiosity_update(
+    bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
+) -> list[float]:
+    """One Adam step per module on the batch-mean forward loss over stacked
+    transitions: obs and next_obs are (B, N, d), actions (B, N).
 
     One-headed modules minimize ||prediction - target||^2; two-headed modules
     minimize half the sum of the squared individual and joint errors. Returns
     the pre-update mean loss of every module.
     """
-    if not batch:
+    b = len(obs)
+    if b == 0:
         raise ValueError("curiosity_update requires a non-empty batch")
     two_headed = bank.kind in TWO_HEADED_KINDS
-    b = len(batch)
-    jobs = _module_batches(
-        bank,
-        np.stack([t.joint_obs for t in batch]),
-        np.array([t.joint_action for t in batch]),
-        np.stack([t.next_joint_obs for t in batch]),
-    )
+    jobs = _module_batches(bank, obs, actions, next_obs)
     losses = []
     for module, opt, (x, extras, targets) in zip(bank.modules, bank.opts, jobs):
         outputs, cache = nc.forward(module, x, extras)
@@ -206,57 +191,60 @@ def curiosity_update(bank: CuriosityBank, batch: list[Transition]) -> list[float
     return losses
 
 
-def _sq_err(pred: np.ndarray, target: np.ndarray) -> float:
+def _sq_err(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Row-wise squared error of (B, k) predictions."""
     diff = pred - target
-    return float(diff @ diff)
+    return np.sum(diff * diff, axis=-1)
 
 
-def intrinsic_rewards(bank: CuriosityBank, t: Transition) -> np.ndarray:
-    """Per-agent intrinsic rewards for one transition, using the bank's
-    current (pre-update) parameters. Always non-negative."""
+def intrinsic_rewards(
+    bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
+) -> np.ndarray:
+    """Per-agent intrinsic rewards (B, N) for stacked transitions (obs and
+    next_obs (B, N, d), actions (B, N)), one forward per module, using the
+    bank's current (pre-update) parameters. Always non-negative."""
     kind = bank.kind
-    n_agents = bank.n_agents
+    b, n_agents = actions.shape
     if kind is CuriosityKind.NONE:
-        return np.zeros(n_agents)
-    jobs = _module_batches(
-        bank, t.joint_obs[None], np.array([t.joint_action]), t.next_joint_obs[None]
-    )
+        return np.zeros((b, n_agents))
+    jobs = _module_batches(bank, obs, actions, next_obs)
 
     if kind is CuriosityKind.ICM_MIN:
         # Every agent m's model is scored on agent n's own transition; agent n
-        # receives the smallest of those errors.
-        return np.array(
-            [
-                min(_sq_err(nc.forward(m, x)[0][0][0], own[0]) for m in bank.modules)
-                for x, _, (own,) in jobs
-            ]
-        )
+        # receives the smallest of those errors. Rows are agent-major.
+        x = np.concatenate([x for x, _, _ in jobs])
+        own = np.concatenate([own for _, _, (own,) in jobs])
+        errors = [_sq_err(nc.forward(m, x)[0][0], own) for m in bank.modules]
+        return np.min(errors, axis=0).reshape(n_agents, b).T
 
-    # errors[k][h]: squared error of module k's head h on the transition
+    # errors[k][h]: (B,) squared errors of module k's head h
     errors = []
     for module, (x, extras, targets) in zip(bank.modules, jobs):
         outputs, _ = nc.forward(module, x, extras)
-        errors.append([_sq_err(out[0], target[0]) for out, target in zip(outputs, targets)])
+        errors.append([_sq_err(out, target) for out, target in zip(outputs, targets)])
 
     if kind is CuriosityKind.MCM:
-        return np.array([own + joint for own, joint in errors])
-    if kind is CuriosityKind.MCM_INDIV:
-        return np.array([own for own, _ in errors])
-    if kind is CuriosityKind.MCM_JOINT:
-        return np.array([joint for _, joint in errors])
-    if kind is CuriosityKind.ICM_INDIV:
-        return np.array([own for (own,) in errors])
-    if kind is CuriosityKind.ICM_JOINT:
-        return np.full(n_agents, errors[0][0])
-    if kind is CuriosityKind.MCM_SEP:
-        return np.array([own + errors[-1][0] for (own,) in errors[:-1]])
-    raise AssertionError(f"unhandled kind {kind}")
+        per_agent = [own + joint for own, joint in errors]
+    elif kind is CuriosityKind.MCM_INDIV:
+        per_agent = [own for own, _ in errors]
+    elif kind is CuriosityKind.MCM_JOINT:
+        per_agent = [joint for _, joint in errors]
+    elif kind is CuriosityKind.ICM_INDIV:
+        per_agent = [own for (own,) in errors]
+    elif kind is CuriosityKind.ICM_JOINT:
+        per_agent = [errors[0][0]] * n_agents
+    elif kind is CuriosityKind.MCM_SEP:
+        per_agent = [own + errors[-1][0] for (own,) in errors[:-1]]
+    else:
+        raise AssertionError(f"unhandled kind {kind}")
+    return np.stack(per_agent, axis=1)
 
 
 def mix_rewards(
-    e: float, i: np.ndarray, lam: float, clip_max: float
+    e: float | np.ndarray, i: np.ndarray, lam: float, clip_max: float
 ) -> np.ndarray:
-    """Per-agent mixed reward e + lam * min(i, clip_max)."""
+    """Per-agent mixed reward e + lam * min(i, clip_max); e broadcasts
+    against i (a scalar, or (..., 1) against (..., N))."""
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
     if clip_max <= 0.0:

@@ -3,7 +3,8 @@
 N agents move on the square [-half_extent, +half_extent]^2 with discrete
 cardinal actions and must simultaneously occupy their assigned landmarks.
 Two scenarios (same_landmark, different_landmark) in 2- and 4-agent
-versions, each with a sparse and a dense reward mode.
+versions, each with a sparse and a dense reward mode. The functional core
+steps one episode, or a batch of episodes in lockstep along leading axes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    agent_positions: np.ndarray  # (N, 2)
+    """A batch of episodes in lockstep: agent_positions is (..., N, 2), one
+    (N, 2) block per episode, and every episode shares the landmarks and the
+    clock. A single episode is the batch shape ()."""
+
+    agent_positions: np.ndarray  # (..., N, 2)
     landmark_positions: np.ndarray  # (L, 2)
     landmark_assignment: tuple[int, ...]  # agent index -> landmark index
     timestep: int
@@ -88,10 +93,10 @@ class EnvState:
 
 @dataclass(frozen=True)
 class StepResult:
-    next_joint_obs: np.ndarray  # (N, obs_dim)
-    extrinsic_reward: float
+    next_joint_obs: np.ndarray  # (..., N, obs_dim)
+    extrinsic_reward: np.ndarray  # (...)
     done: bool
-    success: bool
+    success: np.ndarray  # (...) bool
 
 
 def landmark_assignment(scenario: str, n_agents: int) -> tuple[int, ...]:
@@ -126,12 +131,16 @@ def canonical_layout(config: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
     return starts, landmarks
 
 
-def reset(config: WorldConfig, rng: np.random.Generator) -> tuple[EnvState, np.ndarray]:
-    """Start a new episode; agents get per-component uniform start jitter."""
+def reset(
+    config: WorldConfig, rng: np.random.Generator, n_episodes: int | None = None
+) -> tuple[EnvState, np.ndarray]:
+    """Start one episode, or n_episodes in lockstep; agents get per-component
+    uniform start jitter, drawn episode by episode."""
     config.validate()
     starts, landmarks = canonical_layout(config)
+    batch = () if n_episodes is None else (n_episodes,)
     j = config.start_jitter
-    starts = starts + rng.uniform(-j, j, size=starts.shape)
+    starts = starts + rng.uniform(-j, j, size=batch + starts.shape)
     h = config.half_extent
     state = EnvState(
         agent_positions=np.clip(starts, -h, h),
@@ -143,33 +152,33 @@ def reset(config: WorldConfig, rng: np.random.Generator) -> tuple[EnvState, np.n
 
 
 def observe(state: EnvState) -> np.ndarray:
-    """Per-agent observations: relative landmark positions, then relative
-    positions of the other agents in ascending index order (self skipped)."""
+    """Per-agent observations (..., N, obs_dim): relative landmark positions,
+    then relative positions of the other agents in ascending index order
+    (self skipped)."""
     pos = state.agent_positions
-    n = pos.shape[0]
-    rel_landmarks = state.landmark_positions[None, :, :] - pos[:, None, :]  # (N, L, 2)
-    rel_agents = pos[None, :, :] - pos[:, None, :]  # (N, N, 2), row n: others - n
-    obs = np.empty((n, 2 * state.landmark_positions.shape[0] + 2 * (n - 1)))
-    lm_flat = rel_landmarks.reshape(n, -1)
-    obs[:, : lm_flat.shape[1]] = lm_flat
-    for i in range(n):
-        others = np.delete(rel_agents[i], i, axis=0)
-        obs[i, lm_flat.shape[1]:] = others.ravel()
-    return obs
+    n = pos.shape[-2]
+    rel_landmarks = state.landmark_positions - pos[..., :, None, :]  # (..., N, L, 2)
+    rel_agents = pos[..., None, :, :] - pos[..., :, None, :]  # [..., i, k] = pos k - pos i
+    others = np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=int)
+    rel_others = rel_agents[..., np.arange(n)[:, None], others, :]  # (..., N, N-1, 2)
+    batch = pos.shape[:-2]
+    return np.concatenate(
+        [rel_landmarks.reshape(*batch, n, -1), rel_others.reshape(*batch, n, -1)], axis=-1
+    )
 
 
-def step(
-    config: WorldConfig, state: EnvState, joint_action: tuple[int, ...] | list[int]
-) -> tuple[EnvState, StepResult]:
+def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, StepResult]:
     """Move every agent one step_size along its action, clamp to the world,
-    advance the clock, and score the new state under the reward mode."""
+    advance the clock, and score the new state under the reward mode.
+    joint_action holds one action index per agent of every episode, (..., N)."""
     if state.timestep >= config.episode_length:
         raise EpisodeExhaustedError(
             f"episode already finished at t={state.timestep}"
         )
     actions = np.asarray(joint_action, dtype=int)
-    if actions.shape != (config.n_agents,) or actions.min() < 0 or actions.max() >= N_ACTIONS:
-        raise ValueError(f"joint_action must be {config.n_agents} indices in [0, 5)")
+    want = state.agent_positions.shape[:-1]
+    if actions.shape != want or actions.min() < 0 or actions.max() >= N_ACTIONS:
+        raise ValueError(f"joint_action must be {want} indices in [0, 5)")
     h = config.half_extent
     new_pos = np.clip(
         state.agent_positions + config.step_size * _ACTION_DELTAS[actions], -h, h
@@ -188,16 +197,22 @@ def step(
     )
 
 
-def sparse_reward(config: WorldConfig, state: EnvState) -> tuple[float, bool]:
-    """1 iff every agent is within success_radius of its assigned landmark."""
+def _landmark_distances(state: EnvState) -> np.ndarray:
+    """(..., N) distance of every agent to its assigned landmark."""
     targets = state.landmark_positions[list(state.landmark_assignment)]
-    dists = np.linalg.norm(state.agent_positions - targets, axis=1)
-    success = bool(np.all(dists <= config.success_radius))
-    return (1.0 if success else 0.0), success
+    return np.linalg.norm(state.agent_positions - targets, axis=-1)
 
 
-def dense_reward(config: WorldConfig, state: EnvState) -> float:
-    """Distance-and-collision shaping with a success bonus on top.
+def sparse_reward(config: WorldConfig, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
+    """1 iff every agent is within success_radius of its assigned landmark;
+    returns (reward, success), one of each per episode."""
+    success = np.all(_landmark_distances(state) <= config.success_radius, axis=-1)
+    return success.astype(float), success
+
+
+def dense_reward(config: WorldConfig, state: EnvState) -> np.ndarray:
+    """Distance-and-collision shaping with a success bonus on top, one value
+    per episode.
 
     Negative sum over agents of the distance to each agent's assigned
     landmark, minus a penalty per colliding agent pair (pairwise distance
@@ -208,24 +223,25 @@ def dense_reward(config: WorldConfig, state: EnvState) -> float:
     the bonus separates docked from nearly-docked states by a margin the
     critic cannot smooth away."""
     pos = state.agent_positions
-    targets = state.landmark_positions[list(state.landmark_assignment)]
-    dists = np.linalg.norm(pos - targets, axis=1)
-    reward = -float(dists.sum())
-    if np.all(dists <= config.success_radius):
-        reward += config.c_success
-    n = pos.shape[0]
-    threshold = 2.0 * config.collision_radius
-    for i in range(n):
-        for k in range(i + 1, n):
-            if np.linalg.norm(pos[i] - pos[k]) < threshold:
-                reward -= config.c_collide
+    dists = _landmark_distances(state)
+    reward = -dists.sum(axis=-1)
+    reward = reward + config.c_success * np.all(dists <= config.success_radius, axis=-1)
+    first, second = np.triu_indices(pos.shape[-2], 1)
+    gaps = np.linalg.norm(pos[..., first, :] - pos[..., second, :], axis=-1)  # (..., P)
+    # one pair at a time, so several penalties round exactly as repeated
+    # subtraction does; subtracting 0.0 for a pair apart changes no bit
+    for hit in np.moveaxis(gaps < 2.0 * config.collision_radius, -1, 0):
+        reward = reward - config.c_collide * hit
     return reward
 
 
 class NavEnv:
-    """Stateful convenience wrapper over the functional reset/step core.
+    """Stateful wrapper over the functional reset/step core.
 
-    One instance per logical training thread; instances share nothing.
+    reset(rng, n_episodes) starts a batch of episodes that then step in
+    lockstep, one action per agent of every episode; reset(rng) plays a
+    single episode. One instance per logical training thread; instances
+    share nothing.
     """
 
     def __init__(self, config: WorldConfig):
@@ -233,8 +249,8 @@ class NavEnv:
         self.config = config
         self.state: EnvState | None = None
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self.state, obs = reset(self.config, rng)
+    def reset(self, rng: np.random.Generator, n_episodes: int | None = None) -> np.ndarray:
+        self.state, obs = reset(self.config, rng, n_episodes)
         return obs
 
     def step(self, joint_action) -> StepResult:

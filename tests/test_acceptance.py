@@ -54,12 +54,18 @@ def test_criterion_2_formula_oracles():
         def sq_err(pred, target):
             return float(sum((p - t) ** 2 for p, t in zip(pred.ravel(), target.ravel())))
 
+        # 1000 transitions scored in one batch per bank, as training scores
+        # a round, then checked row by row
+        draws = []
         for _ in range(1000):
             joint_obs = rng.uniform(-1, 1, (n_agents, obs_dim))
             nxt = rng.uniform(-1, 1, (n_agents, obs_dim))
-            acts = tuple(int(a) for a in rng.integers(0, 5, n_agents))
-            tr = curiosity.Transition(joint_obs, acts, 0.0, nxt, False)
+            acts = rng.integers(0, 5, n_agents)
+            draws.append((joint_obs, acts, nxt))
+        batch = tuple(np.stack(column) for column in zip(*draws))
+        rewards = {k: curiosity.intrinsic_rewards(banks[k], *batch) for k in kinds}
 
+        for row, (joint_obs, acts, nxt) in enumerate(draws):
             # two-headed reward vs scalar re-computation
             own_errs, joint_errs = [], []
             for n in range(n_agents):
@@ -77,29 +83,28 @@ def test_criterion_2_formula_oracles():
                 )
                 own_errs.append(sq_err(own_pred, nxt[n]))
                 joint_errs.append(sq_err(joint_pred, nxt.ravel()))
-            reward = curiosity.intrinsic_rewards(banks["mcm"], tr)
+            reward = rewards["mcm"][row]
             for n in range(n_agents):
                 assert abs(reward[n] - (own_errs[n] + joint_errs[n])) < 1e-12
 
             # ablation reads decompose the full reward (the three banks were
             # built from identical rngs, so their parameters coincide)
-            r_indiv = curiosity.intrinsic_rewards(banks["mcm_indiv"], tr)
-            r_joint = curiosity.intrinsic_rewards(banks["mcm_joint"], tr)
+            r_indiv = rewards["mcm_indiv"][row]
+            r_joint = rewards["mcm_joint"][row]
             np.testing.assert_allclose(reward, r_indiv + r_joint, rtol=0, atol=1e-12)
 
             # icm_min: brute-force min over every agent's model on n's transition
-            r_min = curiosity.intrinsic_rewards(banks["icm_min"], tr)
+            r_min = rewards["icm_min"][row]
             for n in range(n_agents):
+                own_input = np.concatenate([joint_obs[n], curiosity.one_hot_action(acts[n])])
                 errs = []
                 for m in range(n_agents):
-                    pred, _ = nc.forward(
-                        banks["icm_min"].modules[m], curiosity.indiv_input(tr, n)
-                    )
+                    pred, _ = nc.forward(banks["icm_min"].modules[m], own_input)
                     errs.append(sq_err(pred[0], nxt[n]))
                 assert abs(r_min[n] - min(errs)) < 1e-12
 
             # icm_joint: one shared model, identical reward for every agent
-            r_shared = curiosity.intrinsic_rewards(banks["icm_joint"], tr)
+            r_shared = rewards["icm_joint"][row]
             assert float(np.ptp(r_shared)) == 0.0
 
         # decomposition with genuinely shared parameters across ablation reads
@@ -108,13 +113,13 @@ def test_criterion_2_formula_oracles():
         b_own = curiosity.make_bank("mcm_indiv", 2, obs_dim, np.random.default_rng(seq))
         b_joint = curiosity.make_bank("mcm_joint", 2, obs_dim, np.random.default_rng(seq))
         for _ in range(100):
-            joint_obs = rng.uniform(-1, 1, (2, obs_dim))
-            nxt = rng.uniform(-1, 1, (2, obs_dim))
-            acts = tuple(int(a) for a in rng.integers(0, 5, 2))
-            tr = curiosity.Transition(joint_obs, acts, 0.0, nxt, False)
-            full = curiosity.intrinsic_rewards(b_full, tr)
-            part = curiosity.intrinsic_rewards(b_own, tr) + curiosity.intrinsic_rewards(
-                b_joint, tr
+            joint_obs = rng.uniform(-1, 1, (1, 2, obs_dim))
+            nxt = rng.uniform(-1, 1, (1, 2, obs_dim))
+            acts = rng.integers(0, 5, (1, 2))
+            tr = (joint_obs, acts, nxt)
+            full = curiosity.intrinsic_rewards(b_full, *tr)
+            part = curiosity.intrinsic_rewards(b_own, *tr) + curiosity.intrinsic_rewards(
+                b_joint, *tr
             )
             np.testing.assert_allclose(full, part, rtol=0, atol=1e-12)
 
@@ -280,21 +285,21 @@ def test_criterion_7_overfit_sanity():
         bank = curiosity.make_bank("mcm", 2, world.obs_dim, np.random.default_rng(1))
         obs = env.reset(np.random.default_rng(2))
         r = env.step((3, 0))
-        tr = curiosity.Transition(obs, (3, 0), r.extrinsic_reward, r.next_joint_obs, r.done)
-        initial = float(np.mean(curiosity.curiosity_update(bank, [tr])))
+        tr = (obs[None], np.array([[3, 0]]), r.next_joint_obs[None])
+        initial = float(np.mean(curiosity.curiosity_update(bank, *tr)))
         for _ in range(499):
-            last = float(np.mean(curiosity.curiosity_update(bank, [tr])))
+            last = float(np.mean(curiosity.curiosity_update(bank, *tr)))
         assert last < 1e-3 * initial, f"curiosity loss only fell to {last / initial:.2e}"
 
         rng = np.random.default_rng(3)
         policies = coma.make_policy_set(2, world.obs_dim, rng)
         critic = coma.make_critic(2, world.obs_dim, rng)
-        cfg = coma.TrainConfig()
+        cfg = coma.TrainConfig(episodes_per_update=1)
         none_bank = curiosity.make_bank("none", 2, world.obs_dim, rng)
         episode = coma.rollout_episode(env, policies, none_bank, cfg, 0.1, rng, rng)
-        initial = coma.critic_update(critic, [episode], cfg)
+        initial = coma.critic_update(critic, episode, cfg)
         for _ in range(199):
-            last = coma.critic_update(critic, [episode], cfg)
+            last = coma.critic_update(critic, episode, cfg)
         assert last < 0.10 * initial, f"critic loss only fell to {last / initial:.2%}"
         assert time.monotonic() - start < 120.0
 

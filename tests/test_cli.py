@@ -85,6 +85,14 @@ def test_sweep_missing_lists_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_repeated_seed_exits_2(tmp_path, capsys):
+    sweep_file = tmp_path / "sweep.cfg"
+    sweep_file.write_text("methods = none\nseeds = 0, 0\ntotal_episodes = 8\n")
+    code = cli.main(["sweep", "--config", str(sweep_file), "--results-dir", str(tmp_path)])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
+
+
 def test_gradcheck_small(capsys):
     code = cli.main(["gradcheck", "--networks", "5"])
     assert code == 0

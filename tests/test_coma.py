@@ -126,10 +126,10 @@ def test_select_actions_matches_probabilities():
     n_draws = 100_000
     counts = np.zeros((2, 5))
     for _ in range(n_draws):
-        acts, probs = coma.select_actions(policies, obs, eps, rng)
-        np.testing.assert_array_equal(probs, expected)
+        acts, probs = coma.select_actions(policies, obs[None], eps, rng.random((1, 2)))
+        np.testing.assert_array_equal(probs[0], expected)
         for i in range(2):
-            counts[i, acts[i]] += 1
+            counts[i, acts[0, i]] += 1
     freq = counts / n_draws
     sigma = np.sqrt(expected * (1 - expected) / n_draws)
     assert np.all(np.abs(freq - expected) < 3.5 * sigma + 1e-12)
@@ -138,11 +138,75 @@ def test_select_actions_matches_probabilities():
 def test_select_actions_probs_respect_floor():
     rng = np.random.default_rng(4)
     policies = coma.make_policy_set(3, 10, rng)
-    obs = rng.standard_normal((3, 10))
-    _, probs = coma.select_actions(policies, obs, 0.02, rng)
-    assert probs.shape == (3, 5)
+    obs = rng.standard_normal((6, 3, 10))
+    acts, probs = coma.select_actions(policies, obs, 0.02, rng.random((6, 3)))
+    assert acts.shape == (6, 3)
+    assert probs.shape == (6, 3, 5)
     assert np.all(probs >= 0.02 - 1e-12)
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+
+
+def sample_one(probs, u):
+    """One action by inverse CDF, the scalar way."""
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), 4)
+
+
+@pytest.mark.parametrize("n_agents", [2, 4])
+def test_lockstep_select_actions_match_per_row_oracle(n_agents):
+    """One forward per agent over E episodes gives every row the
+    distribution a one-row forward gives it, and the action that row's
+    uniform picks from that distribution."""
+    rng = np.random.default_rng(30)
+    policies = coma.make_policy_set(n_agents, 8, rng)
+    obs = rng.standard_normal((16, n_agents, 8))
+    uniforms = rng.random((16, n_agents))
+    acts, probs = coma.select_actions(policies, obs, 0.05, uniforms)
+    for row in range(16):
+        for i in range(n_agents):
+            expected = coma.policy_probs(policies.networks[i], obs[row, i], 0.05)
+            np.testing.assert_allclose(probs[row, i], expected, rtol=0, atol=1e-12)
+            assert acts[row, i] == sample_one(expected, uniforms[row, i])
+
+
+@pytest.mark.parametrize("n_agents,reward_mode", [(2, "sparse"), (4, "dense")])
+def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
+    """On frozen parameters, the lockstep rollout draws the actions that
+    playing its episodes one after another, step by step and agent by agent,
+    draws from the same generators, and sees the same environment."""
+    world = small_world(n_agents=n_agents, reward_mode=reward_mode)
+    rng = np.random.default_rng(31)
+    policies = coma.make_policy_set(n_agents, world.obs_dim, rng)
+    bank = curiosity.make_bank("mcm", n_agents, world.obs_dim, rng)
+    cfg = coma.TrainConfig(episodes_per_update=5)
+    eps = 0.1
+    buf = coma.rollout_episode(
+        nav_env.NavEnv(world), policies, bank, cfg, eps,
+        np.random.default_rng(32), np.random.default_rng(33),
+    )
+    env_rng, action_rng = np.random.default_rng(32), np.random.default_rng(33)
+    t_max = world.episode_length
+    for episode in range(cfg.episodes_per_update):
+        env = nav_env.NavEnv(world)
+        obs = env.reset(env_rng)
+        np.testing.assert_array_equal(buf.obs[episode, 0], obs)
+        for t in range(t_max):
+            acts = [
+                sample_one(coma.policy_probs(net, obs[i], eps), action_rng.random())
+                for i, net in enumerate(policies.networks)
+            ]
+            result = env.step(acts)
+            obs = result.next_joint_obs
+            assert buf.actions[episode, t].tolist() == acts
+            np.testing.assert_array_equal(buf.obs[episode, t + 1], obs)
+            assert buf.extrinsic[episode, t] == result.extrinsic_reward
+            assert buf.success[episode, t] == result.success
+    steps = buf.transitions()
+    np.testing.assert_allclose(
+        buf.intrinsic.reshape(-1, n_agents),
+        [curiosity.intrinsic_rewards(bank, *(a[b : b + 1] for a in steps))[0]
+         for b in range(len(steps[0]))],
+        rtol=0, atol=1e-12,
+    )
 
 
 # --- critic features and advantage ------------------------------------------
@@ -278,6 +342,20 @@ def test_td_lambda_recursion_oracle(t_max, gamma, lam, seed):
     np.testing.assert_allclose(targets, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_td_lambda_vectorized_matches_per_stream_loop():
+    """Trailing axes are independent streams: one call over (T, E, N)
+    equals calling once per (episode, agent) stream, bit for bit."""
+    rng = np.random.default_rng(34)
+    rewards = rng.standard_normal((50, 8, 4))
+    q = rng.standard_normal((50, 8, 4))
+    targets = coma.td_lambda_targets(rewards, q, 0.95, 0.8)
+    assert targets.shape == (50, 8, 4)
+    for e in range(8):
+        for n in range(4):
+            stream = coma.td_lambda_targets(rewards[:, e, n], q[:, e, n], 0.95, 0.8)
+            np.testing.assert_array_equal(targets[:, e, n], stream)
+
+
 def test_td_lambda_rejects_length_mismatch():
     with pytest.raises(ValueError):
         coma.td_lambda_targets(np.zeros(5), np.zeros(4), 0.9, 0.5)
@@ -290,15 +368,19 @@ def test_rollout_shapes_and_bookkeeping():
     policies, critic, env, bank, cfg = fresh_setup()
     rng = np.random.default_rng(12)
     buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
-    t_max = env.config.episode_length
-    assert len(buf.transitions) == t_max
-    assert buf.probs.shape == (t_max, 2, 5)
-    assert buf.intrinsic.shape == (t_max, 2)
-    assert buf.mixed.shape == (t_max, 2)
-    np.testing.assert_allclose(buf.probs.sum(axis=2), 1.0, atol=1e-12)
-    assert 0 <= buf.success_steps <= t_max
-    ext = sum(tr.extrinsic_reward for tr in buf.transitions)
-    assert buf.extrinsic_return == pytest.approx(ext)
+    e, t_max, d = cfg.episodes_per_update, env.config.episode_length, env.config.obs_dim
+    assert buf.obs.shape == (e, t_max + 1, 2, d)
+    assert buf.actions.shape == (e, t_max, 2)
+    assert buf.probs.shape == (e, t_max, 2, 5)
+    assert buf.extrinsic.shape == buf.success.shape == (e, t_max)
+    assert buf.intrinsic.shape == buf.mixed.shape == (e, t_max, 2)
+    np.testing.assert_allclose(buf.probs.sum(axis=3), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(buf.extrinsic, buf.success.astype(float))  # sparse
+    obs, actions, next_obs = buf.transitions()
+    assert obs.shape == next_obs.shape == (e * t_max, 2, d)
+    np.testing.assert_array_equal(obs[t_max + 3], buf.obs[1, 3])
+    np.testing.assert_array_equal(next_obs[t_max + 3], buf.obs[1, 4])
+    np.testing.assert_array_equal(actions[t_max + 3], buf.actions[1, 3])
 
 
 def test_rollout_without_curiosity_mixes_nothing():
@@ -306,8 +388,7 @@ def test_rollout_without_curiosity_mixes_nothing():
     rng = np.random.default_rng(13)
     buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
     np.testing.assert_array_equal(buf.intrinsic, 0.0)
-    ext = np.array([tr.extrinsic_reward for tr in buf.transitions])
-    np.testing.assert_array_equal(buf.mixed, ext[:, None] * np.ones((1, 2)))
+    np.testing.assert_array_equal(buf.mixed, buf.extrinsic[..., None] * np.ones((1, 1, 2)))
 
 
 def test_rollout_shared_curiosity_gives_identical_streams():
@@ -316,11 +397,11 @@ def test_rollout_shared_curiosity_gives_identical_streams():
     policies, critic, env, bank, cfg = fresh_setup(kind="icm_joint")
     rng = np.random.default_rng(14)
     buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
-    np.testing.assert_array_equal(buf.mixed[:, 0], buf.mixed[:, 1])
+    np.testing.assert_array_equal(buf.mixed[..., 0], buf.mixed[..., 1])
     assert buf.intrinsic.max() > 0.0
-    q = np.zeros(env.config.episode_length)
-    t0 = coma.td_lambda_targets(buf.mixed[:, 0], q, cfg.gamma, 1.0)
-    t1 = coma.td_lambda_targets(buf.mixed[:, 1], q, cfg.gamma, 1.0)
+    q = np.zeros((env.config.episode_length, cfg.episodes_per_update))
+    t0 = coma.td_lambda_targets(buf.mixed[..., 0].T, q, cfg.gamma, 1.0)
+    t1 = coma.td_lambda_targets(buf.mixed[..., 1].T, q, cfg.gamma, 1.0)
     np.testing.assert_array_equal(t0, t1)
 
 
@@ -373,14 +454,11 @@ def test_actor_update_increases_advantaged_action_probability():
 
 
 def test_critic_update_reduces_loss_on_frozen_batch():
-    policies, critic, env, bank, cfg = fresh_setup()
+    policies, critic, env, bank, cfg = fresh_setup(episodes_per_update=4)
     rng = np.random.default_rng(16)
-    buffers = [
-        coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
-        for _ in range(4)
-    ]
-    first = coma.critic_update(critic, buffers, cfg)
-    losses = [coma.critic_update(critic, buffers, cfg) for _ in range(30)]
+    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    first = coma.critic_update(critic, buf, cfg)
+    losses = [coma.critic_update(critic, buf, cfg) for _ in range(30)]
     assert losses[-1] < first
     assert losses[-1] < 0.5 * first
 
@@ -388,23 +466,30 @@ def test_critic_update_reduces_loss_on_frozen_batch():
 def test_critic_targets_use_pre_update_bootstrap():
     """Targets are computed once from the pre-update critic, then held fixed
     across the epochs of one update call."""
-    policies, critic, env, bank, cfg = fresh_setup()
+    policies, critic, env, bank, cfg = fresh_setup(episodes_per_update=2)
     rng = np.random.default_rng(17)
-    buffers = [coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)]
-    x, taken, targets = coma._critic_batch(critic, buffers, cfg)
-    assert x.shape[0] == env.config.episode_length * 2
+    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    x, taken, targets = coma._critic_batch(critic, buf, cfg)
+    t_max = env.config.episode_length
+    assert x.shape[0] == 2 * t_max * 2
     assert taken.shape == targets.shape == (x.shape[0],)
-    # recompute by hand for agent 0
-    buf = buffers[0]
-    q0 = []
-    for tr in buf.transitions:
-        x = coma.critic_inputs(tr.joint_obs[None], np.array([tr.joint_action]))
-        q = nc.forward(critic.network, x[0, 0])[0][0]
-        q0.append(q[tr.joint_action[0]])
-    expected = coma.td_lambda_targets(
-        buf.mixed[:, 0], np.array(q0), cfg.gamma, cfg.td_lambda
-    )
-    np.testing.assert_allclose(targets[: len(expected)], expected, rtol=1e-10)
+    # recompute by hand for every (episode, agent) stream; rows run episode
+    # by episode, agent by agent, step by step
+    for episode in range(2):
+        for agent in range(2):
+            q_taken = []
+            for t in range(t_max):
+                joint_action = buf.actions[episode, t]
+                x_t = coma.critic_inputs(buf.obs[episode, t][None], joint_action[None])
+                q = nc.forward(critic.network, x_t[0, agent])[0][0]
+                q_taken.append(q[joint_action[agent]])
+            expected = coma.td_lambda_targets(
+                buf.mixed[episode, :, agent], np.array(q_taken), cfg.gamma, cfg.td_lambda
+            )
+            start = (episode * 2 + agent) * t_max
+            np.testing.assert_allclose(
+                targets[start : start + t_max], expected, rtol=1e-10
+            )
 
 
 # --- full training rounds ----------------------------------------------------

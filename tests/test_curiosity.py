@@ -8,25 +8,23 @@ from hypothesis import strategies as st
 
 from curiosity_marl import curiosity as cur
 from curiosity_marl import neural_core as nc
-from curiosity_marl.curiosity import CuriosityKind, Transition
+from curiosity_marl.curiosity import CuriosityKind
 from curiosity_marl.nav_env import N_ACTIONS
 
 HIDDEN = (8, 8)
 
 
-def random_transitions(rng, n, n_agents=2, obs_dim=4):
-    out = []
-    for _ in range(n):
-        out.append(
-            Transition(
-                joint_obs=rng.standard_normal((n_agents, obs_dim)),
-                joint_action=tuple(int(a) for a in rng.integers(0, N_ACTIONS, n_agents)),
-                extrinsic_reward=float(rng.standard_normal()),
-                next_joint_obs=rng.standard_normal((n_agents, obs_dim)),
-                done=False,
-            )
-        )
-    return out
+def random_batch(rng, b, n_agents=2, obs_dim=4):
+    """Stacked transitions: obs (B, N, d), actions (B, N), next_obs (B, N, d)."""
+    obs = rng.standard_normal((b, n_agents, obs_dim))
+    actions = rng.integers(0, N_ACTIONS, (b, n_agents))
+    next_obs = rng.standard_normal((b, n_agents, obs_dim))
+    return obs, actions, next_obs
+
+
+def rows(batch):
+    """The transitions of a stacked batch one at a time, as (obs, actions, next_obs)."""
+    return zip(*batch)
 
 
 def bank_of(kind, seed, n_agents=2, obs_dim=4, lr=1e-3):
@@ -43,23 +41,57 @@ def scalar_sq_err(pred, target):
     return total
 
 
-def joint_oracle_input(t):
+def joint_oracle_input(obs, actions):
     """Joint observation then every agent's one-hot action, ascending order."""
-    actions = [cur.one_hot_action(a) for a in t.joint_action]
-    return np.concatenate([t.joint_obs.ravel(), *actions])
+    return np.concatenate([obs.ravel(), *(cur.one_hot_action(int(a)) for a in actions)])
 
 
-def two_headed_oracle(bank, t, agent):
+def indiv_oracle_input(obs, actions, agent):
+    return np.concatenate([obs[agent], cur.one_hot_action(int(actions[agent]))])
+
+
+def two_headed_oracle(bank, obs, actions, next_obs, agent):
     """Recompute one agent's two-headed prediction errors from first principles."""
-    o_n = t.joint_obs[agent]
-    u_n = cur.one_hot_action(t.joint_action[agent])
+    o_n = obs[agent]
+    u_n = cur.one_hot_action(int(actions[agent]))
     others = [m for m in range(bank.n_agents) if m != agent]
-    o_others = np.concatenate([t.joint_obs[m] for m in others])
-    u_others = np.concatenate([cur.one_hot_action(t.joint_action[m]) for m in others])
+    o_others = np.concatenate([obs[m] for m in others])
+    u_others = np.concatenate([cur.one_hot_action(int(actions[m])) for m in others])
     pred_own, pred_joint = cur.mcm_forward(bank.modules[agent], o_n, u_n, o_others, u_others)
-    own_err = scalar_sq_err(pred_own, t.next_joint_obs[agent])
-    joint_err = scalar_sq_err(pred_joint, t.next_joint_obs.ravel())
+    own_err = scalar_sq_err(pred_own, next_obs[agent])
+    joint_err = scalar_sq_err(pred_joint, next_obs.ravel())
     return own_err, joint_err
+
+
+def per_row_oracle(bank, obs, actions, next_obs):
+    """One transition's per-agent intrinsic rewards, every module run on one
+    row (a vector input) and every error summed component by component."""
+    n = bank.n_agents
+    kind = bank.kind
+    if kind is CuriosityKind.NONE:
+        return np.zeros(n)
+
+    def indiv_err(module, agent):
+        pred = nc.forward(module, indiv_oracle_input(obs, actions, agent))[0][0]
+        return scalar_sq_err(pred, next_obs[agent])
+
+    if kind in cur.TWO_HEADED_KINDS:
+        errs = [two_headed_oracle(bank, obs, actions, next_obs, a) for a in range(n)]
+        pick = {
+            CuriosityKind.MCM: lambda own, joint: own + joint,
+            CuriosityKind.MCM_INDIV: lambda own, joint: own,
+            CuriosityKind.MCM_JOINT: lambda own, joint: joint,
+        }[kind]
+        return np.array([pick(own, joint) for own, joint in errs])
+    if kind is CuriosityKind.ICM_INDIV:
+        return np.array([indiv_err(bank.modules[a], a) for a in range(n)])
+    if kind is CuriosityKind.ICM_MIN:
+        return np.array([min(indiv_err(m, a) for m in bank.modules) for a in range(n)])
+    joint_pred = nc.forward(bank.modules[-1], joint_oracle_input(obs, actions))[0][0]
+    joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
+    if kind is CuriosityKind.ICM_JOINT:
+        return np.full(n, joint_err)
+    return np.array([indiv_err(bank.modules[a], a) + joint_err for a in range(n)])
 
 
 class TestRoster:
@@ -83,8 +115,8 @@ class TestRoster:
     def test_none_has_no_modules(self):
         bank = bank_of("none", 0)
         assert bank.modules == []
-        t = random_transitions(np.random.default_rng(0), 1)[0]
-        np.testing.assert_array_equal(cur.intrinsic_rewards(bank, t), [0.0, 0.0])
+        batch = random_batch(np.random.default_rng(0), 3)
+        np.testing.assert_array_equal(cur.intrinsic_rewards(bank, *batch), np.zeros((3, 2)))
 
     def test_two_headed_wiring(self):
         """Other agents' inputs feed only the joint head, after the trunk."""
@@ -108,44 +140,45 @@ class TestIntrinsicOracles:
         """Intrinsic reward is the unhalved sum of both head errors."""
         rng = np.random.default_rng(42)
         bank = bank_of("mcm", 7)
-        for t in random_transitions(rng, 20):
-            rewards = cur.intrinsic_rewards(bank, t)
+        batch = random_batch(rng, 20)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        for reward, row in zip(rewards, rows(batch)):
             for agent in range(2):
-                own, joint = two_headed_oracle(bank, t, agent)
-                assert rewards[agent] == pytest.approx(own + joint, abs=1e-12)
+                own, joint = two_headed_oracle(bank, *row, agent)
+                assert reward[agent] == pytest.approx(own + joint, abs=1e-12)
 
     def test_head_ablations(self):
         rng = np.random.default_rng(43)
         banks = {k: bank_of(k, 11) for k in ("mcm", "mcm_indiv", "mcm_joint")}
-        for t in random_transitions(rng, 20):
-            full = cur.intrinsic_rewards(banks["mcm"], t)
-            indiv = cur.intrinsic_rewards(banks["mcm_indiv"], t)
-            joint = cur.intrinsic_rewards(banks["mcm_joint"], t)
-            np.testing.assert_allclose(full, indiv + joint, atol=1e-12)
+        batch = random_batch(rng, 20)
+        full = cur.intrinsic_rewards(banks["mcm"], *batch)
+        indiv = cur.intrinsic_rewards(banks["mcm_indiv"], *batch)
+        joint = cur.intrinsic_rewards(banks["mcm_joint"], *batch)
+        np.testing.assert_allclose(full, indiv + joint, atol=1e-12)
 
     def test_icm_indiv_oracle(self):
         rng = np.random.default_rng(44)
         bank = bank_of("icm_indiv", 3)
-        for t in random_transitions(rng, 10):
-            rewards = cur.intrinsic_rewards(bank, t)
+        batch = random_batch(rng, 10)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             for agent in range(2):
-                x = np.concatenate(
-                    [t.joint_obs[agent], cur.one_hot_action(t.joint_action[agent])]
-                )
+                x = indiv_oracle_input(obs, actions, agent)
                 pred = nc.forward(bank.modules[agent], x)[0][0]
-                assert rewards[agent] == pytest.approx(
-                    scalar_sq_err(pred, t.next_joint_obs[agent]), abs=1e-12
+                assert reward[agent] == pytest.approx(
+                    scalar_sq_err(pred, next_obs[agent]), abs=1e-12
                 )
 
     def test_icm_joint_shared_scalar(self):
         rng = np.random.default_rng(45)
         bank = bank_of("icm_joint", 4, n_agents=4, obs_dim=6)
-        for t in random_transitions(rng, 10, n_agents=4, obs_dim=6):
-            rewards = cur.intrinsic_rewards(bank, t)
-            assert np.all(rewards == rewards[0])
-            pred = nc.forward(bank.modules[0], joint_oracle_input(t))[0][0]
-            assert rewards[0] == pytest.approx(
-                scalar_sq_err(pred, t.next_joint_obs.ravel()), abs=1e-12
+        batch = random_batch(rng, 10, n_agents=4, obs_dim=6)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
+            assert np.all(reward == reward[0])
+            pred = nc.forward(bank.modules[0], joint_oracle_input(obs, actions))[0][0]
+            assert reward[0] == pytest.approx(
+                scalar_sq_err(pred, next_obs.ravel()), abs=1e-12
             )
 
     def test_icm_min_cross_evaluation(self):
@@ -153,79 +186,87 @@ class TestIntrinsicOracles:
         scored on its own transition."""
         rng = np.random.default_rng(46)
         bank = bank_of("icm_min", 5, n_agents=3, obs_dim=4)
-        for t in random_transitions(rng, 10, n_agents=3, obs_dim=4):
-            rewards = cur.intrinsic_rewards(bank, t)
+        batch = random_batch(rng, 10, n_agents=3, obs_dim=4)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             for agent in range(3):
-                x = np.concatenate(
-                    [t.joint_obs[agent], cur.one_hot_action(t.joint_action[agent])]
-                )
+                x = indiv_oracle_input(obs, actions, agent)
                 errors = [
-                    scalar_sq_err(nc.forward(m, x)[0][0], t.next_joint_obs[agent])
+                    scalar_sq_err(nc.forward(m, x)[0][0], next_obs[agent])
                     for m in bank.modules
                 ]
-                assert rewards[agent] == pytest.approx(min(errors), abs=1e-12)
+                assert reward[agent] == pytest.approx(min(errors), abs=1e-12)
 
     def test_mcm_sep_adds_separate_joint_error(self):
         rng = np.random.default_rng(47)
         bank = bank_of("mcm_sep", 6)
-        for t in random_transitions(rng, 10):
-            rewards = cur.intrinsic_rewards(bank, t)
-            joint_pred = nc.forward(bank.modules[-1], joint_oracle_input(t))[0][0]
-            joint_err = scalar_sq_err(joint_pred, t.next_joint_obs.ravel())
+        batch = random_batch(rng, 10)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
+            joint_pred = nc.forward(bank.modules[-1], joint_oracle_input(obs, actions))[0][0]
+            joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
             for agent in range(2):
-                x = np.concatenate(
-                    [t.joint_obs[agent], cur.one_hot_action(t.joint_action[agent])]
-                )
+                x = indiv_oracle_input(obs, actions, agent)
                 own_err = scalar_sq_err(
-                    nc.forward(bank.modules[agent], x)[0][0], t.next_joint_obs[agent]
+                    nc.forward(bank.modules[agent], x)[0][0], next_obs[agent]
                 )
-                assert rewards[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
+                assert reward[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
 
     def test_rewards_nonnegative(self):
         rng = np.random.default_rng(48)
         for kind in CuriosityKind:
             bank = bank_of(kind, 8)
-            for t in random_transitions(rng, 5):
-                assert np.all(cur.intrinsic_rewards(bank, t) >= 0.0)
+            assert np.all(cur.intrinsic_rewards(bank, *random_batch(rng, 5)) >= 0.0)
+
+    @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind])
+    @pytest.mark.parametrize("n_agents", [2, 4])
+    def test_batched_rewards_match_per_row_oracle(self, kind, n_agents):
+        """One forward per module over a whole batch scores every transition
+        as the per-row oracle does, for every method."""
+        rng = np.random.default_rng(49)
+        bank = bank_of(kind, 9, n_agents=n_agents, obs_dim=6)
+        batch = random_batch(rng, 40, n_agents=n_agents, obs_dim=6)
+        rewards = cur.intrinsic_rewards(bank, *batch)
+        assert rewards.shape == (40, n_agents)
+        expected = np.array([per_row_oracle(bank, *row) for row in rows(batch)])
+        np.testing.assert_allclose(rewards, expected, rtol=0, atol=1e-12)
 
 
 class TestLossOracles:
     def test_two_headed_loss_is_half_reward(self):
         """Training loss halves the error sum that the reward leaves unhalved."""
         bank = bank_of("mcm", 13)
-        t = random_transitions(np.random.default_rng(50), 1)[0]
-        rewards = cur.intrinsic_rewards(bank, t)
-        losses = cur.curiosity_update(bank, [t])  # pre-update losses
+        batch = random_batch(np.random.default_rng(50), 1)
+        rewards = cur.intrinsic_rewards(bank, *batch)[0]
+        losses = cur.curiosity_update(bank, *batch)  # pre-update losses
         for agent in range(2):
             assert losses[agent] == pytest.approx(0.5 * rewards[agent], abs=1e-12)
 
     def test_one_headed_loss_matches_scalar_loop(self):
         bank = bank_of("icm_indiv", 14)
         rng = np.random.default_rng(51)
-        batch = random_transitions(rng, 6)
+        batch = random_batch(rng, 6)
         frozen = [m.copy() for m in bank.modules]
-        losses = cur.curiosity_update(bank, batch)
+        losses = cur.curiosity_update(bank, *batch)
         for agent in range(2):
             manual = 0.0
-            for t in batch:
-                x = np.concatenate(
-                    [t.joint_obs[agent], cur.one_hot_action(t.joint_action[agent])]
-                )
+            for obs, actions, next_obs in rows(batch):
+                x = indiv_oracle_input(obs, actions, agent)
                 pred = nc.forward(frozen[agent], x)[0][0]
-                manual += scalar_sq_err(pred, t.next_joint_obs[agent])
-            assert losses[agent] == pytest.approx(manual / len(batch), abs=1e-10)
+                manual += scalar_sq_err(pred, next_obs[agent])
+            assert losses[agent] == pytest.approx(manual / 6, abs=1e-10)
 
     def test_update_reduces_loss_on_fixed_batch(self):
         bank = bank_of("mcm", 15, lr=1e-2)
-        batch = random_transitions(np.random.default_rng(52), 4)
-        first = cur.curiosity_update(bank, batch)
+        batch = random_batch(np.random.default_rng(52), 4)
+        first = cur.curiosity_update(bank, *batch)
         for _ in range(100):
-            last = cur.curiosity_update(bank, batch)
+            last = cur.curiosity_update(bank, *batch)
         assert sum(last) < 0.2 * sum(first)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            cur.curiosity_update(bank_of("mcm", 0), [])
+            cur.curiosity_update(bank_of("mcm", 0), *random_batch(np.random.default_rng(0), 0))
 
 
 class TestMixing:

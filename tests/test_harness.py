@@ -377,6 +377,19 @@ def test_sweep_invalid_method_fails_fast(tmp_path):
         harness.sweep(["not_a_method"], [0], SWEEP_BASE, str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "text,name",
+    [("methods = mcm, mcm\nseeds = 0\n", "methods"), ("methods = none\nseeds = 0, 1, 0\n", "seeds")],
+    ids=["methods", "seeds"],
+)
+def test_sweep_rejects_repeated_cells(tmp_path, text, name):
+    """A repeated method or seed would make two cells write one CSV."""
+    methods, seeds, base = harness.parse_sweep(text)
+    with pytest.raises(ConfigurationError, match=name):
+        harness.sweep(methods, seeds, dict(SWEEP_BASE, **base), str(tmp_path), workers=2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_aggregate_over_sweep_results(tmp_path):
     harness.sweep(["none", "mcm"], [0, 1], SWEEP_BASE, str(tmp_path))
     summaries = harness.load_results(str(tmp_path))

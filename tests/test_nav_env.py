@@ -283,6 +283,92 @@ class TestRewards:
         assert result.success
 
 
+def oracle_step(config, positions, actions):
+    """One episode's step, agent by agent and pair by pair: new positions,
+    observations, reward and success."""
+    n = len(positions)
+    h = config.half_extent
+    deltas = {0: (0.0, 1.0), 1: (0.0, -1.0), 2: (-1.0, 0.0), 3: (1.0, 0.0), 4: (0.0, 0.0)}
+    new = np.empty((n, 2))
+    for i in range(n):
+        for c in range(2):
+            moved = positions[i][c] + config.step_size * deltas[int(actions[i])][c]
+            new[i][c] = min(max(moved, -h), h)
+    landmarks = nav_env.canonical_layout(config)[1]
+    assignment = nav_env.landmark_assignment(config.scenario, n)
+    obs = []
+    for i in range(n):
+        row = [landmarks[m][c] - new[i][c] for m in range(len(landmarks)) for c in range(2)]
+        row += [new[k][c] - new[i][c] for k in range(n) if k != i for c in range(2)]
+        obs.append(row)
+    dists = np.linalg.norm(new - landmarks[list(assignment)], axis=1)
+    success = bool(np.all(dists <= config.success_radius))
+    if config.reward_mode == "sparse":
+        return new, np.array(obs), (1.0 if success else 0.0), success
+    reward = -float(dists.sum())
+    if success:
+        reward += config.c_success
+    for i in range(n):
+        for k in range(i + 1, n):
+            if np.linalg.norm(new[i] - new[k]) < 2.0 * config.collision_radius:
+                reward -= config.c_collide
+    return new, np.array(obs), reward, success
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("reward_mode", ["sparse", "dense"])
+    @pytest.mark.parametrize("n_agents,scenario", [(2, "same_landmark"), (4, "different_landmark")])
+    def test_batched_step_matches_single_episode_oracle(self, reward_mode, n_agents, scenario):
+        """Every episode of a batch steps exactly as the one-episode oracle
+        does, bit for bit, with episodes pinned against the walls, on their
+        landmarks and in multi-pair collisions among them."""
+        config = WorldConfig(n_agents=n_agents, scenario=scenario, reward_mode=reward_mode)
+        rng = np.random.default_rng(40)
+        landmarks = nav_env.canonical_layout(config)[1]
+        targets = landmarks[list(nav_env.landmark_assignment(scenario, n_agents))]
+        corner = np.tile([[1.0, -1.0]], (n_agents, 1))
+        huddle = 0.02 * rng.standard_normal((n_agents, 2))  # every pair collides
+        docked = targets + 0.01 * rng.standard_normal((n_agents, 2))
+        spread = rng.uniform(-1, 1, (5, n_agents, 2))
+        positions = np.concatenate([corner[None], huddle[None], docked[None], spread])
+        actions = rng.integers(0, 5, positions.shape[:2])
+        actions[0] = [3, 1] * (n_agents // 2)  # push out through the corner
+        actions[2] = 4  # stay docked
+        state = EnvState(
+            positions, landmarks, nav_env.landmark_assignment(scenario, n_agents), 0
+        )
+        new_state, result = nav_env.step(config, state, actions)
+        for e in range(len(positions)):
+            pos, obs, reward, success = oracle_step(config, positions[e], actions[e])
+            np.testing.assert_array_equal(new_state.agent_positions[e], pos)
+            np.testing.assert_array_equal(result.next_joint_obs[e], obs)
+            assert result.extrinsic_reward[e] == reward
+            assert result.success[e] == success
+        np.testing.assert_array_equal(new_state.agent_positions[0], corner)
+        assert result.success[2]
+        if reward_mode == "dense":
+            n_pairs = n_agents * (n_agents - 1) // 2
+            assert result.extrinsic_reward[1] <= -n_pairs * config.c_collide
+
+    def test_batched_reset_draws_episode_by_episode(self):
+        config = WorldConfig(n_agents=4)
+        state, obs = nav_env.reset(config, np.random.default_rng(41), n_episodes=3)
+        assert obs.shape == (3, 4, config.obs_dim)
+        rng = np.random.default_rng(41)
+        for e in range(3):
+            single, single_obs = nav_env.reset(config, rng)
+            np.testing.assert_array_equal(state.agent_positions[e], single.agent_positions)
+            np.testing.assert_array_equal(obs[e], single_obs)
+
+    def test_batched_step_rejects_wrong_action_shape(self):
+        config = WorldConfig()
+        state, _ = nav_env.reset(config, np.random.default_rng(0), n_episodes=3)
+        with pytest.raises(ValueError):
+            nav_env.step(config, state, np.zeros((2, 2), int))
+        with pytest.raises(ValueError):
+            nav_env.step(config, state, np.zeros(2, int))
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_trajectories(self):
         config = WorldConfig()
