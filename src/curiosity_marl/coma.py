@@ -15,43 +15,59 @@ import numpy as np
 
 from . import curiosity as cur
 from . import neural_core as nc
-from .nav_env import N_ACTIONS, NavEnv
+from .nav_env import N_ACTIONS, ConfigurationError, NavEnv
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training hyperparameter. total_episodes = 0 means the
+    agent-count default, which the harness resolves before training.
+    intrinsic_lambda and intrinsic_clip are the config-file keys `lambda`
+    and `clip_max`, and check messages name them so."""
+
     gamma: float = 0.95
     td_lambda: float = 0.8
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
+    curiosity_lr: float = 1e-3
     episodes_per_update: int = 8
     entropy_coeff: float = 0.01
     critic_epochs: int = 4
     epsilon_start: float = 0.1
     epsilon_end: float = 0.02
-    total_episodes: int = 30_000
+    total_episodes: int = 0
     intrinsic_lambda: float = 0.05
     intrinsic_clip: float = 1.0
+    hidden_dims: tuple[int, ...] = (64, 64)
+    leaky_slope: float = 0.01
 
     def validate(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+            raise ConfigurationError("gamma: must lie in [0, 1)")
         if not 0.0 <= self.td_lambda <= 1.0:
-            raise ValueError("td_lambda must lie in [0, 1]")
-        if self.episodes_per_update < 1 or self.total_episodes < 1:
-            raise ValueError("episode counts must be positive")
-        if self.critic_epochs < 1:
-            raise ValueError("critic_epochs must be positive")
+            raise ConfigurationError("td_lambda: must lie in [0, 1]")
+        for name in ("actor_lr", "critic_lr", "curiosity_lr"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"{name}: must be > 0")
+        for name in ("episodes_per_update", "critic_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}: must be >= 1")
+        if self.total_episodes < 0:
+            raise ConfigurationError("total_episodes: must be >= 0 (0 = default budget)")
         for name in ("epsilon_start", "epsilon_end"):
             eps = getattr(self, name)
             # at 1/N_ACTIONS the floor-mixed policy degenerates to uniform and
             # the softmax jacobian vanishes, so the open interval is required
             if not 0.0 <= eps < 1.0 / N_ACTIONS:
-                raise ValueError(f"{name} must lie in [0, 1/{N_ACTIONS})")
+                raise ConfigurationError(f"{name}: must lie in [0, 1/{N_ACTIONS})")
         if self.intrinsic_lambda < 0.0:
-            raise ValueError("intrinsic_lambda must be >= 0")
+            raise ConfigurationError("lambda: must be >= 0")
         if self.intrinsic_clip <= 0.0:
-            raise ValueError("intrinsic_clip must be > 0")
+            raise ConfigurationError("clip_max: must be > 0")
+        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
+            raise ConfigurationError("hidden_dims: must be positive integers")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ConfigurationError("leaky_slope: must lie in (0, 1)")
 
 
 @dataclass

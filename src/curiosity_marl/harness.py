@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ CSV_HEADER = (
     "run_id,method,scenario,n_agents,seed,episode,"
     "normalized_reward,extrinsic_return,mean_intrinsic,curiosity_loss"
 )
-ALLOWED_N_AGENTS = (2, 4)
 AUTO_EPISODE_BUDGET = {2: 30_000, 4: 50_000}
 PROGRESS_LOG_EVERY = 5000  # episodes between progress log lines
 
@@ -38,50 +37,21 @@ class IncompleteRunError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of one training run. total_episodes = 0 means the
-    agent-count default (30k for 2 agents, 50k for 4)."""
+    """Every knob of one training run: the run's own settings, the world it
+    trains in, and the training hyperparameters. The config-file keys are
+    the fields of all three (see _settings)."""
 
-    scenario: str = "same_landmark"
-    n_agents: int = 2
-    reward_mode: str = "sparse"
     method: str = "mcm"
     seed: int = 0
-    total_episodes: int = 0
     eval_interval: int = 100
-    lambda_: float = 0.05
-    clip_max: float = 1.0
-    half_extent: float = 1.0
-    step_size: float = 0.1
-    episode_length: int = 50
-    success_radius: float = 0.1
-    collision_radius: float = 0.05
-    c_collide: float = 1.0
-    c_success: float = 5.0
-    start_jitter: float = 0.05
-    gamma: float = 0.95
-    td_lambda: float = 0.8
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
-    curiosity_lr: float = 1e-3
-    episodes_per_update: int = 8
-    entropy_coeff: float = 0.01
-    critic_epochs: int = 4
-    epsilon_start: float = 0.1
-    epsilon_end: float = 0.02
-    hidden_dims: tuple[int, ...] = (64, 64)
-    leaky_slope: float = 0.01
+    world: nav_env.WorldConfig = field(default_factory=nav_env.WorldConfig)
+    train: coma.TrainConfig = field(default_factory=coma.TrainConfig)
 
     @property
     def resolved_total_episodes(self) -> int:
-        if self.total_episodes > 0:
-            return self.total_episodes
-        return AUTO_EPISODE_BUDGET.get(self.n_agents, 30_000)
+        return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
 
     def validate(self) -> None:
-        if self.n_agents not in ALLOWED_N_AGENTS:
-            raise ConfigurationError(
-                f"n_agents: must be one of {ALLOWED_N_AGENTS}, got {self.n_agents}"
-            )
         try:
             curiosity.CuriosityKind(self.method)
         except ValueError:
@@ -91,62 +61,16 @@ class RunConfig:
             ) from None
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
-        if self.total_episodes < 0:
-            raise ConfigurationError("total_episodes: must be >= 0 (0 = default budget)")
         if self.eval_interval < 1:
             raise ConfigurationError("eval_interval: must be >= 1")
-        if self.lambda_ < 0.0:
-            raise ConfigurationError("lambda: must be >= 0")
-        if self.clip_max <= 0.0:
-            raise ConfigurationError("clip_max: must be > 0")
-        if self.curiosity_lr <= 0.0:
-            raise ConfigurationError("curiosity_lr: must be > 0")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ConfigurationError("hidden_dims: must be positive integers")
-        try:
-            self.world_config().validate()
-            self.train_config().validate()
-        except ConfigurationError:
-            raise
-        except ValueError as e:
-            raise ConfigurationError(str(e)) from None
-
-    def world_config(self) -> nav_env.WorldConfig:
-        return nav_env.WorldConfig(
-            n_agents=self.n_agents,
-            scenario=self.scenario,
-            reward_mode=self.reward_mode,
-            half_extent=self.half_extent,
-            step_size=self.step_size,
-            episode_length=self.episode_length,
-            success_radius=self.success_radius,
-            collision_radius=self.collision_radius,
-            c_collide=self.c_collide,
-            c_success=self.c_success,
-            start_jitter=self.start_jitter,
-        )
-
-    def train_config(self) -> coma.TrainConfig:
-        return coma.TrainConfig(
-            gamma=self.gamma,
-            td_lambda=self.td_lambda,
-            actor_lr=self.actor_lr,
-            critic_lr=self.critic_lr,
-            episodes_per_update=self.episodes_per_update,
-            entropy_coeff=self.entropy_coeff,
-            critic_epochs=self.critic_epochs,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            total_episodes=self.resolved_total_episodes,
-            intrinsic_lambda=self.lambda_,
-            intrinsic_clip=self.clip_max,
-        )
+        self.world.validate()
+        self.train.validate()
 
 
-# The config-file key for lambda_ drops the trailing underscore (the bare
-# name is a Python keyword).
-_ATTR_TO_KEY = {"lambda_": "lambda"}
-_KEY_TO_ATTR = {v: k for k, v in _ATTR_TO_KEY.items()}
+# RunConfig fields that nest a section; every other field is a run setting.
+_SECTIONS = {"world": nav_env.WorldConfig, "train": coma.TrainConfig}
+# Two TrainConfig fields keep their established config-file keys.
+_FIELD_TO_KEY = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
 
 
 def _parse_int(raw: str) -> int:
@@ -177,13 +101,19 @@ _CONVERTERS = {
 }
 
 
-def _field_converters() -> dict[str, tuple[str, object]]:
-    """Map config-file key -> (dataclass attribute, converter)."""
+def _settings() -> list[tuple[str | None, Field]]:
+    """(section, field) for every config key: the run's own fields (section
+    None), then WorldConfig's, then TrainConfig's."""
+    own = [(None, f) for f in fields(RunConfig) if f.name not in _SECTIONS]
+    return own + [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls)]
+
+
+def _field_converters() -> dict[str, tuple[str | None, str, object]]:
+    """Map config-file key -> (section, field name, converter)."""
     out = {}
-    for f in fields(RunConfig):
-        key = _ATTR_TO_KEY.get(f.name, f.name)
+    for section, f in _settings():
         annotation = f.type if isinstance(f.type, str) else f.type.__name__
-        out[key] = (f.name, _CONVERTERS[annotation])
+        out[_FIELD_TO_KEY.get(f.name, f.name)] = (section, f.name, _CONVERTERS[annotation])
     return out
 
 
@@ -208,16 +138,18 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     converters = _field_converters()
     merged = parse_pairs(text)
     merged.update(overrides or {})
-    attrs = {}
+    values: dict[str | None, dict] = {section: {} for section in (None, *_SECTIONS)}
     for key, raw in merged.items():
         if key not in converters:
             raise ConfigurationError(f"unknown config key: {key}")
-        attr, conv = converters[key]
+        section, attr, conv = converters[key]
         try:
-            attrs[attr] = conv(raw)
+            values[section][attr] = conv(raw)
         except (ValueError, TypeError):
             raise ConfigurationError(f"{key}: malformed value {raw!r}") from None
-    cfg = replace(RunConfig(), **attrs)
+    cfg = RunConfig(
+        **values[None], **{name: cls(**values[name]) for name, cls in _SECTIONS.items()}
+    )
     cfg.validate()
     return cfg
 
@@ -225,14 +157,13 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig in the same flat format parse_config reads."""
     lines = []
-    for f in fields(RunConfig):
-        key = _ATTR_TO_KEY.get(f.name, f.name)
-        value = getattr(cfg, f.name)
+    for section, f in _settings():
+        value = getattr(cfg if section is None else getattr(cfg, section), f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {rendered}")
+        lines.append(f"{_FIELD_TO_KEY.get(f.name, f.name)} = {rendered}")
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +183,7 @@ def resolve_results_dir(explicit: str | None = None) -> str:
 
 
 def run_id(cfg: RunConfig) -> str:
-    return f"{cfg.method}_{cfg.scenario}_{cfg.n_agents}ag_s{cfg.seed}"
+    return f"{cfg.method}_{cfg.world.scenario}_{cfg.world.n_agents}ag_s{cfg.seed}"
 
 
 def final_score_of(normalized: np.ndarray) -> float:
@@ -268,7 +199,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     """Train one configuration end to end; write one CSV of per-interval
     means plus a sidecar echoing the fully resolved config."""
     cfg.validate()
-    cfg = replace(cfg, total_episodes=cfg.resolved_total_episodes)
+    cfg = replace(cfg, train=replace(cfg.train, total_episodes=cfg.resolved_total_episodes))
     out_dir = resolve_results_dir(results_dir)
     os.makedirs(out_dir, exist_ok=True)
     rid = run_id(cfg)
@@ -281,21 +212,22 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     net_rng = np.random.default_rng(net_ss)
     bank_rng = np.random.default_rng(bank_ss)
 
-    world = cfg.world_config()
-    train_cfg = cfg.train_config()
+    world, train_cfg = cfg.world, cfg.train
     env = nav_env.NavEnv(world)
     policies = coma.make_policy_set(
-        cfg.n_agents, world.obs_dim, net_rng, cfg.hidden_dims, cfg.leaky_slope, cfg.actor_lr
+        world.n_agents, world.obs_dim, net_rng,
+        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.actor_lr,
     )
     critic = coma.make_critic(
-        cfg.n_agents, world.obs_dim, net_rng, cfg.hidden_dims, cfg.leaky_slope, cfg.critic_lr
+        world.n_agents, world.obs_dim, net_rng,
+        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.critic_lr,
     )
     bank = curiosity.make_bank(
-        cfg.method, cfg.n_agents, world.obs_dim, bank_rng,
-        cfg.hidden_dims, cfg.leaky_slope, cfg.curiosity_lr,
+        cfg.method, world.n_agents, world.obs_dim, bank_rng,
+        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.curiosity_lr,
     )
 
-    total = cfg.total_episodes
+    total = train_cfg.total_episodes
     normalized = np.zeros(total)
     extrinsic = np.zeros(total)
     mean_intrinsic = np.zeros(total)
@@ -309,6 +241,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     next_log = PROGRESS_LOG_EVERY
     with open(csv_path, "w") as csv_file:
         csv_file.write(CSV_HEADER + "\n")
+        csv_file.flush()
 
         def emit_row(end: int, start: int) -> None:
             sl = slice(start, end)
@@ -316,8 +249,8 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
                 [
                     rid,
                     cfg.method,
-                    cfg.scenario,
-                    str(cfg.n_agents),
+                    world.scenario,
+                    str(world.n_agents),
                     str(cfg.seed),
                     str(end),
                     _g17(normalized[sl].mean()),
@@ -327,6 +260,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
                 ]
             )
             csv_file.write(row + "\n")
+            csv_file.flush()
 
         while done < total:
             n_eps = min(train_cfg.episodes_per_update, total - done)
@@ -396,7 +330,7 @@ def aggregate(results) -> list[AggregateRow]:
     (ddof=1), 0.0 for singleton groups."""
     groups: dict[tuple[str, str, int], list[float]] = {}
     for r in results:
-        key = (r.config.method, r.config.scenario, r.config.n_agents)
+        key = (r.config.method, r.config.world.scenario, r.config.world.n_agents)
         groups.setdefault(key, []).append(r.final_score)
     rows = []
     for (method, scenario, n_agents), scores in sorted(groups.items()):

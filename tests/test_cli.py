@@ -37,13 +37,23 @@ def test_run_reads_config_file_with_overrides(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "none_same_landmark_2ag_s5.csv").exists()
     side = (tmp_path / "out" / "none_same_landmark_2ag_s5.config").read_text()
-    assert harness.parse_config(side).reward_mode == "dense"
+    assert harness.parse_config(side).world.reward_mode == "dense"
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--set", "n_agents=3", "--results-dir", str(tmp_path)])
     assert code == 2
     assert "n_agents" in capsys.readouterr().err
+
+
+def test_run_rejected_setting_exits_2_before_writing(tmp_path, capsys):
+    """A value the networks cannot take is rejected with the config check, so
+    no sidecar or CSV is left behind."""
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--set", "leaky_slope=2", "--results-dir", str(out_dir)])
+    assert code == 2
+    assert "error: leaky_slope:" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):

@@ -56,7 +56,7 @@ def test_train_config_defaults():
         ("td_lambda", 1.5),
         ("td_lambda", -0.2),
         ("episodes_per_update", 0),
-        ("total_episodes", 0),
+        ("total_episodes", -1),
         ("critic_epochs", 0),
         ("epsilon_start", 0.3),
         ("epsilon_start", 0.2),

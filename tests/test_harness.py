@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curiosity_marl import harness
+from curiosity_marl import coma, harness
 from curiosity_marl.nav_env import ConfigurationError
 
 TINY = """
@@ -25,9 +25,9 @@ reward_mode = dense
 def test_parse_empty_gives_defaults():
     cfg = harness.parse_config("")
     assert cfg == harness.RunConfig()
-    assert cfg.scenario == "same_landmark"
+    assert cfg.world.scenario == "same_landmark"
     assert cfg.method == "mcm"
-    assert cfg.lambda_ == 0.05
+    assert cfg.train.intrinsic_lambda == 0.05
 
 
 def test_parse_sets_fields_ignores_comments():
@@ -41,11 +41,11 @@ def test_parse_sets_fields_ignores_comments():
     hidden_dims = 32, 16
     """
     cfg = harness.parse_config(text)
-    assert cfg.scenario == "different_landmark"
-    assert cfg.n_agents == 4
+    assert cfg.world.scenario == "different_landmark"
+    assert cfg.world.n_agents == 4
     assert cfg.seed == 7
-    assert cfg.lambda_ == 0.25
-    assert cfg.hidden_dims == (32, 16)
+    assert cfg.train.intrinsic_lambda == 0.25
+    assert cfg.train.hidden_dims == (32, 16)
 
 
 def test_overrides_beat_file_text():
@@ -78,6 +78,16 @@ def test_malformed_value_names_the_key():
         ("gamma = 1.5\n", "gamma"),
         ("scenario = maze\n", "scenario"),
         ("hidden_dims = 0\n", "hidden_dims"),
+        ("episodes_per_update = 0\n", "episodes_per_update"),
+        ("critic_epochs = 0\n", "critic_epochs"),
+        ("td_lambda = 1.5\n", "td_lambda"),
+        ("epsilon_start = 0.2\n", "epsilon_start"),
+        ("actor_lr = -1\n", "actor_lr"),
+        ("critic_lr = 0\n", "critic_lr"),
+        ("leaky_slope = 2\n", "leaky_slope"),
+        ("step_size = 0\n", "step_size"),
+        ("episode_length = 0\n", "episode_length"),
+        ("start_jitter = -1\n", "start_jitter"),
     ],
 )
 def test_invalid_configs_rejected(text, fragment):
@@ -94,6 +104,56 @@ def test_render_parse_round_trip():
     assert again == cfg
 
 
+# A default sidecar as written before the settings were nested, in that key
+# order. Key order in a rendered file may change; the 29 keys, their values
+# and the run_id may not, or older results directories stop loading.
+DEFAULT_SIDECAR = """\
+scenario = same_landmark
+n_agents = 2
+reward_mode = sparse
+method = mcm
+seed = 0
+total_episodes = 0
+eval_interval = 100
+lambda = 0.05
+clip_max = 1.0
+half_extent = 1.0
+step_size = 0.1
+episode_length = 50
+success_radius = 0.1
+collision_radius = 0.05
+c_collide = 1.0
+c_success = 5.0
+start_jitter = 0.05
+gamma = 0.95
+td_lambda = 0.8
+actor_lr = 0.001
+critic_lr = 0.001
+curiosity_lr = 0.001
+episodes_per_update = 8
+entropy_coeff = 0.01
+critic_epochs = 4
+epsilon_start = 0.1
+epsilon_end = 0.02
+hidden_dims = 64,64
+leaky_slope = 0.01
+"""
+
+
+def test_render_writes_every_file_key_once():
+    rendered = harness.render_config(harness.RunConfig())
+    keys = [line.split(" = ")[0] for line in rendered.splitlines()]
+    assert len(keys) == 29
+    assert sorted(keys) == sorted(harness.parse_pairs(DEFAULT_SIDECAR))
+
+
+def test_older_sidecar_parses_to_defaults():
+    assert harness.parse_config(DEFAULT_SIDECAR) == harness.RunConfig()
+    assert sorted(harness.parse_pairs(DEFAULT_SIDECAR).items()) == sorted(
+        harness.parse_pairs(harness.render_config(harness.RunConfig())).items()
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     lam=st.floats(0.0, 10.0, allow_nan=False),
@@ -102,9 +162,8 @@ def test_render_parse_round_trip():
     interval=st.integers(1, 10**6),
 )
 def test_render_round_trip_exact(lam, gamma, seed, interval):
-    cfg = dataclasses.replace(
-        harness.RunConfig(), lambda_=lam, gamma=gamma, seed=seed, eval_interval=interval
-    )
+    train = dataclasses.replace(harness.RunConfig().train, intrinsic_lambda=lam, gamma=gamma)
+    cfg = dataclasses.replace(harness.RunConfig(), train=train, seed=seed, eval_interval=interval)
     again = harness.parse_config(harness.render_config(cfg))
     assert again == cfg
 
@@ -159,9 +218,30 @@ def test_run_experiment_writes_csv_and_sidecar(tmp_path):
     np.testing.assert_equal(rows[2]["normalized_reward"], result.normalized[40:60].mean())
 
     side_cfg = harness.parse_config(side_path.read_text())
-    assert side_cfg == dataclasses.replace(cfg, total_episodes=60)
+    assert side_cfg.train.total_episodes == 60
+    assert side_cfg == cfg
     assert len(result.normalized) == 60
     assert result.final_score == harness.final_score_of(result.normalized)
+
+
+def test_csv_rows_reach_disk_as_they_are_emitted(tmp_path, monkeypatch):
+    """Each row is on disk once emitted, so a killed run keeps its rows and
+    progress can be watched from the file."""
+    cfg = harness.parse_config("method = none\ntotal_episodes = 40\neval_interval = 8\n")
+    csv_path = tmp_path / (harness.run_id(cfg) + ".csv")
+    real_train_round = coma.train_round
+    seen = []
+
+    def train_round_reading_csv(*args):
+        done = args[5]
+        rows = harness.parse_csv_rows(csv_path.read_text())  # checks the header
+        assert [r["episode"] for r in rows] == list(range(8, done + 1, 8))
+        seen.append(done)
+        return real_train_round(*args)
+
+    monkeypatch.setattr(coma, "train_round", train_round_reading_csv)
+    harness.run_experiment(cfg, str(tmp_path))
+    assert seen == [0, 8, 16, 24, 32]
 
 
 def test_run_experiment_partial_tail_row(tmp_path):
@@ -257,9 +337,8 @@ def test_load_results_skips_orphan_sidecar(tmp_path):
 
 
 def _summary(method, scenario, n_agents, seed, score):
-    cfg = dataclasses.replace(
-        harness.RunConfig(), method=method, scenario=scenario, n_agents=n_agents, seed=seed
-    )
+    world = dataclasses.replace(harness.RunConfig().world, scenario=scenario, n_agents=n_agents)
+    cfg = dataclasses.replace(harness.RunConfig(), method=method, world=world, seed=seed)
     return harness.RunSummary(cfg, score)
 
 
