@@ -113,6 +113,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.networks < 1:
+        print("error: --networks: must be >= 1", file=sys.stderr)
+        return 2
     net_err, mutant_err = nc.gradient_suite(args.networks, args.seed)
     actor_err = coma.actor_gradient_suite(seed=args.seed)
     print(f"network gradient suite ({args.networks} nets): max relative error {net_err:.3e}")

@@ -60,6 +60,8 @@ class TrainConfig:
             # the softmax jacobian vanishes, so the open interval is required
             if not 0.0 <= eps < 1.0 / N_ACTIONS:
                 raise ConfigurationError(f"{name}: must lie in [0, 1/{N_ACTIONS})")
+        if self.entropy_coeff < 0.0:
+            raise ConfigurationError("entropy_coeff: must be >= 0")
         if self.intrinsic_lambda < 0.0:
             raise ConfigurationError("lambda: must be >= 0")
         if self.intrinsic_clip <= 0.0:
@@ -382,18 +384,19 @@ def actor_loss_closure(
     epsilon: float,
     entropy_coeff: float,
 ):
-    """(loss, grads) closure over a frozen step batch, for gradient audits."""
+    """(loss, grads_fn) closure over a frozen step batch, for gradient audits;
+    grads_fn() must run before the next forward of this batch size."""
     obs = np.atleast_2d(np.asarray(obs, float))
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)
 
-    def loss_and_grad(net: nc.Network):
+    def loss_and_grads(net: nc.Network):
         outputs, cache = nc.forward(net, obs)
         probs = floor_mix(outputs[0], epsilon)
         loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
-        return loss, nc.backward(net, cache, [dl_dz])
+        return loss, lambda: nc.backward(net, cache, [dl_dz])
 
-    return loss_and_grad
+    return loss_and_grads
 
 
 def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -> float:

@@ -73,10 +73,9 @@ class WorldConfig:
             raise ConfigurationError("need 0 < success_radius < half_extent")
         if self.episode_length < 1:
             raise ConfigurationError("episode_length must be >= 1")
-        if self.c_success < 0.0:
-            raise ConfigurationError("c_success must be >= 0")
-        if self.start_jitter < 0.0:
-            raise ConfigurationError("start_jitter must be >= 0")
+        for name in ("collision_radius", "c_collide", "c_success", "start_jitter"):
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"{name}: must be >= 0")
 
 
 @dataclass(frozen=True)

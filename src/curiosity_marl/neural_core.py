@@ -8,6 +8,15 @@ deterministic; the only randomness is the init Generator.
 Parameter order (used by Gradients and Adam): trunk layer 0
 weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
 Weights are (out, in); inputs are row vectors, so affine is x @ w.T + b.
+
+Each Network keeps one set of trunk work arrays per batch size: forward
+fills them in place and backward overwrites them with the trunk's
+gradients, so repeated passes allocate little beyond head outputs and
+parameter gradients. A ForwardCache is therefore valid only until the next
+forward of the same batch size on the same network, or until its own
+backward; backward raises on a stale cache. Head outputs and gradients are
+fresh arrays that no later pass touches. A Network must not be used from two
+threads at once.
 """
 
 from __future__ import annotations
@@ -49,12 +58,27 @@ class NetworkSpec:
 
 
 @dataclass
+class _Buffers:
+    """One batch size's trunk work arrays. generation counts the passes that
+    have used them, so a cache can tell whether they still hold its data."""
+
+    z: list[np.ndarray]  # pre-activations; backward leaves d_z in them
+    a: list[np.ndarray]  # activations; backward leaves d(loss)/d(a) in them
+    scratch: np.ndarray  # flat, sized for the widest layer: head terms, derivatives
+    head_in: list[np.ndarray | None]  # trunk output + extra input, per head that has one
+    generation: int = 0
+
+
+@dataclass
 class Network:
     spec: NetworkSpec
     trunk_w: list[np.ndarray]
     trunk_b: list[np.ndarray]
     head_w: list[np.ndarray]
     head_b: list[np.ndarray]
+    _buffers: dict[int, _Buffers] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def parameters(self) -> list[np.ndarray]:
         """Canonical flat parameter list (views, not copies)."""
@@ -78,10 +102,17 @@ class Network:
 @dataclass
 class ForwardCache:
     trunk_input: np.ndarray  # (B, input_dim)
-    pre_activations: list[np.ndarray]  # z per trunk layer, (B, hidden)
-    activations: list[np.ndarray]  # leaky(z) per trunk layer
-    head_inputs: list[np.ndarray]  # (B, trunk_out + extra) per head
+    head_inputs: list[np.ndarray]  # (B, trunk_out + extra) per head, views of buffers
     squeeze: bool  # True when the caller passed 1-D vectors
+    buffers: _Buffers  # the network's work arrays for this batch size
+    generation: int  # buffers.generation when this forward filled them
+
+    def check_live(self) -> None:
+        if self.generation != self.buffers.generation:
+            raise RuntimeError(
+                "stale forward cache: a later pass of the same batch size "
+                "has reused its buffers"
+            )
 
 
 @dataclass
@@ -127,12 +158,40 @@ def init_adam(
     )
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, z, slope * z)
+def _buffers_for(net: Network, batch: int) -> _Buffers:
+    bufs = net._buffers.get(batch)
+    if bufs is None:
+        spec = net.spec
+        trunk_out = spec.hidden_dims[-1]
+        bufs = _Buffers(
+            z=[np.empty((batch, h)) for h in spec.hidden_dims],
+            a=[np.empty((batch, h)) for h in spec.hidden_dims],
+            scratch=np.empty(batch * max(spec.hidden_dims)),
+            head_in=[
+                np.empty((batch, trunk_out + extra)) if extra else None
+                for extra in spec.head_extra_input_dims
+            ],
+        )
+        net._buffers[batch] = bufs
+    return bufs
 
 
-def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, slope)
+def _scratch(bufs: _Buffers, shape: tuple[int, int]) -> np.ndarray:
+    return bufs.scratch[: shape[0] * shape[1]].reshape(shape)
+
+
+def _leaky(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """leaky-ReLU of z into out. For 0 < slope < 1, max(z, slope*z) equals
+    where(z > 0, z, slope*z) bit for bit, signed zeros included."""
+    np.multiply(z, slope, out=out)
+    return np.maximum(z, out, out=out)
+
+
+def _leaky_grad(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """Derivative of leaky-ReLU at z into out: 1 where z > 0, else slope.
+    The indices are 0 or 1, so mode="clip" changes no value; it lets take
+    write into out without the copy that its default mode makes."""
+    return np.take((slope, 1.0), np.greater(z, 0.0).view(np.int8), out=out, mode="clip")
 
 
 def forward(
@@ -157,13 +216,13 @@ def forward(
     if len(head_extra_inputs) != spec.n_heads:
         raise ValueError("one extra input (or None) per head required")
 
-    pre, act = [], []
+    bufs = _buffers_for(net, x.shape[0])
+    bufs.generation += 1
     a = x
-    for w, b in zip(net.trunk_w, net.trunk_b):
-        z = a @ w.T + b
-        a = _leaky(z, spec.leaky_slope)
-        pre.append(z)
-        act.append(a)
+    for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
+        np.matmul(a, w.T, out=z)
+        z += b
+        a = _leaky(z, spec.leaky_slope, out=act)
 
     outputs, head_inputs = [], []
     for k, (w, b) in enumerate(zip(net.head_w, net.head_b)):
@@ -183,12 +242,15 @@ def forward(
                 raise ValueError(
                     f"head {k} extra input shape {extra.shape} != {(x.shape[0], extra_dim)}"
                 )
-            h_in = np.concatenate([a, extra], axis=1)
+            h_in = bufs.head_in[k]
+            h_in[:, : a.shape[1]] = a
+            h_in[:, a.shape[1] :] = extra
         head_inputs.append(h_in)
-        out = h_in @ w.T + b
+        out = h_in @ w.T
+        out += b
         outputs.append(out[0] if squeeze else out)
 
-    cache = ForwardCache(x, pre, act, head_inputs, squeeze)
+    cache = ForwardCache(x, head_inputs, squeeze, bufs, bufs.generation)
     return outputs, cache
 
 
@@ -204,37 +266,49 @@ def backward(
     spec = net.spec
     if len(head_output_grads) != spec.n_heads:
         raise ValueError("one output grad (or None) per head required")
+    cache.check_live()
     batch = cache.trunk_input.shape[0]
     trunk_out_dim = spec.hidden_dims[-1]
 
-    head_w_grads, head_b_grads = [], []
-    d_trunk_out = np.zeros((batch, trunk_out_dim))
-    for k, (w, h_in) in enumerate(zip(net.head_w, cache.head_inputs)):
-        gy = head_output_grads[k]
+    head_w_grads, head_b_grads, gys = [], [], []
+    for k, (w, gy, h_in) in enumerate(zip(net.head_w, head_output_grads, cache.head_inputs)):
         if gy is None:
             head_w_grads.append(np.zeros_like(w))
             head_b_grads.append(np.zeros_like(net.head_b[k]))
-            continue
-        gy = np.asarray(gy, dtype=float)
-        if gy.ndim == 1:
-            gy = gy[None, :]
-        if gy.shape != (batch, spec.output_dims[k]):
-            raise ValueError(
-                f"head {k} output grad shape {gy.shape} != {(batch, spec.output_dims[k])}"
-            )
-        head_w_grads.append(gy.T @ h_in)
-        head_b_grads.append(gy.sum(axis=0))
-        d_trunk_out += gy @ w[:, :trunk_out_dim]
+        else:
+            gy = np.asarray(gy, dtype=float)
+            if gy.ndim == 1:
+                gy = gy[None, :]
+            if gy.shape != (batch, spec.output_dims[k]):
+                raise ValueError(
+                    f"head {k} output grad shape {gy.shape} != {(batch, spec.output_dims[k])}"
+                )
+            head_w_grads.append(gy.T @ h_in)
+            head_b_grads.append(gy.sum(axis=0))
+        gys.append(gy)
+    bufs = cache.buffers
+    bufs.generation += 1  # the work arrays are overwritten below
+
+    # The heads have read the trunk output, so its buffer now sums
+    # d(loss)/d(trunk output) head by head; each activation buffer then takes
+    # the gradient flowing into it, and each pre-activation buffer its d_z.
+    last = len(net.trunk_w) - 1
+    d_a = bufs.a[last]
+    d_a.fill(0.0)
+    for w, gy in zip(net.head_w, gys):
+        if gy is not None:
+            d_a += np.matmul(gy, w[:, :trunk_out_dim], out=_scratch(bufs, d_a.shape))
 
     trunk_w_grads, trunk_b_grads = [], []
-    d_a = d_trunk_out
-    for layer in range(len(net.trunk_w) - 1, -1, -1):
-        d_z = d_a * _leaky_grad(cache.pre_activations[layer], spec.leaky_slope)
-        layer_in = cache.trunk_input if layer == 0 else cache.activations[layer - 1]
+    for layer in range(last, -1, -1):
+        d_z = bufs.z[layer]
+        factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z.shape))
+        np.multiply(d_a, factor, out=d_z)
+        layer_in = cache.trunk_input if layer == 0 else bufs.a[layer - 1]
         trunk_w_grads.append(d_z.T @ layer_in)
         trunk_b_grads.append(d_z.sum(axis=0))
         if layer > 0:
-            d_a = d_z @ net.trunk_w[layer]
+            d_a = np.matmul(d_z, net.trunk_w[layer], out=bufs.a[layer - 1])
     trunk_w_grads.reverse()
     trunk_b_grads.reverse()
 
@@ -271,18 +345,20 @@ def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState
 
 def grad_check(
     net: Network,
-    loss_and_grad,
+    loss_and_grads,
     h: float = 1e-5,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    loss_and_grad(net) must deterministically return (loss, Gradients); the
-    numeric side only uses its loss value. Each element's error is measured
+    loss_and_grads(net) must deterministically return (loss, grads_fn), where
+    grads_fn() runs the backward pass of that forward and returns its
+    Gradients. Only the analytic side calls grads_fn; the finite-difference
+    probes read the loss alone. Each element's error is measured
     against the network's dominant gradient magnitude, so near-zero entries
     (whose central differences are pure cancellation noise) cannot swamp the
     comparison while any error at update-relevant scale still registers.
     """
-    _, analytic = loss_and_grad(net)
+    analytic = loss_and_grads(net)[1]()
     scale = max(float(np.max(np.abs(a))) for a in analytic)
     worst = 0.0
     for p_idx, p in enumerate(net.parameters()):
@@ -291,9 +367,9 @@ def grad_check(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            loss_plus, _ = loss_and_grad(net)
+            loss_plus, _ = loss_and_grads(net)
             flat[i] = orig - h
-            loss_minus, _ = loss_and_grad(net)
+            loss_minus, _ = loss_and_grads(net)
             flat[i] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * h)
             ana = a.ravel()[i]
@@ -305,25 +381,26 @@ def grad_check(
 def min_kink_distance(cache: ForwardCache) -> float:
     """Smallest |pre-activation| in the trunk. Finite-difference probes are
     only trustworthy when this comfortably exceeds the probe step."""
-    return min(float(np.min(np.abs(z))) for z in cache.pre_activations)
+    cache.check_live()
+    return min(float(np.min(np.abs(z))) for z in cache.buffers.z)
 
 
-def mutation_control(net: Network, loss_and_grad, h: float = 1e-5) -> float:
+def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
     """Relative error after sign-flipping the largest analytic gradient entry.
 
     A working checker must report a large value here (the flip doubles the
     discrepancy); this guards against a checker that silently passes
     everything.
     """
-    _, analytic = loss_and_grad(net)
+    analytic = loss_and_grads(net)[1]()
     p_idx = max(range(len(analytic)), key=lambda j: float(np.max(np.abs(analytic[j]))))
     flat_idx = int(np.argmax(np.abs(analytic[p_idx])))
     p = net.parameters()[p_idx].ravel()
     orig = p[flat_idx]
     p[flat_idx] = orig + h
-    loss_plus, _ = loss_and_grad(net)
+    loss_plus, _ = loss_and_grads(net)
     p[flat_idx] = orig - h
-    loss_minus, _ = loss_and_grad(net)
+    loss_minus, _ = loss_and_grads(net)
     p[flat_idx] = orig
     numeric = (loss_plus - loss_minus) / (2.0 * h)
     mutated = -analytic[p_idx].ravel()[flat_idx]
@@ -380,16 +457,13 @@ def squared_error_loss_closure(
     targets: list[np.ndarray],
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ):
-    """(loss, grads) closure for sum over heads of ||output - target||^2."""
+    """(loss, grads_fn) closure for sum over heads of ||output - target||^2;
+    grads_fn() must run before the next forward of this batch size."""
 
-    def loss_and_grad(net: Network):
+    def loss_and_grads(net: Network):
         outputs, cache = forward(net, trunk_input, head_extra_inputs)
-        loss = 0.0
-        out_grads = []
-        for out, target in zip(outputs, targets):
-            diff = out - target
-            loss += float(np.sum(diff * diff))
-            out_grads.append(2.0 * diff)
-        return loss, backward(net, cache, out_grads)
+        diffs = [out - target for out, target in zip(outputs, targets)]
+        loss = sum(float(np.sum(diff * diff)) for diff in diffs)
+        return loss, lambda: backward(net, cache, [2.0 * diff for diff in diffs])
 
-    return loss_and_grad
+    return loss_and_grads

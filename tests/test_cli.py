@@ -111,6 +111,17 @@ def test_gradcheck_small(capsys):
     assert "mutation control" in out
 
 
+@pytest.mark.parametrize("networks", ["0", "-1"])
+def test_gradcheck_without_networks_exits_2(networks, capsys):
+    """An audit of no networks checks nothing, so it is a usage error rather
+    than a pass or a failed check."""
+    code = cli.main(["gradcheck", "--networks", networks])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: --networks: must be >= 1" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_report_roundtrip(tmp_path, capsys):
     for seed in (0, 1):
         cli.main(

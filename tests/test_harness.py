@@ -88,6 +88,9 @@ def test_malformed_value_names_the_key():
         ("step_size = 0\n", "step_size"),
         ("episode_length = 0\n", "episode_length"),
         ("start_jitter = -1\n", "start_jitter"),
+        ("collision_radius = -1\n", "collision_radius"),
+        ("c_collide = -3\n", "c_collide"),
+        ("entropy_coeff = -5\n", "entropy_coeff"),
     ],
 )
 def test_invalid_configs_rejected(text, fragment):

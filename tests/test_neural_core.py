@@ -1,10 +1,11 @@
-"""Network library tests: shapes, init bounds, exact gradients, Adam, checkpoints."""
+"""Network library tests: shapes, init bounds, exact gradients, Adam, reused buffers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curiosity_marl import coma
 from curiosity_marl import neural_core as nc
 
 
@@ -192,8 +193,8 @@ class TestAdam:
         closure = nc.squared_error_loss_closure(x, targets)
         first, _ = closure(net)
         for _ in range(300):
-            _, grads = closure(net)
-            nc.adam_step(opt, net, grads)
+            _, grads_fn = closure(net)
+            nc.adam_step(opt, net, grads_fn())
         last, _ = closure(net)
         assert last < 0.05 * first
 
@@ -214,3 +215,160 @@ class TestLossClosure:
             for a, b in zip(out, target):
                 manual += (a - b) ** 2
         assert loss == pytest.approx(manual, rel=1e-12)
+
+
+def reference_forward(net, x, extras=None):
+    """Forward pass that allocates every array and applies leaky-ReLU with
+    np.where; returns the outputs and what reference_backward needs."""
+    spec = net.spec
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    x = np.atleast_2d(x)
+    extras = extras or [None] * spec.n_heads
+    pre, act = [], []
+    a = x
+    for w, b in zip(net.trunk_w, net.trunk_b):
+        z = a @ w.T + b
+        a = np.where(z > 0.0, z, spec.leaky_slope * z)
+        pre.append(z)
+        act.append(a)
+    outputs, head_inputs = [], []
+    for w, b, extra in zip(net.head_w, net.head_b, extras):
+        h_in = a if extra is None else np.concatenate([a, np.atleast_2d(extra)], axis=1)
+        out = h_in @ w.T + b
+        head_inputs.append(h_in)
+        outputs.append(out[0] if squeeze else out)
+    return outputs, (x, pre, act, head_inputs)
+
+
+def reference_backward(net, ref_cache, head_output_grads):
+    x, pre, act, head_inputs = ref_cache
+    spec = net.spec
+    trunk_out = spec.hidden_dims[-1]
+    head_grads = []
+    d_a = np.zeros((len(x), trunk_out))
+    for w, h_in, gy in zip(net.head_w, head_inputs, head_output_grads):
+        gy = np.atleast_2d(gy)
+        head_grads.extend((gy.T @ h_in, gy.sum(axis=0)))
+        d_a += gy @ w[:, :trunk_out]
+    trunk_grads = []
+    for layer in range(len(net.trunk_w) - 1, -1, -1):
+        d_z = d_a * np.where(pre[layer] > 0.0, 1.0, spec.leaky_slope)
+        layer_in = x if layer == 0 else act[layer - 1]
+        trunk_grads[:0] = [d_z.T @ layer_in, d_z.sum(axis=0)]
+        d_a = d_z @ net.trunk_w[layer]
+    return trunk_grads + head_grads
+
+
+def pass_inputs(spec, batch, rng):
+    """Trunk input, head extras and output grads for one pass; batch None
+    means 1-D vectors."""
+    shape = () if batch is None else (batch,)
+    x = rng.standard_normal((*shape, spec.input_dim))
+    extras = [
+        rng.standard_normal((*shape, d)) if d else None for d in spec.head_extra_input_dims
+    ]
+    gys = [rng.standard_normal((*shape, d)) for d in spec.output_dims]
+    return x, extras, gys
+
+
+class TestReusedBuffers:
+    @pytest.mark.parametrize("two_headed", [False, True])
+    @pytest.mark.parametrize("batch", [None, 1, 7])
+    def test_passes_equal_allocating_reference_bit_for_bit(self, two_headed, batch):
+        rng = np.random.default_rng(31 + (batch or 0))
+        net = nc.init_network(small_spec(two_headed), rng)
+        # trunk unit 0 sees exactly +0.0 and unit 1 a subnormal of either sign
+        net.trunk_w[0][0] = 0.0
+        net.trunk_w[0][1] = [1e-308, 0.0, 0.0]
+        for _ in range(3):  # a pass reuses the buffers of the one before
+            x, extras, gys = pass_inputs(net.spec, batch, rng)
+            outs, cache = nc.forward(net, x, extras)
+            ref_outs, ref_cache = reference_forward(net, x, extras)
+            z0 = ref_cache[1][0]
+            assert np.any((z0 == 0.0) & ~np.signbit(z0))
+            assert np.any((z0 != 0.0) & (np.abs(z0) < 1e-300))
+            for out, ref in zip(outs, ref_outs):
+                assert out.shape == ref.shape
+                assert np.array_equal(out, ref)
+            grads = nc.backward(net, cache, gys)
+            ref_grads = reference_backward(net, ref_cache, gys)
+            assert len(grads) == len(ref_grads)
+            for g, ref in zip(grads, ref_grads):
+                assert np.array_equal(g, ref)
+
+    def test_leaky_relu_and_derivative_match_where_on_special_values(self):
+        """Signed zeros, subnormals, infinities and NaN: a forward pass cannot
+        produce every one of these as a pre-activation (an exact zero sum
+        rounds to +0.0), so the two element-wise maps are checked directly."""
+        z = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 2.5, -2.5]
+        )
+        for slope in (0.01, 0.5, 0.999):
+            act = nc._leaky(z, slope, out=np.empty_like(z))
+            ref = np.where(z > 0.0, z, slope * z)
+            assert np.array_equal(act, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(act), np.signbit(ref))
+            grad = nc._leaky_grad(z, slope, out=np.empty_like(z))
+            assert np.array_equal(grad, np.where(z > 0.0, 1.0, slope))
+
+    def test_backward_on_stale_cache_raises(self):
+        rng = np.random.default_rng(32)
+        net = nc.init_network(small_spec(two_headed=True), rng)
+        x_a, extras_a, gys_a = pass_inputs(net.spec, 4, rng)
+        x_b, extras_b, _ = pass_inputs(net.spec, 4, rng)
+        x_c, extras_c, _ = pass_inputs(net.spec, 3, rng)
+
+        _, cache_a = nc.forward(net, x_a, extras_a)
+        nc.forward(net, x_c, extras_c)  # another batch size has its own buffers
+        nc.forward(net.copy(), x_a, extras_a)  # and so has a copy
+        grads = nc.backward(net, cache_a, gys_a)
+        _, ref_cache = reference_forward(net, x_a, extras_a)
+        for g, ref in zip(grads, reference_backward(net, ref_cache, gys_a)):
+            assert np.array_equal(g, ref)
+        with pytest.raises(RuntimeError, match="stale"):
+            nc.backward(net, cache_a, gys_a)  # its own backward consumed it
+
+        _, cache_a = nc.forward(net, x_a, extras_a)
+        nc.forward(net, x_b, extras_b)
+        with pytest.raises(RuntimeError, match="stale"):
+            nc.backward(net, cache_a, gys_a)
+        with pytest.raises(RuntimeError, match="stale"):
+            nc.min_kink_distance(cache_a)
+
+    def test_results_do_not_alias_buffers(self):
+        rng = np.random.default_rng(33)
+        net = nc.init_network(small_spec(two_headed=True), rng)
+        x, extras, gys = pass_inputs(net.spec, 5, rng)
+        outs, cache = nc.forward(net, x, extras)
+        grads = nc.backward(net, cache, gys)
+        kept = [a.copy() for a in outs + grads]
+        for _ in range(2):
+            x2, extras2, gys2 = pass_inputs(net.spec, 5, rng)
+            _, cache2 = nc.forward(net, x2, extras2)
+            nc.backward(net, cache2, gys2)
+        for a, k in zip(outs + grads, kept):
+            assert np.array_equal(a, k)
+
+    @pytest.mark.parametrize("suite", ["squared_error", "actor"])
+    def test_grad_check_runs_one_backward(self, suite, monkeypatch):
+        """The finite-difference probes read only the loss, so the one
+        backward pass is the analytic side's."""
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((3, 3))
+        if suite == "squared_error":
+            net = nc.init_network(small_spec(), rng)
+            closure = nc.squared_error_loss_closure(x, [rng.standard_normal((3, 2))])
+        else:
+            net = nc.init_network(nc.NetworkSpec(3, (5,), hidden_dims=(5, 6)), rng)
+            closure = coma.actor_loss_closure(x, [0, 3, 4], rng.standard_normal(3), 0.05, 0.01)
+        calls = []
+        backward = nc.backward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(nc, "backward", counted)
+        assert nc.grad_check(net, closure) < 1e-6
+        assert len(calls) == 1
