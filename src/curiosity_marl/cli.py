@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import coma, harness
+from . import curiosity as cur
 from . import neural_core as nc
 from .nav_env import ConfigurationError
 
@@ -118,10 +119,24 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         return 2
     net_err, mutant_err = nc.gradient_suite(args.networks, args.seed)
     actor_err = coma.actor_gradient_suite(seed=args.seed)
+    critic_err, critic_mutant = coma.critic_gradient_suite(seed=args.seed)
+    module_err, module_mutant = cur.curiosity_gradient_suite(seed=args.seed)
     print(f"network gradient suite ({args.networks} nets): max relative error {net_err:.3e}")
     print(f"actor-loss gradient suite: max relative error {actor_err:.3e}")
     print(f"mutation control (sign flip): relative error {mutant_err:.3e}")
-    ok = net_err < 1e-6 and actor_err < 1e-5 and mutant_err > 1e-3
+    print(
+        f"critic-loss gradient suite: max relative error {critic_err:.3e}, "
+        f"mutation control {critic_mutant:.3e}"
+    )
+    print(
+        f"curiosity-loss gradient suite: max relative error {module_err:.3e}, "
+        f"mutation control {module_mutant:.3e}"
+    )
+    ok = (
+        max(net_err, critic_err, module_err) < 1e-6
+        and actor_err < 1e-5
+        and min(mutant_err, critic_mutant, module_mutant) > 1e-3
+    )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

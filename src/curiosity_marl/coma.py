@@ -329,24 +329,61 @@ def _critic_batch(
     )
 
 
+def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
+    """(loss, grads_fn) closure for the critic's regression: the mean over
+    rows of (Q(x)[taken] - target)^2. Only the taken action's output gets a
+    gradient. grads_fn() must run before the next forward of this batch size."""
+    b = len(taken)
+    rows = np.arange(b)
+
+    def loss_and_grads(net: nc.Network):
+        (q,), cache = nc.forward(net, x)
+        diff = q[rows, taken] - targets
+
+        def grads_fn():
+            out_grad = np.zeros_like(q)
+            out_grad[rows, taken] = 2.0 * diff / b
+            return nc.backward(net, cache, [out_grad])
+
+        return float(diff @ diff) / b, grads_fn
+
+    return loss_and_grads
+
+
 def critic_update(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig) -> float:
     """Regress the critic's taken-action Q toward frozen lambda-return targets
     for critic_epochs Adam steps; returns the pre-update mean squared error."""
-    x, taken, targets = _critic_batch(critic, buf, cfg)
-    b = x.shape[0]
-    initial_loss = None
+    closure = critic_loss_closure(*_critic_batch(critic, buf, cfg))
+    losses = []
     for _ in range(cfg.critic_epochs):
-        q, cache = nc.forward(critic.network, x)
-        q = q[0]
-        q_taken = q[np.arange(b), taken]
-        diff = q_taken - targets
-        if initial_loss is None:
-            initial_loss = float(diff @ diff) / b
-        out_grad = np.zeros_like(q)
-        out_grad[np.arange(b), taken] = 2.0 * diff / b
-        grads = nc.backward(critic.network, cache, [out_grad])
-        nc.adam_step(critic.opt, critic.network, grads)
-    return initial_loss
+        loss, grads_fn = closure(critic.network)
+        nc.adam_step(critic.opt, critic.network, grads_fn())
+        losses.append(loss)
+    return losses[0]
+
+
+def critic_gradient_suite(
+    n_critics: int = 20, seed: int = 0, h: float = 1e-5
+) -> tuple[float, float]:
+    """Finite-difference audit of the critic regression gradient on random
+    small critics and frozen batches. Returns (max relative error, relative
+    error of the sign-flip mutant from the first critic)."""
+    if n_critics < 1:
+        raise ValueError("an audit needs at least one network")
+    rng = np.random.default_rng(seed)
+    worst = mutant = 0.0
+    for i in range(n_critics):
+        input_dim = int(rng.integers(2, 9))
+        hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+        net = nc.init_network(nc.NetworkSpec(input_dim, (N_ACTIONS,), hidden), rng)
+        batch = int(rng.integers(2, 7))
+        x, _ = nc.kink_free_draw(net, lambda: (rng.standard_normal((batch, input_dim)), None))
+        taken = rng.integers(0, N_ACTIONS, size=batch)
+        closure = critic_loss_closure(x, taken, rng.standard_normal(batch))
+        worst = max(worst, nc.grad_check(net, closure, h))
+        if i == 0:
+            mutant = nc.mutation_control(net, closure, h)
+    return worst, mutant
 
 
 def actor_loss_grads(
@@ -402,6 +439,8 @@ def actor_loss_closure(
 def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -> float:
     """Finite-difference audit of the actor surrogate gradient on random
     small policies and frozen batches; returns the max relative error."""
+    if n_policies < 1:
+        raise ValueError("an audit needs at least one network")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_policies):

@@ -158,6 +158,32 @@ def _module_batches(
     return jobs
 
 
+def module_loss_closure(
+    inputs: np.ndarray,
+    extras: list[np.ndarray | None] | None,
+    targets: list[np.ndarray],
+    two_headed: bool,
+):
+    """(loss, grads_fn) closure for a module's batch-mean forward loss:
+    ||prediction - target||^2 for a one-headed module, half the sum of both
+    heads' squared errors for a two-headed one. grads_fn() must run before
+    the next forward of this batch size."""
+    b = len(inputs)
+
+    def loss_and_grads(module: nc.Network):
+        outputs, cache = nc.forward(module, inputs, extras)
+        diffs = [out - target for out, target in zip(outputs, targets)]
+        loss = 0.0
+        for diff in diffs:
+            loss += float(np.sum(diff * diff))
+        if two_headed:
+            # d(mean loss)/d(out): the 1/2 cancels the 2 of the squared norm
+            return 0.5 * loss / b, lambda: nc.backward(module, cache, [d / b for d in diffs])
+        return loss / b, lambda: nc.backward(module, cache, [2.0 * d / b for d in diffs])
+
+    return loss_and_grads
+
+
 def curiosity_update(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ) -> list[float]:
@@ -168,27 +194,54 @@ def curiosity_update(
     minimize half the sum of the squared individual and joint errors. Returns
     the pre-update mean loss of every module.
     """
-    b = len(obs)
-    if b == 0:
+    if len(obs) == 0:
         raise ValueError("curiosity_update requires a non-empty batch")
     two_headed = bank.kind in TWO_HEADED_KINDS
     jobs = _module_batches(bank, obs, actions, next_obs)
     losses = []
     for module, opt, (x, extras, targets) in zip(bank.modules, bank.opts, jobs):
-        outputs, cache = nc.forward(module, x, extras)
-        out_grads = []
-        loss = 0.0
-        for out, target in zip(outputs, targets):
-            diff = out - target
-            loss += float(np.sum(diff * diff))
-            # d(mean loss)/d(out); the 1/2 in the two-headed loss cancels
-            # the 2 from the squared norm.
-            out_grads.append((diff / b) if two_headed else (2.0 * diff / b))
-        loss = (0.5 * loss / b) if two_headed else (loss / b)
-        grads = nc.backward(module, cache, out_grads)
-        nc.adam_step(opt, module, grads)
+        loss, grads_fn = module_loss_closure(x, extras, targets, two_headed)(module)
+        nc.adam_step(opt, module, grads_fn())
         losses.append(loss)
     return losses
+
+
+def curiosity_gradient_suite(
+    n_modules: int = 20, seed: int = 0, h: float = 1e-5
+) -> tuple[float, float]:
+    """Finite-difference audit of the forward-model losses on random small
+    modules and frozen batches, alternating one- and two-headed shapes.
+    Returns (max relative error, relative error of the sign-flip mutant from
+    the first module)."""
+    if n_modules < 1:
+        raise ValueError("an audit needs at least one network")
+    rng = np.random.default_rng(seed)
+    worst = mutant = 0.0
+    for i in range(n_modules):
+        two_headed = i % 2 == 1
+        n_agents, obs_dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+        if two_headed:
+            spec = _two_headed_spec(n_agents, obs_dim, hidden, 0.01)
+        else:
+            spec = _indiv_spec(obs_dim, hidden, 0.01)
+        module = nc.init_network(spec, rng)
+        batch = int(rng.integers(1, 4))
+
+        def draw():
+            extras = [
+                rng.standard_normal((batch, d)) if d else None
+                for d in spec.head_extra_input_dims
+            ]
+            return rng.standard_normal((batch, spec.input_dim)), extras
+
+        x, extras = nc.kink_free_draw(module, draw)
+        targets = [rng.standard_normal((batch, d)) for d in spec.output_dims]
+        closure = module_loss_closure(x, extras, targets, two_headed)
+        worst = max(worst, nc.grad_check(module, closure, h))
+        if i == 0:
+            mutant = nc.mutation_control(module, closure, h)
+    return worst, mutant
 
 
 def _sq_err(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -417,6 +417,8 @@ def gradient_suite(
     Returns (max relative error across the suite, relative error of the
     sign-flip mutant from the first network — expected to be large).
     """
+    if n_networks < 1:
+        raise ValueError("an audit needs at least one network")
     rng = np.random.default_rng(seed)
     worst = 0.0
     mutant = 0.0
@@ -450,6 +452,19 @@ def gradient_suite(
         if i == 0:
             mutant = mutation_control(net, closure, h)
     return worst, mutant
+
+
+def kink_free_draw(net: Network, draw, margin: float = 1e-3, tries: int = 200):
+    """Call draw() for (trunk_input, head_extra_inputs) until a forward pass
+    puts every trunk pre-activation more than margin from the leaky-ReLU
+    kink, where central differences are trustworthy; at most tries draws,
+    and the last one is returned."""
+    for _ in range(tries):
+        x, extras = draw()
+        _, cache = forward(net, x, extras)
+        if min_kink_distance(cache) > margin:
+            break
+    return x, extras
 
 
 def squared_error_loss_closure(

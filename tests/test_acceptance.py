@@ -30,14 +30,19 @@ def _verdict(name: str):
 
 
 def test_criterion_1_gradient_suite():
-    with _verdict("1 gradient suite (100 networks, fd vs analytic, mutation control)"):
+    with _verdict("1 gradient suites (network, actor, critic, curiosity; fd vs analytic, mutation control)"):
         start = time.monotonic()
         net_err, mutant_err = nc.gradient_suite(n_networks=100, seed=0)
         actor_err = coma.actor_gradient_suite(n_policies=20, seed=0)
+        critic_err, critic_mutant = coma.critic_gradient_suite(n_critics=20, seed=0)
+        module_err, module_mutant = curiosity.curiosity_gradient_suite(n_modules=20, seed=0)
         elapsed = time.monotonic() - start
         assert net_err < 1e-6, f"network gradient error {net_err:.3e}"
         assert actor_err < 1e-5, f"actor gradient error {actor_err:.3e}"
-        assert mutant_err > 1e-3, f"mutation control slipped through ({mutant_err:.3e})"
+        assert critic_err < 1e-6, f"critic gradient error {critic_err:.3e}"
+        assert module_err < 1e-6, f"curiosity gradient error {module_err:.3e}"
+        for mutant in (mutant_err, critic_mutant, module_mutant):
+            assert mutant > 1e-3, f"mutation control slipped through ({mutant:.3e})"
         assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
 
 

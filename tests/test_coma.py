@@ -413,6 +413,36 @@ def test_actor_gradient_matches_finite_differences():
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("suite", [coma.actor_gradient_suite, coma.critic_gradient_suite])
+@pytest.mark.parametrize("n_networks", [0, -1])
+def test_empty_gradient_suites_raise(suite, n_networks):
+    with pytest.raises(ValueError):
+        suite(n_networks)
+
+
+def test_critic_gradient_matches_finite_differences():
+    worst, mutant = coma.critic_gradient_suite(n_critics=20, seed=3)
+    assert worst < 1e-6
+    assert mutant > 1e-3
+
+
+def test_critic_loss_closure_matches_hand_formula():
+    """Only the taken action's Q enters the loss, so only its output row
+    carries a gradient."""
+    rng = np.random.default_rng(40)
+    net = nc.init_network(nc.NetworkSpec(3, (5,), (6, 6)), rng)
+    x = rng.standard_normal((4, 3))
+    taken = np.array([0, 4, 4, 2])
+    targets = rng.standard_normal(4)
+    q = nc.forward(net, x)[0][0]
+    loss, grads_fn = coma.critic_loss_closure(x, taken, targets)(net)
+    hand = sum((q[r, taken[r]] - targets[r]) ** 2 for r in range(4)) / 4
+    assert loss == pytest.approx(hand, rel=1e-12)
+    head_b_grad = grads_fn()[-1]  # summed output gradient per action
+    assert np.all(head_b_grad[[1, 3]] == 0.0)
+    assert np.all(head_b_grad[[0, 2, 4]] != 0.0)
+
+
 def test_actor_loss_value_against_hand_formula():
     probs = np.array([[0.1, 0.2, 0.3, 0.25, 0.15], [0.2, 0.2, 0.2, 0.2, 0.2]])
     actions = np.array([2, 0])

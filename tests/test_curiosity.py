@@ -264,6 +264,16 @@ class TestLossOracles:
             last = cur.curiosity_update(bank, *batch)
         assert sum(last) < 0.2 * sum(first)
 
+    def test_gradients_match_finite_differences(self):
+        worst, mutant = cur.curiosity_gradient_suite(n_modules=20, seed=5)
+        assert worst < 1e-6
+        assert mutant > 1e-3
+
+    @pytest.mark.parametrize("n_modules", [0, -1])
+    def test_empty_gradient_suite_raises(self, n_modules):
+        with pytest.raises(ValueError):
+            cur.curiosity_gradient_suite(n_modules)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             cur.curiosity_update(bank_of("mcm", 0), *random_batch(np.random.default_rng(0), 0))

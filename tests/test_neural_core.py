@@ -104,6 +104,12 @@ class TestBackward:
         assert max_err < 1e-6
         assert mutant_err > 1e-3
 
+    @pytest.mark.parametrize("n_networks", [0, -1])
+    def test_empty_gradient_suite_raises(self, n_networks):
+        """An audit of no networks checks nothing, so it must not read as a pass."""
+        with pytest.raises(ValueError):
+            nc.gradient_suite(n_networks)
+
     def test_full_size_network_gradients(self):
         """One audit at production scale (64x64 trunk, both head styles)."""
         rng = np.random.default_rng(21)
