@@ -9,7 +9,8 @@ steps one episode, or a batch of episodes in lockstep along leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,6 +151,34 @@ def reset(
     return state, observe(state)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def other_agents(n: int) -> np.ndarray:
+    """(N, N-1) agent indices: row i lists every agent but i, ascending."""
+    return _frozen(np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=int))
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second agent of every unordered pair, as np.triu_indices(n, 1)."""
+    return tuple(_frozen(i) for i in np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=None)
+def _assigned(assignment: tuple[int, ...]) -> np.ndarray:
+    return _frozen(np.array(assignment, dtype=int))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, np.linalg.norm's arithmetic for
+    real input without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def observe(state: EnvState) -> np.ndarray:
     """Per-agent observations (..., N, obs_dim): relative landmark positions,
     then relative positions of the other agents in ascending index order
@@ -157,9 +186,8 @@ def observe(state: EnvState) -> np.ndarray:
     pos = state.agent_positions
     n = pos.shape[-2]
     rel_landmarks = state.landmark_positions - pos[..., :, None, :]  # (..., N, L, 2)
-    rel_agents = pos[..., None, :, :] - pos[..., :, None, :]  # [..., i, k] = pos k - pos i
-    others = np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=int)
-    rel_others = rel_agents[..., np.arange(n)[:, None], others, :]  # (..., N, N-1, 2)
+    # [..., i, j] = position of other agent j of i, minus i's
+    rel_others = pos[..., other_agents(n), :] - pos[..., :, None, :]  # (..., N, N-1, 2)
     batch = pos.shape[:-2]
     return np.concatenate(
         [rel_landmarks.reshape(*batch, n, -1), rel_others.reshape(*batch, n, -1)], axis=-1
@@ -182,12 +210,14 @@ def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, 
     new_pos = np.clip(
         state.agent_positions + config.step_size * _ACTION_DELTAS[actions], -h, h
     )
-    new_state = replace(state, agent_positions=new_pos, timestep=state.timestep + 1)
+    new_state = EnvState(
+        new_pos, state.landmark_positions, state.landmark_assignment, state.timestep + 1
+    )
+    dists, success = _distances_and_success(config, new_state)
     if config.reward_mode == "sparse":
-        reward, success = sparse_reward(config, new_state)
+        reward = success.astype(float)
     else:
-        reward = dense_reward(config, new_state)
-        _, success = sparse_reward(config, new_state)
+        reward = _dense_reward(config, new_state, dists, success)
     return new_state, StepResult(
         next_joint_obs=observe(new_state),
         extrinsic_reward=reward,
@@ -196,16 +226,20 @@ def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, 
     )
 
 
-def _landmark_distances(state: EnvState) -> np.ndarray:
-    """(..., N) distance of every agent to its assigned landmark."""
-    targets = state.landmark_positions[list(state.landmark_assignment)]
-    return np.linalg.norm(state.agent_positions - targets, axis=-1)
+def _distances_and_success(
+    config: WorldConfig, state: EnvState
+) -> tuple[np.ndarray, np.ndarray]:
+    """(..., N) distance of every agent to its assigned landmark, and
+    whether every agent of an episode is within success_radius of it."""
+    targets = state.landmark_positions[_assigned(state.landmark_assignment)]
+    dists = _norm(state.agent_positions - targets)
+    return dists, np.all(dists <= config.success_radius, axis=-1)
 
 
 def sparse_reward(config: WorldConfig, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
     """1 iff every agent is within success_radius of its assigned landmark;
     returns (reward, success), one of each per episode."""
-    success = np.all(_landmark_distances(state) <= config.success_radius, axis=-1)
+    _, success = _distances_and_success(config, state)
     return success.astype(float), success
 
 
@@ -221,16 +255,22 @@ def dense_reward(config: WorldConfig, state: EnvState) -> np.ndarray:
     actions by approach direction and never by the final docking step;
     the bonus separates docked from nearly-docked states by a margin the
     critic cannot smooth away."""
+    return _dense_reward(config, state, *_distances_and_success(config, state))
+
+
+def _dense_reward(
+    config: WorldConfig, state: EnvState, dists: np.ndarray, success: np.ndarray
+) -> np.ndarray:
+    """dense_reward from the state's distances and success."""
     pos = state.agent_positions
-    dists = _landmark_distances(state)
     reward = -dists.sum(axis=-1)
-    reward = reward + config.c_success * np.all(dists <= config.success_radius, axis=-1)
-    first, second = np.triu_indices(pos.shape[-2], 1)
-    gaps = np.linalg.norm(pos[..., first, :] - pos[..., second, :], axis=-1)  # (..., P)
+    reward = reward + config.c_success * success
+    first, second = _pairs(pos.shape[-2])
+    hits = _norm(pos[..., first, :] - pos[..., second, :]) < 2.0 * config.collision_radius
     # one pair at a time, so several penalties round exactly as repeated
     # subtraction does; subtracting 0.0 for a pair apart changes no bit
-    for hit in np.moveaxis(gaps < 2.0 * config.collision_radius, -1, 0):
-        reward = reward - config.c_collide * hit
+    for pair in range(hits.shape[-1]):
+        reward = reward - config.c_collide * hits[..., pair]
     return reward
 
 
