@@ -1,7 +1,8 @@
 """Counterfactual actor-critic trainer for cooperative navigation.
 
 Centralized-training/decentralized-execution: each agent owns a policy over
-its local observation, while a single shared critic scores the joint
+its local observation (member n of one stacked network is agent n's
+policy), while a single shared critic scores the joint
 observation against every candidate action of one agent at a time. Policies
 are trained on counterfactual advantages of their own mixed-reward stream;
 the critic regresses lambda-returns of those streams.
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import curiosity as cur
 from . import neural_core as nc
-from .nav_env import N_ACTIONS, ConfigurationError, NavEnv
+from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, other_agents
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,12 @@ class TrainConfig:
 
 @dataclass
 class PolicySet:
-    networks: list[nc.Network]
-    opts: list[nc.AdamState]
+    network: nc.Network  # member n is agent n's policy
+    opt: nc.AdamState
 
     @property
     def n_agents(self) -> int:
-        return len(self.networks)
+        return self.network.members
 
 
 @dataclass
@@ -147,8 +148,8 @@ def make_policy_set(
         hidden_dims=tuple(hidden_dims),
         leaky_slope=leaky_slope,
     )
-    networks = [nc.init_network(spec, rng) for _ in range(n_agents)]
-    return PolicySet(networks, [nc.init_adam(net, lr=lr) for net in networks])
+    network = nc.init_network(spec, rng, members=n_agents)
+    return PolicySet(network, nc.init_adam(network, lr=lr))
 
 
 def critic_input_dim(n_agents: int, obs_dim: int) -> int:
@@ -185,8 +186,9 @@ def floor_mix(logits: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
-    """One agent's floor-mixed action distribution for one observation (d,),
-    or one per row of a batch (B, d)."""
+    """Floor-mixed action distributions, one per row of the policy network's
+    output: obs is one observation (d,) or a batch (B, d) for a one-member
+    network, or (N, B, d), agent by agent, for a policy stack."""
     outputs, _ = nc.forward(network, obs)
     logits = outputs[0]
     if not np.all(np.isfinite(logits)):
@@ -201,13 +203,12 @@ def select_actions(
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample each agent's action independently from its floor-mixed policy,
-    for a batch of joint observations (E, N, d): one forward per agent over
-    all E rows. Each action is the inverse CDF of its uniform in [0, 1),
-    given as (E, N). Returns actions (E, N) and probabilities (E, N, 5)."""
-    probs = np.stack(
-        [policy_probs(net, joint_obs[:, i], epsilon) for i, net in enumerate(policies.networks)],
-        axis=1,
-    )
+    for a batch of joint observations (E, N, d): one forward of the policy
+    stack, agent n's member over the E rows of agent n. Each action is the
+    inverse CDF of its uniform in [0, 1), given as (E, N). Returns actions
+    (E, N) and probabilities (E, N, 5)."""
+    probs = policy_probs(policies.network, joint_obs.transpose(1, 0, 2), epsilon)
+    probs = probs.transpose(1, 0, 2)
     # count of CDF entries <= u, as searchsorted(side="right") finds it
     actions = np.sum(np.cumsum(probs, axis=-1) <= uniforms[..., None], axis=-1)
     return np.minimum(actions, N_ACTIONS - 1), probs
@@ -228,17 +229,20 @@ def critic_inputs(joint_obs: np.ndarray, joint_actions: np.ndarray) -> np.ndarra
     one_hot = cur.one_hot_action(joint_actions)  # (B, N, 5)
     x = np.empty((b, n, critic_input_dim(n, d)))
     x[:, :, : n * d] = joint_obs.reshape(b, 1, n * d)
-    for agent in range(n):
-        others = [m for m in range(n) if m != agent]
-        x[:, agent, n * d : -n] = one_hot[:, others].reshape(b, -1)
+    x[:, :, n * d : -n] = one_hot[:, other_agents(n)].reshape(b, n, -1)
     x[:, :, -n:] = np.eye(n)
     return x
 
 
+def _taken(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a[..., u] row by row: the entry of each taken action u (...) in a (..., 5)."""
+    return np.take_along_axis(a, u[..., None], axis=-1)[..., 0]
+
+
 def counterfactual_advantages(q: np.ndarray, pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Q of each taken action u minus the policy-expected Q over all actions;
-    q and pi are (B, 5), u is (B,)."""
-    return q[np.arange(len(u)), u] - np.sum(pi * q, axis=1)
+    q and pi are (..., 5), u is (...)."""
+    return _taken(q, u) - np.sum(pi * q, axis=-1)
 
 
 def td_lambda_targets(
@@ -394,23 +398,25 @@ def actor_loss_grads(
     entropy_coeff: float,
 ) -> tuple[float, np.ndarray]:
     """Mean policy-gradient surrogate -A*log(pi[u]) - beta*H(pi) over a batch
-    of steps for one agent, and its gradient w.r.t. the network logits.
+    of B steps for one agent, and its gradient w.r.t. the network logits;
+    probs are (..., B, 5), actions and advantages (..., B). With a leading
+    agent axis, the loss is the sum of the agents' batch means.
 
     probs are the floor-mixed distributions actually sampled from; the floor
     scales the softmax jacobian by (1 - 5*eps).
     """
-    b = probs.shape[0]
+    b = probs.shape[-2]
+    taken = (*np.indices(actions.shape, sparse=True), actions)
     log_pi = np.log(probs)
-    taken = log_pi[np.arange(b), actions]
-    entropy = -np.sum(probs * log_pi, axis=1)
-    loss = float(np.mean(-advantages * taken - entropy_coeff * entropy))
+    entropy = -np.sum(probs * log_pi, axis=-1)
+    loss = float(np.sum(np.mean(-advantages * log_pi[taken] - entropy_coeff * entropy, axis=-1)))
     # dL/dpi
     dl_dpi = entropy_coeff * (log_pi + 1.0)
-    dl_dpi[np.arange(b), actions] -= advantages / probs[np.arange(b), actions]
+    dl_dpi[taken] -= advantages / probs[taken]
     g = (1.0 - N_ACTIONS * epsilon) * dl_dpi / b
     # softmax backward: p is recovered from the mixed probs
     p = (probs - epsilon) / (1.0 - N_ACTIONS * epsilon)
-    dl_dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    dl_dz = p * (g - np.sum(g * p, axis=-1, keepdims=True))
     return loss, dl_dz
 
 
@@ -469,8 +475,9 @@ def actor_update(
     cfg: TrainConfig,
     epsilon: float,
 ) -> float:
-    """One Adam step per policy on the counterfactual-advantage surrogate,
-    with advantages from the current critic. Returns the summed actor loss.
+    """One Adam step of the policy stack on the counterfactual-advantage
+    surrogate, with advantages from the current critic. Returns the sum of
+    the agents' actor losses.
 
     Advantages are z-scored per agent within the batch before entering the
     surrogate. The raw counterfactual advantage shrinks by an order of
@@ -478,24 +485,26 @@ def actor_update(
     the logit drift during the long approach phase saturates the policies
     before the fine docking signal can be expressed."""
     n = policies.n_agents
-    total_loss = 0.0
     joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
     b = actions.shape[0]
     probs = buf.probs.reshape(b, n, N_ACTIONS)
     critic_x = critic_inputs(joint_obs, actions).reshape(b * n, -1)
     q_all, _ = nc.forward(critic.network, critic_x)
     q_all = q_all[0].reshape(b, n, N_ACTIONS)
-    for agent in range(n):
-        pi = probs[:, agent, :]
-        u = actions[:, agent]
-        advantages = counterfactual_advantages(q_all[:, agent, :], pi, u)
-        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        loss, dl_dz = actor_loss_grads(pi, u, advantages, epsilon, cfg.entropy_coeff)
-        _, cache = nc.forward(policies.networks[agent], joint_obs[:, agent])
-        grads = nc.backward(policies.networks[agent], cache, [dl_dz])
-        nc.adam_step(policies.opts[agent], policies.networks[agent], grads)
-        total_loss += loss
-    return total_loss
+    # agent-major and contiguous, so each agent's z-score reduces one
+    # contiguous run, as a 1-D array's does
+    pi = np.ascontiguousarray(probs.transpose(1, 0, 2))  # (N, B, 5)
+    u = np.ascontiguousarray(actions.T)  # (N, B)
+    advantages = counterfactual_advantages(q_all.transpose(1, 0, 2), pi, u)
+    advantages = np.ascontiguousarray(advantages)
+    advantages = (advantages - advantages.mean(axis=-1, keepdims=True)) / (
+        advantages.std(axis=-1, keepdims=True) + 1e-8
+    )
+    loss, dl_dz = actor_loss_grads(pi, u, advantages, epsilon, cfg.entropy_coeff)
+    _, cache = nc.forward(policies.network, joint_obs.transpose(1, 0, 2))
+    grads = nc.backward(policies.network, cache, [dl_dz])
+    nc.adam_step(policies.opt, policies.network, grads)
+    return loss
 
 
 def train_round(

@@ -7,6 +7,11 @@ the full next joint observation, with the other agents' observations and
 actions concatenated after the shared trunk (second head only). Joint vectors
 always concatenate agents in ascending index order: all observations first,
 then all one-hot actions.
+
+A bank holds its modules by role. The per-agent modules (the mcm family,
+icm_indiv, icm_min, and the individual half of mcm_sep) are one network
+stack whose member n is agent n's module, so each role trains and scores in
+one pass; icm_joint and mcm_sep also have one joint module.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import neural_core as nc
-from .nav_env import N_ACTIONS
+from .nav_env import N_ACTIONS, other_agents
 
 
 class CuriosityKind(str, Enum):
@@ -32,16 +37,21 @@ class CuriosityKind(str, Enum):
 
 
 TWO_HEADED_KINDS = (CuriosityKind.MCM, CuriosityKind.MCM_INDIV, CuriosityKind.MCM_JOINT)
-PER_AGENT_ONE_HEADED_KINDS = (CuriosityKind.ICM_INDIV, CuriosityKind.ICM_MIN)
+ONE_HEADED_AGENT_KINDS = (CuriosityKind.ICM_INDIV, CuriosityKind.ICM_MIN, CuriosityKind.MCM_SEP)
+JOINT_KINDS = (CuriosityKind.ICM_JOINT, CuriosityKind.MCM_SEP)
 
 
 @dataclass
 class CuriosityBank:
+    """A method's modules by role; a role the method lacks is None."""
+
     kind: CuriosityKind
     n_agents: int
     obs_dim: int
-    modules: list[nc.Network]
-    opts: list[nc.AdamState]
+    agents: nc.Network | None  # member n is agent n's module
+    joint: nc.Network | None  # one module over the joint transition
+    agents_opt: nc.AdamState | None
+    joint_opt: nc.AdamState | None
 
 
 def one_hot_action(action) -> np.ndarray:
@@ -88,73 +98,58 @@ def make_bank(
 ) -> CuriosityBank:
     """Build the module roster for a method: N two-headed modules for the mcm
     family, N one-headed for icm_indiv/icm_min, 1 for icm_joint, N individual
-    plus 1 joint for mcm_sep, none for the plain baseline."""
+    plus 1 joint for mcm_sep, none for the plain baseline. The per-agent
+    modules draw from rng first, agent by agent, then the joint one."""
     kind = CuriosityKind(kind)
-    specs: list[nc.NetworkSpec] = []
+    agents = joint = None
     if kind in TWO_HEADED_KINDS:
-        specs = [_two_headed_spec(n_agents, obs_dim, hidden_dims, leaky_slope)] * n_agents
-    elif kind in PER_AGENT_ONE_HEADED_KINDS:
-        specs = [_indiv_spec(obs_dim, hidden_dims, leaky_slope)] * n_agents
-    elif kind is CuriosityKind.ICM_JOINT:
-        specs = [_joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope)]
-    elif kind is CuriosityKind.MCM_SEP:
-        specs = [_indiv_spec(obs_dim, hidden_dims, leaky_slope)] * n_agents
-        specs.append(_joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope))
-    modules = [nc.init_network(spec, rng) for spec in specs]
-    opts = [nc.init_adam(m, lr=lr) for m in modules]
-    return CuriosityBank(kind, n_agents, obs_dim, modules, opts)
-
-
-def mcm_forward(
-    module: nc.Network,
-    o_n: np.ndarray,
-    u_n: np.ndarray,
-    o_others: np.ndarray,
-    u_others: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-headed prediction: (agent's next observation, next joint observation).
-
-    Only the second head sees the other agents' observations and actions.
-    o_others/u_others concatenate the remaining agents in ascending order;
-    u_n and u_others are one-hot.
-    """
-    trunk_in = np.concatenate([np.asarray(o_n, float), np.asarray(u_n, float)])
-    extra = np.concatenate([np.asarray(o_others, float), np.asarray(u_others, float)])
-    outputs, _ = nc.forward(module, trunk_in, [None, extra])
-    return outputs[0], outputs[1]
+        spec = _two_headed_spec(n_agents, obs_dim, hidden_dims, leaky_slope)
+        agents = nc.init_network(spec, rng, members=n_agents)
+    elif kind in ONE_HEADED_AGENT_KINDS:
+        agents = nc.init_network(_indiv_spec(obs_dim, hidden_dims, leaky_slope), rng, n_agents)
+    if kind in JOINT_KINDS:
+        joint = nc.init_network(_joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope), rng)
+    return CuriosityBank(
+        kind, n_agents, obs_dim, agents, joint,
+        *(None if net is None else nc.init_adam(net, lr=lr) for net in (agents, joint)),
+    )
 
 
 def _module_batches(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ):
-    """Per-module (inputs, extras, targets) matrices for stacked transitions:
-    obs and next_obs are (B, N, d), actions (B, N).
+    """(network, optimizer, inputs, extras, targets) per role of the bank, the
+    per-agent stack first, for stacked transitions: obs and next_obs are
+    (B, N, d), actions (B, N).
 
-    Targets are a list per head. Individual module n predicts agent n's next
-    observation; joint modules predict the concatenated next joint
-    observation; two-headed modules predict both, their second head taking
-    the other agents' observations and one-hot actions as extra input.
+    Inputs are member-leading, (M, B, in), and targets are a list per head.
+    Member n of the per-agent stack predicts agent n's next observation from
+    agent n's observation and one-hot action; joint modules predict the
+    concatenated next joint observation; two-headed modules predict both,
+    their second head taking the other agents' observations and one-hot
+    actions as extra input.
     """
-    kind = bank.kind
     b, n_agents, _ = obs.shape
     one_hot = one_hot_action(actions)  # (B, N, 5)
     joint_target = next_obs.reshape(b, -1)
     jobs = []
-    if kind not in (CuriosityKind.NONE, CuriosityKind.ICM_JOINT):  # one module per agent
-        for n in range(n_agents):
-            x = np.concatenate([obs[:, n], one_hot[:, n]], axis=1)
-            if kind in TWO_HEADED_KINDS:
-                others = [m for m in range(n_agents) if m != n]
-                extra = np.concatenate(
-                    [obs[:, others].reshape(b, -1), one_hot[:, others].reshape(b, -1)],
-                    axis=1,
-                )
-                jobs.append((x, [None, extra], [next_obs[:, n], joint_target]))
-            else:
-                jobs.append((x, None, [next_obs[:, n]]))
-    if kind in (CuriosityKind.ICM_JOINT, CuriosityKind.MCM_SEP):
+    if bank.agents is not None:
+        # agent-major and contiguous: each member's rows are laid out as a
+        # one-agent batch's
+        x = np.ascontiguousarray(np.concatenate([obs, one_hot], axis=2).transpose(1, 0, 2))
+        own = np.ascontiguousarray(next_obs.transpose(1, 0, 2))
+        if bank.kind in TWO_HEADED_KINDS:
+            others = other_agents(n_agents)
+            extra = np.concatenate(
+                [obs[:, others].reshape(b, n_agents, -1), one_hot[:, others].reshape(b, n_agents, -1)],
+                axis=2,
+            ).transpose(1, 0, 2)
+            jobs.append((bank.agents, bank.agents_opt, x, [None, extra], [own, joint_target]))
+        else:
+            jobs.append((bank.agents, bank.agents_opt, x, None, [own]))
+    if bank.joint is not None:
         x = np.concatenate([obs.reshape(b, -1), one_hot.reshape(b, -1)], axis=1)
-        jobs.append((x, None, [joint_target]))
+        jobs.append((bank.joint, bank.joint_opt, x[None], None, [joint_target[None]]))
     return jobs
 
 
@@ -164,22 +159,24 @@ def module_loss_closure(
     targets: list[np.ndarray],
     two_headed: bool,
 ):
-    """(loss, grads_fn) closure for a module's batch-mean forward loss:
-    ||prediction - target||^2 for a one-headed module, half the sum of both
-    heads' squared errors for a two-headed one. grads_fn() must run before
-    the next forward of this batch size."""
-    b = len(inputs)
+    """(losses, grads_fn) closure for the batch-mean forward loss of every
+    member of a module stack: ||prediction - target||^2 for one-headed
+    modules, half the sum of both heads' squared errors for two-headed ones.
+    inputs are (M, B, in), and each head's target broadcasts against its
+    (M, B, out) predictions. losses is (M,); grads_fn() returns the gradients
+    of their sum, and must run before the next forward of this batch size."""
+    b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):
         outputs, cache = nc.forward(module, inputs, extras)
         diffs = [out - target for out, target in zip(outputs, targets)]
-        loss = 0.0
+        losses = 0.0
         for diff in diffs:
-            loss += float(np.sum(diff * diff))
+            losses = losses + np.sum(diff * diff, axis=(1, 2))
         if two_headed:
             # d(mean loss)/d(out): the 1/2 cancels the 2 of the squared norm
-            return 0.5 * loss / b, lambda: nc.backward(module, cache, [d / b for d in diffs])
-        return loss / b, lambda: nc.backward(module, cache, [2.0 * d / b for d in diffs])
+            return 0.5 * losses / b, lambda: nc.backward(module, cache, [d / b for d in diffs])
+        return losses / b, lambda: nc.backward(module, cache, [2.0 * d / b for d in diffs])
 
     return loss_and_grads
 
@@ -187,22 +184,22 @@ def module_loss_closure(
 def curiosity_update(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ) -> list[float]:
-    """One Adam step per module on the batch-mean forward loss over stacked
+    """One Adam step per role on the batch-mean forward loss over stacked
     transitions: obs and next_obs are (B, N, d), actions (B, N).
 
     One-headed modules minimize ||prediction - target||^2; two-headed modules
     minimize half the sum of the squared individual and joint errors. Returns
-    the pre-update mean loss of every module.
+    the pre-update mean loss of every module: the per-agent ones in agent
+    order, then the joint one.
     """
     if len(obs) == 0:
         raise ValueError("curiosity_update requires a non-empty batch")
     two_headed = bank.kind in TWO_HEADED_KINDS
-    jobs = _module_batches(bank, obs, actions, next_obs)
     losses = []
-    for module, opt, (x, extras, targets) in zip(bank.modules, bank.opts, jobs):
-        loss, grads_fn = module_loss_closure(x, extras, targets, two_headed)(module)
+    for module, opt, x, extras, targets in _module_batches(bank, obs, actions, next_obs):
+        member_losses, grads_fn = module_loss_closure(x, extras, targets, two_headed)(module)
         nc.adam_step(opt, module, grads_fn())
-        losses.append(loss)
+        losses.extend(member_losses.tolist())
     return losses
 
 
@@ -210,9 +207,10 @@ def curiosity_gradient_suite(
     n_modules: int = 20, seed: int = 0, h: float = 1e-5
 ) -> tuple[float, float]:
     """Finite-difference audit of the forward-model losses on random small
-    modules and frozen batches, alternating one- and two-headed shapes.
+    stacks of 1-3 modules and frozen batches, alternating one- and
+    two-headed shapes; the audited loss is the sum of the members' losses.
     Returns (max relative error, relative error of the sign-flip mutant from
-    the first module)."""
+    the first stack)."""
     if n_modules < 1:
         raise ValueError("an audit needs at least one network")
     rng = np.random.default_rng(seed)
@@ -225,19 +223,24 @@ def curiosity_gradient_suite(
             spec = _two_headed_spec(n_agents, obs_dim, hidden, 0.01)
         else:
             spec = _indiv_spec(obs_dim, hidden, 0.01)
-        module = nc.init_network(spec, rng)
-        batch = int(rng.integers(1, 4))
+        members, batch = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        module = nc.init_network(spec, rng, members)
 
         def draw():
             extras = [
-                rng.standard_normal((batch, d)) if d else None
+                rng.standard_normal((members, batch, d)) if d else None
                 for d in spec.head_extra_input_dims
             ]
-            return rng.standard_normal((batch, spec.input_dim)), extras
+            return rng.standard_normal((members, batch, spec.input_dim)), extras
 
         x, extras = nc.kink_free_draw(module, draw)
-        targets = [rng.standard_normal((batch, d)) for d in spec.output_dims]
-        closure = module_loss_closure(x, extras, targets, two_headed)
+        targets = [rng.standard_normal((members, batch, d)) for d in spec.output_dims]
+        member_closure = module_loss_closure(x, extras, targets, two_headed)
+
+        def closure(net: nc.Network):
+            losses, grads_fn = member_closure(net)
+            return float(np.sum(losses)), grads_fn
+
         worst = max(worst, nc.grad_check(module, closure, h))
         if i == 0:
             mutant = nc.mutation_control(module, closure, h)
@@ -254,7 +257,7 @@ def intrinsic_rewards(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ) -> np.ndarray:
     """Per-agent intrinsic rewards (B, N) for stacked transitions (obs and
-    next_obs (B, N, d), actions (B, N)), one forward per module, using the
+    next_obs (B, N, d), actions (B, N)), one forward per role, using the
     bank's current (pre-update) parameters. Always non-negative."""
     kind = bank.kind
     b, n_agents = actions.shape
@@ -263,34 +266,34 @@ def intrinsic_rewards(
     jobs = _module_batches(bank, obs, actions, next_obs)
 
     if kind is CuriosityKind.ICM_MIN:
-        # Every agent m's model is scored on agent n's own transition; agent n
-        # receives the smallest of those errors. Rows are agent-major.
-        x = np.concatenate([x for x, _, _ in jobs])
-        own = np.concatenate([own for _, _, (own,) in jobs])
-        errors = [_sq_err(nc.forward(m, x)[0][0], own) for m in bank.modules]
-        return np.min(errors, axis=0).reshape(n_agents, b).T
+        # Every agent m's model is scored on every agent n's own transition,
+        # in one forward over agent-major rows; agent n receives the
+        # smallest of those errors.
+        ((module, _, x, _, (own,)),) = jobs
+        (pred,), _ = nc.forward(module, x.reshape(n_agents * b, -1))
+        errors = _sq_err(pred, own.reshape(n_agents * b, -1))  # (N models, N*B)
+        # A transposed view, unlike the other kinds' rewards: the per-episode
+        # mean of the run CSV sums them in this memory order.
+        return errors.min(axis=0).reshape(n_agents, b).T
 
-    # errors[k][h]: (B,) squared errors of module k's head h
-    errors = []
-    for module, (x, extras, targets) in zip(bank.modules, jobs):
-        outputs, _ = nc.forward(module, x, extras)
-        errors.append([_sq_err(out, target) for out, target in zip(outputs, targets)])
-
+    # errors[role][head]: (M, B) squared errors of every member's head
+    errors = [
+        [_sq_err(out, target) for out, target in zip(nc.forward(module, x, extras)[0], targets)]
+        for module, _, x, extras, targets in jobs
+    ]
     if kind is CuriosityKind.MCM:
-        per_agent = [own + joint for own, joint in errors]
-    elif kind is CuriosityKind.MCM_INDIV:
-        per_agent = [own for own, _ in errors]
+        per_agent = errors[0][0] + errors[0][1]
+    elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
+        per_agent = errors[0][0]
     elif kind is CuriosityKind.MCM_JOINT:
-        per_agent = [joint for _, joint in errors]
-    elif kind is CuriosityKind.ICM_INDIV:
-        per_agent = [own for (own,) in errors]
+        per_agent = errors[0][1]
     elif kind is CuriosityKind.ICM_JOINT:
-        per_agent = [errors[0][0]] * n_agents
+        per_agent = np.repeat(errors[0][0], n_agents, axis=0)
     elif kind is CuriosityKind.MCM_SEP:
-        per_agent = [own + errors[-1][0] for (own,) in errors[:-1]]
+        per_agent = errors[0][0] + errors[1][0]
     else:
         raise AssertionError(f"unhandled kind {kind}")
-    return np.stack(per_agent, axis=1)
+    return np.ascontiguousarray(per_agent.T)
 
 
 def mix_rewards(

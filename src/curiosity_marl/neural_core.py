@@ -5,15 +5,31 @@ more affine output heads, where each head may concatenate extra inputs to the
 trunk output before its affine layer. Everything is float64 and purely
 deterministic; the only randomness is the init Generator.
 
-Parameter order (used by Gradients and Adam): trunk layer 0
+A Network is a stack of M members that share a spec but not their
+parameters: every weight is (M, out, in) and every bias (M, 1, out), and member
+m's slices are its own small network. Agents that each own a network of one
+shape (the policies, the per-agent curiosity modules) are one stack, so a
+pass over all of them is one forward, one backward and one Adam step. A
+single network, such as the critic, is a stack of one. Each parameter is
+one C-contiguous array, so p.ravel() is a view that grad_check can perturb
+in place. Parameter order (used by Gradients and Adam): trunk layer 0
 weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
-Weights are (out, in); inputs are row vectors, so affine is x @ w.T + b.
 
-Each Network keeps one set of trunk work arrays per batch size: forward
-fills them in place and backward overwrites them with the trunk's
-gradients, so repeated passes allocate little beyond head outputs and
-parameter gradients. A ForwardCache is therefore valid only until the next
-forward of the same batch size on the same network, or until its own
+Inputs are row vectors, so member m's affine map is x @ w[m].T + b[m], the
+bias broadcasting over the batch axis. A
+trunk input of shape (M, B, in) gives each member its own rows; a (B, in)
+matrix or an (in,) vector is shared by every member. Outputs are (M, B, out),
+without the member axis when the input had none and M = 1, and without the
+batch axis when the input was a vector. Each member's arithmetic is that of
+a one-member network on its own rows, bit for bit: the stacked products run
+one 2-D BLAS call per member, and every batch reduction runs along the axis
+and memory layout of the one-member case.
+
+Each Network keeps one set of trunk work arrays, (M, B, width), per batch
+size B: forward fills them in place and backward overwrites them with the
+trunk's gradients, so repeated passes allocate little beyond head outputs
+and parameter gradients. A ForwardCache is therefore valid only until the
+next forward of the same batch size on the same stack, or until its own
 backward; backward raises on a stale cache. Head outputs and gradients are
 fresh arrays that no later pass touches. A Network must not be used from two
 threads at once.
@@ -72,13 +88,17 @@ class _Buffers:
 @dataclass
 class Network:
     spec: NetworkSpec
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
+    trunk_w: list[np.ndarray]  # (M, out, in) per layer
+    trunk_b: list[np.ndarray]  # (M, 1, out) per layer
     head_w: list[np.ndarray]
     head_b: list[np.ndarray]
     _buffers: dict[int, _Buffers] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def members(self) -> int:
+        return self.trunk_w[0].shape[0]
 
     def parameters(self) -> list[np.ndarray]:
         """Canonical flat parameter list (views, not copies)."""
@@ -89,21 +109,30 @@ class Network:
             params.extend((w, b))
         return params
 
-    def copy(self) -> "Network":
+    def _map(self, fn) -> "Network":
         return Network(
-            spec=self.spec,
-            trunk_w=[w.copy() for w in self.trunk_w],
-            trunk_b=[b.copy() for b in self.trunk_b],
-            head_w=[w.copy() for w in self.head_w],
-            head_b=[b.copy() for b in self.head_b],
+            self.spec,
+            [fn(w) for w in self.trunk_w],
+            [fn(b) for b in self.trunk_b],
+            [fn(w) for w in self.head_w],
+            [fn(b) for b in self.head_b],
         )
+
+    def copy(self) -> "Network":
+        return self._map(np.copy)
+
+    def member(self, m: int) -> "Network":
+        """Member m as a one-member network whose parameters are views of
+        this stack's (it gets its own work arrays)."""
+        m = range(self.members)[m]
+        return self._map(lambda p: p[m : m + 1])
 
 
 @dataclass
 class ForwardCache:
-    trunk_input: np.ndarray  # (B, input_dim)
-    head_inputs: list[np.ndarray]  # (B, trunk_out + extra) per head, views of buffers
-    squeeze: bool  # True when the caller passed 1-D vectors
+    rows: np.ndarray  # trunk input as (M, B, in), or (B, in) shared by every member
+    head_inputs: list[np.ndarray]  # (M, B, trunk_out + extra) per head, views of buffers
+    lead: tuple[int, ...]  # the leading shape of the outputs the caller got
     buffers: _Buffers  # the network's work arrays for this batch size
     generation: int  # buffers.generation when this forward filled them
 
@@ -126,22 +155,28 @@ class AdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
-    trunk_w, trunk_b = [], []
-    fan_in = spec.input_dim
-    for h in spec.hidden_dims:
-        bound = 1.0 / np.sqrt(fan_in)
-        trunk_w.append(rng.uniform(-bound, bound, size=(h, fan_in)))
-        trunk_b.append(np.zeros(h))
-        fan_in = h
-    head_w, head_b = [], []
-    for out_dim, extra in zip(spec.output_dims, spec.head_extra_input_dims):
-        head_in = fan_in + extra
-        bound = 1.0 / np.sqrt(head_in)
-        head_w.append(rng.uniform(-bound, bound, size=(out_dim, head_in)))
-        head_b.append(np.zeros(out_dim))
-    return Network(spec, trunk_w, trunk_b, head_w, head_b)
+def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) -> Network:
+    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases.
+
+    Members draw their weights from rng one after another, each in full, so
+    member m equals the m-th of `members` one-member networks drawn in turn."""
+    if members < 1:
+        raise ValueError("a network needs at least one member")
+    fan_ins = (spec.input_dim, *spec.hidden_dims[:-1])
+    trunk_out = spec.hidden_dims[-1]
+    shapes = [*zip(spec.hidden_dims, fan_ins)]
+    shapes += [(out, trunk_out + extra) for out, extra in zip(spec.output_dims, spec.head_extra_input_dims)]
+    draws = []
+    for _ in range(members):
+        weights = []
+        for out_dim, fan_in in shapes:
+            bound = 1.0 / np.sqrt(fan_in)
+            weights.append(rng.uniform(-bound, bound, size=(out_dim, fan_in)))
+        draws.append(weights)
+    weights = [np.stack(layer) for layer in zip(*draws)]
+    biases = [np.zeros((members, 1, out_dim)) for out_dim, _ in shapes]
+    n_trunk = len(spec.hidden_dims)
+    return Network(spec, weights[:n_trunk], biases[:n_trunk], weights[n_trunk:], biases[n_trunk:])
 
 
 def init_adam(
@@ -162,13 +197,14 @@ def _buffers_for(net: Network, batch: int) -> _Buffers:
     bufs = net._buffers.get(batch)
     if bufs is None:
         spec = net.spec
+        lead = (net.members, batch)
         trunk_out = spec.hidden_dims[-1]
         bufs = _Buffers(
-            z=[np.empty((batch, h)) for h in spec.hidden_dims],
-            a=[np.empty((batch, h)) for h in spec.hidden_dims],
-            scratch=np.empty(batch * max(spec.hidden_dims)),
+            z=[np.empty((*lead, h)) for h in spec.hidden_dims],
+            a=[np.empty((*lead, h)) for h in spec.hidden_dims],
+            scratch=np.empty(net.members * batch * max(spec.hidden_dims)),
             head_in=[
-                np.empty((batch, trunk_out + extra)) if extra else None
+                np.empty((*lead, trunk_out + extra)) if extra else None
                 for extra in spec.head_extra_input_dims
             ],
         )
@@ -176,8 +212,8 @@ def _buffers_for(net: Network, batch: int) -> _Buffers:
     return bufs
 
 
-def _scratch(bufs: _Buffers, shape: tuple[int, int]) -> np.ndarray:
-    return bufs.scratch[: shape[0] * shape[1]].reshape(shape)
+def _scratch(bufs: _Buffers, like: np.ndarray) -> np.ndarray:
+    return bufs.scratch[: like.size].reshape(like.shape)
 
 
 def _leaky(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
@@ -199,28 +235,39 @@ def forward(
     trunk_input: np.ndarray,
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ) -> tuple[list[np.ndarray], ForwardCache]:
-    """Run the trunk and all heads; accepts a vector or a (batch, dim) matrix.
+    """Run the trunk and all heads of every member on an (in,) vector, a
+    (B, in) matrix shared by every member, or (M, B, in) rows per member.
 
     head_extra_inputs[k] is concatenated to the trunk output before head k's
-    affine layer; pass None for heads with zero extra-input dim.
+    affine layer and has the trunk input's leading shape; pass None for heads
+    with zero extra-input dim.
     """
     spec = net.spec
+    members = net.members
     x = np.asarray(trunk_input, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"trunk input dim {x.shape[1]} != spec {spec.input_dim}")
+    if not 1 <= x.ndim <= 3 or x.shape[-1] != spec.input_dim:
+        raise ValueError(f"trunk input shape {x.shape} does not end in spec {spec.input_dim}")
+    if x.ndim == 3 and x.shape[0] != members:
+        raise ValueError(f"trunk input has {x.shape[0]} members, network {members}")
     if head_extra_inputs is None:
         head_extra_inputs = [None] * spec.n_heads
     if len(head_extra_inputs) != spec.n_heads:
         raise ValueError("one extra input (or None) per head required")
+    # the caller's view of an (M, B, out) output: without the member axis for
+    # a shared input to one member, without the batch axis for a vector
+    if x.ndim == 3:
+        pick, lead = (), x.shape[:-1]
+    elif members == 1:
+        pick, lead = (0,) * (3 - x.ndim), x.shape[:-1]
+    else:
+        pick, lead = (slice(None),) + (0,) * (2 - x.ndim), (members, *x.shape[:-1])
+    rows = x if x.ndim > 1 else x[None, :]
 
-    bufs = _buffers_for(net, x.shape[0])
+    bufs = _buffers_for(net, rows.shape[-2])
     bufs.generation += 1
-    a = x
+    a = rows
     for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
-        np.matmul(a, w.T, out=z)
+        np.matmul(a, w.mT, out=z)
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
@@ -236,21 +283,19 @@ def forward(
             if extra is None:
                 raise ValueError(f"head {k} requires an extra input of dim {extra_dim}")
             extra = np.asarray(extra, dtype=float)
-            if extra.ndim == 1:
-                extra = extra[None, :]
-            if extra.shape != (x.shape[0], extra_dim):
+            if extra.shape != (*x.shape[:-1], extra_dim):
                 raise ValueError(
-                    f"head {k} extra input shape {extra.shape} != {(x.shape[0], extra_dim)}"
+                    f"head {k} extra input shape {extra.shape} != {(*x.shape[:-1], extra_dim)}"
                 )
             h_in = bufs.head_in[k]
-            h_in[:, : a.shape[1]] = a
-            h_in[:, a.shape[1] :] = extra
+            h_in[..., : a.shape[-1]] = a
+            h_in[..., a.shape[-1] :] = extra
         head_inputs.append(h_in)
-        out = h_in @ w.T
+        out = np.matmul(h_in, w.mT)
         out += b
-        outputs.append(out[0] if squeeze else out)
+        outputs.append(out[pick])
 
-    cache = ForwardCache(x, head_inputs, squeeze, bufs, bufs.generation)
+    cache = ForwardCache(rows, head_inputs, lead, bufs, bufs.generation)
     return outputs, cache
 
 
@@ -258,16 +303,17 @@ def backward(
     net: Network, cache: ForwardCache, head_output_grads: list[np.ndarray | None]
 ) -> Gradients:
     """Exact parameter gradients for the scalar loss whose per-head output
-    gradients are supplied; heads sum through the shared trunk. Pass None to
-    skip a head entirely.
+    gradients are supplied, in the shape of the outputs; heads sum through
+    the shared trunk. Pass None to skip a head entirely.
 
-    Batched caches accumulate (sum) over the batch dimension.
+    Batched caches accumulate (sum) over the batch dimension, each member
+    over its own rows.
     """
     spec = net.spec
     if len(head_output_grads) != spec.n_heads:
         raise ValueError("one output grad (or None) per head required")
     cache.check_live()
-    batch = cache.trunk_input.shape[0]
+    bufs = cache.buffers
     trunk_out_dim = spec.hidden_dims[-1]
 
     head_w_grads, head_b_grads, gys = [], [], []
@@ -277,16 +323,13 @@ def backward(
             head_b_grads.append(np.zeros_like(net.head_b[k]))
         else:
             gy = np.asarray(gy, dtype=float)
-            if gy.ndim == 1:
-                gy = gy[None, :]
-            if gy.shape != (batch, spec.output_dims[k]):
-                raise ValueError(
-                    f"head {k} output grad shape {gy.shape} != {(batch, spec.output_dims[k])}"
-                )
-            head_w_grads.append(gy.T @ h_in)
-            head_b_grads.append(gy.sum(axis=0))
+            want = (*cache.lead, spec.output_dims[k])
+            if gy.shape != want:
+                raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
+            gy = gy.reshape(h_in.shape[:-1] + (-1,))
+            head_w_grads.append(np.matmul(gy.mT, h_in))
+            head_b_grads.append(gy.sum(axis=1, keepdims=True))
         gys.append(gy)
-    bufs = cache.buffers
     bufs.generation += 1  # the work arrays are overwritten below
 
     # The heads have read the trunk output, so its buffer now sums
@@ -297,16 +340,16 @@ def backward(
     d_a.fill(0.0)
     for w, gy in zip(net.head_w, gys):
         if gy is not None:
-            d_a += np.matmul(gy, w[:, :trunk_out_dim], out=_scratch(bufs, d_a.shape))
+            d_a += np.matmul(gy, w[:, :, :trunk_out_dim], out=_scratch(bufs, d_a))
 
     trunk_w_grads, trunk_b_grads = [], []
     for layer in range(last, -1, -1):
         d_z = bufs.z[layer]
-        factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z.shape))
+        factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z))
         np.multiply(d_a, factor, out=d_z)
-        layer_in = cache.trunk_input if layer == 0 else bufs.a[layer - 1]
-        trunk_w_grads.append(d_z.T @ layer_in)
-        trunk_b_grads.append(d_z.sum(axis=0))
+        layer_in = cache.rows if layer == 0 else bufs.a[layer - 1]
+        trunk_w_grads.append(np.matmul(d_z.mT, layer_in))
+        trunk_b_grads.append(d_z.sum(axis=1, keepdims=True))
         if layer > 0:
             d_a = np.matmul(d_z, net.trunk_w[layer], out=bufs.a[layer - 1])
     trunk_w_grads.reverse()

@@ -79,12 +79,10 @@ def test_criterion_2_formula_oracles():
                 u_others = np.concatenate(
                     [curiosity.one_hot_action(acts[m]) for m in others]
                 )
-                own_pred, joint_pred = curiosity.mcm_forward(
-                    banks["mcm"].modules[n],
-                    joint_obs[n],
-                    curiosity.one_hot_action(acts[n]),
-                    o_others,
-                    u_others,
+                trunk_in = np.concatenate([joint_obs[n], curiosity.one_hot_action(acts[n])])
+                extra = np.concatenate([o_others, u_others])
+                (own_pred, joint_pred), _ = nc.forward(
+                    banks["mcm"].agents.member(n), trunk_in, [None, extra]
                 )
                 own_errs.append(sq_err(own_pred, nxt[n]))
                 joint_errs.append(sq_err(joint_pred, nxt.ravel()))
@@ -104,7 +102,7 @@ def test_criterion_2_formula_oracles():
                 own_input = np.concatenate([joint_obs[n], curiosity.one_hot_action(acts[n])])
                 errs = []
                 for m in range(n_agents):
-                    pred, _ = nc.forward(banks["icm_min"].modules[m], own_input)
+                    pred, _ = nc.forward(banks["icm_min"].agents.member(m), own_input)
                     errs.append(sq_err(pred[0], nxt[n]))
                 assert abs(r_min[n] - min(errs)) < 1e-12
 

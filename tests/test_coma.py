@@ -97,7 +97,7 @@ def test_policy_probs_uniform_at_zero_logits():
 def test_policy_probs_floor_and_ceiling():
     rng = np.random.default_rng(1)
     net = zero_network(nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng))
-    net.head_b[0][2] = 50.0  # saturate one logit
+    net.head_b[0][0, 0, 2] = 50.0  # saturate one logit
     p = coma.policy_probs(net, np.zeros(4), 0.04)
     assert p[2] == pytest.approx(1.0 - 4 * 0.04)  # (1-5e)*1 + e
     for a in range(5):
@@ -109,7 +109,7 @@ def test_policy_probs_floor_and_ceiling():
 def test_policy_probs_rejects_nonfinite_logits():
     rng = np.random.default_rng(2)
     net = nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng)
-    net.head_w[0][0, 0] = np.inf
+    net.head_w[0][0, 0, 0] = np.inf
     with pytest.raises(FloatingPointError):
         coma.policy_probs(net, np.ones(4), 0.02)
 
@@ -121,7 +121,7 @@ def test_select_actions_matches_probabilities():
     obs = np.stack([rng.standard_normal(8), rng.standard_normal(8)])
     eps = 0.05
     expected = np.stack(
-        [coma.policy_probs(policies.networks[i], obs[i], eps) for i in range(2)]
+        [coma.policy_probs(policies.network.member(i), obs[i], eps) for i in range(2)]
     )
     n_draws = 100_000
     counts = np.zeros((2, 5))
@@ -163,7 +163,7 @@ def test_lockstep_select_actions_match_per_row_oracle(n_agents):
     acts, probs = coma.select_actions(policies, obs, 0.05, uniforms)
     for row in range(16):
         for i in range(n_agents):
-            expected = coma.policy_probs(policies.networks[i], obs[row, i], 0.05)
+            expected = coma.policy_probs(policies.network.member(i), obs[row, i], 0.05)
             np.testing.assert_allclose(probs[row, i], expected, rtol=0, atol=1e-12)
             assert acts[row, i] == sample_one(expected, uniforms[row, i])
 
@@ -192,7 +192,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
         for t in range(t_max):
             acts = [
                 sample_one(coma.policy_probs(net, obs[i], eps), action_rng.random())
-                for i, net in enumerate(policies.networks)
+                for i, net in enumerate(map(policies.network.member, range(n_agents)))
             ]
             result = env.step(acts)
             obs = result.next_joint_obs
@@ -207,6 +207,44 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
          for b in range(len(steps[0]))],
         rtol=0, atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("n_agents", [2, 4])
+def test_one_network_pass_per_role(n_agents, monkeypatch):
+    """The policy stack runs one forward per rollout step for all agents, and
+    each update runs one backward and one Adam step per role: the policy
+    stack in actor_update, the per-agent stack and the joint module in
+    curiosity_update."""
+    policies, critic, env, bank, cfg = fresh_setup(n_agents, kind="mcm_sep", seed=35)
+    calls = {"forward": [], "backward": [], "adam_step": []}
+    for name, net_arg in (("forward", 0), ("backward", 0), ("adam_step", 1)):
+        def counted(*args, _fn=getattr(nc, name), _name=name, _i=net_arg, **kwargs):
+            calls[_name].append(args[_i])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nc, name, counted)
+
+    def passes_of(net):
+        return {name: sum(n is net for n in nets) for name, nets in calls.items()}
+
+    rng = np.random.default_rng(36)
+    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    t_max = env.config.episode_length
+    assert passes_of(policies.network) == {"forward": t_max, "backward": 0, "adam_step": 0}
+    assert passes_of(bank.agents)["forward"] == passes_of(bank.joint)["forward"] == 1
+
+    for nets in calls.values():
+        nets.clear()
+    coma.actor_update(policies, critic, buf, cfg, 0.1)
+    assert passes_of(policies.network) == {"forward": 1, "backward": 1, "adam_step": 1}
+
+    for nets in calls.values():
+        nets.clear()
+    losses = curiosity.curiosity_update(bank, *buf.transitions())
+    assert len(losses) == n_agents + 1
+    for role in (bank.agents, bank.joint):
+        assert passes_of(role) == {"forward": 1, "backward": 1, "adam_step": 1}
+    assert len(calls["backward"]) == len(calls["adam_step"]) == 2
 
 
 # --- critic features and advantage ------------------------------------------
@@ -438,7 +476,7 @@ def test_critic_loss_closure_matches_hand_formula():
     loss, grads_fn = coma.critic_loss_closure(x, taken, targets)(net)
     hand = sum((q[r, taken[r]] - targets[r]) ** 2 for r in range(4)) / 4
     assert loss == pytest.approx(hand, rel=1e-12)
-    head_b_grad = grads_fn()[-1]  # summed output gradient per action
+    head_b_grad = grads_fn()[-1][0, 0]  # summed output gradient per action
     assert np.all(head_b_grad[[1, 3]] == 0.0)
     assert np.all(head_b_grad[[0, 2, 4]] != 0.0)
 
@@ -541,7 +579,7 @@ def test_train_round_stats_and_determinism():
             done += cfg.episodes_per_update
         results.append(
             (
-                [w.copy() for w in policies.networks[0].parameters()],
+                [w.copy() for w in policies.network.member(0).parameters()],
                 stats.extrinsic_returns,
                 stats.critic_loss,
             )
@@ -570,10 +608,9 @@ def test_train_round_without_curiosity_skips_bank():
     policies, critic, env, bank, cfg = fresh_setup(kind="none", seed=22)
     rng_env = np.random.default_rng(23)
     rng_act = np.random.default_rng(24)
-    params_before = [m.copy() for m in bank.modules] if bank.modules else []
     stats = coma.train_round(policies, critic, env, bank, cfg, 0, rng_env, rng_act)
     assert stats.curiosity_losses == []
-    assert bank.modules == params_before == []
+    assert bank.agents is None and bank.joint is None
 
 
 def test_policies_stay_valid_distributions_after_training():
@@ -587,7 +624,7 @@ def test_policies_stay_valid_distributions_after_training():
     obs = env.reset(rng_env)
     eps = coma.epsilon_at(cfg, 32)
     for i in range(2):
-        p = coma.policy_probs(policies.networks[i], obs[i], eps)
+        p = coma.policy_probs(policies.network.member(i), obs[i], eps)
         assert np.all(p >= eps - 1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -617,7 +654,7 @@ def test_mixing_weight_zero_leaves_policy_trajectory_unchanged():
             )
             done += cfg.episodes_per_update
             acts.append([stats.extrinsic_returns, stats.critic_loss])
-        params = [p.copy() for p in policies.networks[0].parameters()]
+        params = [p.copy() for p in policies.network.member(0).parameters()]
         trajectories.append((acts, params))
     (acts_a, params_a), (acts_b, params_b) = trajectories
     assert acts_a == acts_b

@@ -33,6 +33,13 @@ def bank_of(kind, seed, n_agents=2, obs_dim=4, lr=1e-3):
     )
 
 
+def modules(bank):
+    """Every module of the bank as a one-member network, in roster order:
+    member slices of the per-agent stack by agent, then the joint module."""
+    agents = [] if bank.agents is None else [bank.agents.member(a) for a in range(bank.n_agents)]
+    return agents + ([] if bank.joint is None else [bank.joint])
+
+
 def scalar_sq_err(pred, target):
     """Component-loop squared error, deliberately free of numpy reductions."""
     total = 0.0
@@ -57,7 +64,9 @@ def two_headed_oracle(bank, obs, actions, next_obs, agent):
     others = [m for m in range(bank.n_agents) if m != agent]
     o_others = np.concatenate([obs[m] for m in others])
     u_others = np.concatenate([cur.one_hot_action(int(actions[m])) for m in others])
-    pred_own, pred_joint = cur.mcm_forward(bank.modules[agent], o_n, u_n, o_others, u_others)
+    trunk_in = np.concatenate([o_n, u_n])
+    extra = np.concatenate([o_others, u_others])
+    pred_own, pred_joint = nc.forward(bank.agents.member(agent), trunk_in, [None, extra])[0]
     own_err = scalar_sq_err(pred_own, next_obs[agent])
     joint_err = scalar_sq_err(pred_joint, next_obs.ravel())
     return own_err, joint_err
@@ -84,14 +93,14 @@ def per_row_oracle(bank, obs, actions, next_obs):
         }[kind]
         return np.array([pick(own, joint) for own, joint in errs])
     if kind is CuriosityKind.ICM_INDIV:
-        return np.array([indiv_err(bank.modules[a], a) for a in range(n)])
+        return np.array([indiv_err(bank.agents.member(a), a) for a in range(n)])
     if kind is CuriosityKind.ICM_MIN:
-        return np.array([min(indiv_err(m, a) for m in bank.modules) for a in range(n)])
-    joint_pred = nc.forward(bank.modules[-1], joint_oracle_input(obs, actions))[0][0]
+        return np.array([min(indiv_err(m, a) for m in modules(bank)) for a in range(n)])
+    joint_pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
     joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
     if kind is CuriosityKind.ICM_JOINT:
         return np.full(n, joint_err)
-    return np.array([indiv_err(bank.modules[a], a) + joint_err for a in range(n)])
+    return np.array([indiv_err(bank.agents.member(a), a) + joint_err for a in range(n)])
 
 
 class TestRoster:
@@ -109,19 +118,19 @@ class TestRoster:
     )
     def test_module_counts(self, kind, n_modules, n_heads_each):
         bank = bank_of(kind, 0)
-        assert len(bank.modules) == n_modules
-        assert [m.spec.n_heads for m in bank.modules] == n_heads_each
+        assert len(modules(bank)) == n_modules
+        assert [m.spec.n_heads for m in modules(bank)] == n_heads_each
 
     def test_none_has_no_modules(self):
         bank = bank_of("none", 0)
-        assert bank.modules == []
+        assert modules(bank) == []
         batch = random_batch(np.random.default_rng(0), 3)
         np.testing.assert_array_equal(cur.intrinsic_rewards(bank, *batch), np.zeros((3, 2)))
 
     def test_two_headed_wiring(self):
         """Other agents' inputs feed only the joint head, after the trunk."""
         bank = bank_of("mcm", 1)
-        spec = bank.modules[0].spec
+        spec = bank.agents.spec
         obs_dim, n = bank.obs_dim, bank.n_agents
         assert spec.input_dim == obs_dim + N_ACTIONS
         assert spec.output_dims == (obs_dim, n * obs_dim)
@@ -129,8 +138,8 @@ class TestRoster:
 
     def test_four_agent_bank(self):
         bank = bank_of("mcm_sep", 0, n_agents=4, obs_dim=8)
-        assert len(bank.modules) == 5
-        joint = bank.modules[-1]
+        assert len(modules(bank)) == 5
+        joint = bank.joint
         assert joint.spec.input_dim == 4 * (8 + N_ACTIONS)
         assert joint.spec.output_dims == (4 * 8,)
 
@@ -164,7 +173,7 @@ class TestIntrinsicOracles:
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
-                pred = nc.forward(bank.modules[agent], x)[0][0]
+                pred = nc.forward(bank.agents.member(agent), x)[0][0]
                 assert reward[agent] == pytest.approx(
                     scalar_sq_err(pred, next_obs[agent]), abs=1e-12
                 )
@@ -176,7 +185,7 @@ class TestIntrinsicOracles:
         rewards = cur.intrinsic_rewards(bank, *batch)
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             assert np.all(reward == reward[0])
-            pred = nc.forward(bank.modules[0], joint_oracle_input(obs, actions))[0][0]
+            pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
             assert reward[0] == pytest.approx(
                 scalar_sq_err(pred, next_obs.ravel()), abs=1e-12
             )
@@ -193,7 +202,7 @@ class TestIntrinsicOracles:
                 x = indiv_oracle_input(obs, actions, agent)
                 errors = [
                     scalar_sq_err(nc.forward(m, x)[0][0], next_obs[agent])
-                    for m in bank.modules
+                    for m in modules(bank)
                 ]
                 assert reward[agent] == pytest.approx(min(errors), abs=1e-12)
 
@@ -203,14 +212,32 @@ class TestIntrinsicOracles:
         batch = random_batch(rng, 10)
         rewards = cur.intrinsic_rewards(bank, *batch)
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
-            joint_pred = nc.forward(bank.modules[-1], joint_oracle_input(obs, actions))[0][0]
+            joint_pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
             joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
                 own_err = scalar_sq_err(
-                    nc.forward(bank.modules[agent], x)[0][0], next_obs[agent]
+                    nc.forward(bank.agents.member(agent), x)[0][0], next_obs[agent]
                 )
                 assert reward[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind if k is not CuriosityKind.NONE])
+    def test_one_forward_per_role(self, kind, monkeypatch):
+        """Scoring runs each role once over the whole batch; icm_min's stack
+        scores every agent's transitions with every member in that one pass."""
+        bank = bank_of(kind, 10, n_agents=4)
+        nets = []
+        forward = nc.forward
+
+        def counted(net, *args, **kwargs):
+            nets.append(net)
+            return forward(net, *args, **kwargs)
+
+        monkeypatch.setattr(nc, "forward", counted)
+        cur.intrinsic_rewards(bank, *random_batch(np.random.default_rng(53), 6, n_agents=4))
+        roles = [role for role in (bank.agents, bank.joint) if role is not None]
+        assert len(nets) == len(roles)
+        assert all(net is role for net, role in zip(nets, roles))
 
     def test_rewards_nonnegative(self):
         rng = np.random.default_rng(48)
@@ -246,7 +273,7 @@ class TestLossOracles:
         bank = bank_of("icm_indiv", 14)
         rng = np.random.default_rng(51)
         batch = random_batch(rng, 6)
-        frozen = [m.copy() for m in bank.modules]
+        frozen = [m.copy() for m in modules(bank)]
         losses = cur.curiosity_update(bank, *batch)
         for agent in range(2):
             manual = 0.0

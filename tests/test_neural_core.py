@@ -1,4 +1,5 @@
-"""Network library tests: shapes, init bounds, exact gradients, Adam, reused buffers."""
+"""Network library tests: shapes, init bounds, exact gradients, Adam, reused
+buffers, member stacks."""
 
 import numpy as np
 import pytest
@@ -41,9 +42,11 @@ class TestInit:
     def test_shapes_and_bounds(self):
         spec = small_spec(two_headed=True)
         net = nc.init_network(spec, np.random.default_rng(0))
-        assert [w.shape for w in net.trunk_w] == [(5, 3), (6, 5)]
-        assert net.head_w[0].shape == (2, 6)
-        assert net.head_w[1].shape == (4, 6 + 3)
+        assert net.members == 1
+        assert [w.shape for w in net.trunk_w] == [(1, 5, 3), (1, 6, 5)]
+        assert net.head_w[0].shape == (1, 2, 6)
+        assert net.head_w[1].shape == (1, 4, 6 + 3)
+        assert [b.shape for b in net.trunk_b + net.head_b] == [(1, 1, 5), (1, 1, 6), (1, 1, 2), (1, 1, 4)]
         fan_ins = [3, 5, 6, 9]
         for w, fan_in in zip(net.trunk_w + net.head_w, fan_ins):
             assert np.all(np.abs(w) <= 1.0 / np.sqrt(fan_in))
@@ -223,9 +226,10 @@ class TestLossClosure:
         assert loss == pytest.approx(manual, rel=1e-12)
 
 
-def reference_forward(net, x, extras=None):
-    """Forward pass that allocates every array and applies leaky-ReLU with
-    np.where; returns the outputs and what reference_backward needs."""
+def reference_forward(net, x, extras=None, member=0):
+    """One member's forward pass, on 2-D arrays, that allocates every array
+    and applies leaky-ReLU with np.where; returns the outputs and what
+    reference_backward needs."""
     spec = net.spec
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -234,20 +238,22 @@ def reference_forward(net, x, extras=None):
     pre, act = [], []
     a = x
     for w, b in zip(net.trunk_w, net.trunk_b):
-        z = a @ w.T + b
+        z = a @ w[member].T + b[member, 0]
         a = np.where(z > 0.0, z, spec.leaky_slope * z)
         pre.append(z)
         act.append(a)
     outputs, head_inputs = [], []
     for w, b, extra in zip(net.head_w, net.head_b, extras):
         h_in = a if extra is None else np.concatenate([a, np.atleast_2d(extra)], axis=1)
-        out = h_in @ w.T + b
+        out = h_in @ w[member].T + b[member, 0]
         head_inputs.append(h_in)
         outputs.append(out[0] if squeeze else out)
     return outputs, (x, pre, act, head_inputs)
 
 
-def reference_backward(net, ref_cache, head_output_grads):
+def reference_backward(net, ref_cache, head_output_grads, member=0):
+    """One member's gradients, shaped as that member's slice of each
+    parameter: (out, in) weights and (1, out) biases."""
     x, pre, act, head_inputs = ref_cache
     spec = net.spec
     trunk_out = spec.hidden_dims[-1]
@@ -255,14 +261,14 @@ def reference_backward(net, ref_cache, head_output_grads):
     d_a = np.zeros((len(x), trunk_out))
     for w, h_in, gy in zip(net.head_w, head_inputs, head_output_grads):
         gy = np.atleast_2d(gy)
-        head_grads.extend((gy.T @ h_in, gy.sum(axis=0)))
-        d_a += gy @ w[:, :trunk_out]
+        head_grads.extend((gy.T @ h_in, gy.sum(axis=0, keepdims=True)))
+        d_a += gy @ w[member][:, :trunk_out]
     trunk_grads = []
     for layer in range(len(net.trunk_w) - 1, -1, -1):
         d_z = d_a * np.where(pre[layer] > 0.0, 1.0, spec.leaky_slope)
         layer_in = x if layer == 0 else act[layer - 1]
-        trunk_grads[:0] = [d_z.T @ layer_in, d_z.sum(axis=0)]
-        d_a = d_z @ net.trunk_w[layer]
+        trunk_grads[:0] = [d_z.T @ layer_in, d_z.sum(axis=0, keepdims=True)]
+        d_a = d_z @ net.trunk_w[layer][member]
     return trunk_grads + head_grads
 
 
@@ -285,8 +291,8 @@ class TestReusedBuffers:
         rng = np.random.default_rng(31 + (batch or 0))
         net = nc.init_network(small_spec(two_headed), rng)
         # trunk unit 0 sees exactly +0.0 and unit 1 a subnormal of either sign
-        net.trunk_w[0][0] = 0.0
-        net.trunk_w[0][1] = [1e-308, 0.0, 0.0]
+        net.trunk_w[0][0, 0] = 0.0
+        net.trunk_w[0][0, 1] = [1e-308, 0.0, 0.0]
         for _ in range(3):  # a pass reuses the buffers of the one before
             x, extras, gys = pass_inputs(net.spec, batch, rng)
             outs, cache = nc.forward(net, x, extras)
@@ -301,7 +307,7 @@ class TestReusedBuffers:
             ref_grads = reference_backward(net, ref_cache, gys)
             assert len(grads) == len(ref_grads)
             for g, ref in zip(grads, ref_grads):
-                assert np.array_equal(g, ref)
+                assert np.array_equal(g[0], ref)
 
     def test_leaky_relu_and_derivative_match_where_on_special_values(self):
         """Signed zeros, subnormals, infinities and NaN: a forward pass cannot
@@ -331,7 +337,7 @@ class TestReusedBuffers:
         grads = nc.backward(net, cache_a, gys_a)
         _, ref_cache = reference_forward(net, x_a, extras_a)
         for g, ref in zip(grads, reference_backward(net, ref_cache, gys_a)):
-            assert np.array_equal(g, ref)
+            assert np.array_equal(g[0], ref)
         with pytest.raises(RuntimeError, match="stale"):
             nc.backward(net, cache_a, gys_a)  # its own backward consumed it
 
@@ -378,3 +384,95 @@ class TestReusedBuffers:
         monkeypatch.setattr(nc, "backward", counted)
         assert nc.grad_check(net, closure) < 1e-6
         assert len(calls) == 1
+
+
+def member_inputs(spec, members, batch, shared, rng):
+    """Trunk input, head extras and output grads for a stack: rows per member
+    (M, B, ...), or one (B, ...) input shared by every member; batch None
+    means a shared vector."""
+    lead = () if batch is None else (batch,)
+    if not shared:
+        lead = (members, *lead)
+    x = rng.standard_normal((*lead, spec.input_dim))
+    extras = [rng.standard_normal((*lead, d)) if d else None for d in spec.head_extra_input_dims]
+    out_lead = lead if not shared or members == 1 else (members, *lead)
+    gys = [rng.standard_normal((*out_lead, d)) for d in spec.output_dims]
+    return x, extras, gys
+
+
+class TestMemberStack:
+    """A stack of M members computes what M one-member passes compute, bit
+    for bit; the reference runs each member alone on 2-D arrays."""
+
+    @pytest.mark.parametrize("members", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [1, 8, 400])
+    @pytest.mark.parametrize("two_headed", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_stacked_passes_equal_per_member_loop(self, members, batch, two_headed, shared):
+        rng = np.random.default_rng(50 + members + batch)
+        net = nc.init_network(small_spec(two_headed), rng, members)
+        opt = nc.init_adam(net, lr=0.01)
+        singles = [net.member(m).copy() for m in range(members)]
+        single_opts = [nc.init_adam(single, lr=0.01) for single in singles]
+        for _ in range(2):  # the second step runs on updated parameters and moments
+            x, extras, gys = member_inputs(net.spec, members, batch, shared, rng)
+            outs, cache = nc.forward(net, x, extras)
+            grads = nc.backward(net, cache, gys)
+            for m, single in enumerate(singles):
+                x_m = x if shared else x[m]
+                extras_m = [e if e is None or shared else e[m] for e in extras]
+                gys_m = [g if shared and members == 1 else g[m] for g in gys]
+                ref_outs, ref_cache = reference_forward(single, x_m, extras_m)
+                for out, ref in zip(outs, ref_outs):
+                    assert np.array_equal(out if shared and members == 1 else out[m], ref)
+                ref_grads = reference_backward(single, ref_cache, gys_m)
+                for g, ref in zip(grads, ref_grads):
+                    assert np.array_equal(g[m], ref)
+                nc.adam_step(single_opts[m], single, [g[None] for g in ref_grads])
+            nc.adam_step(opt, net, grads)
+            for m, single in enumerate(singles):
+                for p, ref in zip(net.member(m).parameters(), single.parameters()):
+                    assert np.array_equal(p, ref)
+
+    def test_shared_vector_gives_member_rows(self):
+        rng = np.random.default_rng(60)
+        net = nc.init_network(small_spec(two_headed=True), rng, members=3)
+        x, extras, gys = member_inputs(net.spec, 3, None, True, rng)
+        outs, cache = nc.forward(net, x, extras)
+        assert [out.shape for out in outs] == [(3, 2), (3, 4)]
+        for m in range(3):
+            ref_outs, _ = reference_forward(net, x, extras, member=m)
+            for out, ref in zip(outs, ref_outs):
+                assert np.array_equal(out[m], ref)
+        grads = nc.backward(net, cache, gys)
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+
+    def test_members_draw_in_turn_and_stay_contiguous(self):
+        spec = small_spec(two_headed=True)
+        net = nc.init_network(spec, np.random.default_rng(61), members=3)
+        rng = np.random.default_rng(61)
+        for m in range(3):
+            alone = nc.init_network(spec, rng)
+            for p, ref in zip(net.member(m).parameters(), alone.parameters()):
+                assert np.array_equal(p, ref)
+        for p in net.parameters():
+            assert p.flags.c_contiguous and p.shape[0] == 3
+            assert np.shares_memory(p.ravel(), p)
+
+    def test_member_slice_is_a_view(self):
+        net = nc.init_network(small_spec(), np.random.default_rng(62), members=2)
+        net.member(1).head_b[0][...] = 7.0
+        assert np.all(net.head_b[0][1] == 7.0) and np.all(net.head_b[0][0] == 0.0)
+        with pytest.raises(IndexError):
+            net.member(2)
+
+    def test_input_shape_errors(self):
+        net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(63), members=2)
+        rng = np.random.default_rng(64)
+        with pytest.raises(ValueError, match="members"):
+            nc.forward(net, rng.standard_normal((3, 4, 3)), [None, rng.standard_normal((3, 4, 3))])
+        with pytest.raises(ValueError, match="extra input shape"):
+            # per-member trunk rows need per-member extras
+            nc.forward(net, rng.standard_normal((2, 4, 3)), [None, rng.standard_normal((4, 3))])
+        with pytest.raises(ValueError):
+            nc.init_network(small_spec(), rng, members=0)
