@@ -234,15 +234,10 @@ def critic_inputs(joint_obs: np.ndarray, joint_actions: np.ndarray) -> np.ndarra
     return x
 
 
-def _taken(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a[..., u] row by row: the entry of each taken action u (...) in a (..., 5)."""
-    return np.take_along_axis(a, u[..., None], axis=-1)[..., 0]
-
-
 def counterfactual_advantages(q: np.ndarray, pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Q of each taken action u minus the policy-expected Q over all actions;
     q and pi are (..., 5), u is (...)."""
-    return _taken(q, u) - np.sum(pi * q, axis=-1)
+    return np.take_along_axis(q, u[..., None], axis=-1)[..., 0] - np.sum(pi * q, axis=-1)
 
 
 def td_lambda_targets(
@@ -399,8 +394,8 @@ def actor_loss_grads(
 ) -> tuple[float, np.ndarray]:
     """Mean policy-gradient surrogate -A*log(pi[u]) - beta*H(pi) over a batch
     of B steps for one agent, and its gradient w.r.t. the network logits;
-    probs are (..., B, 5), actions and advantages (..., B). With a leading
-    agent axis, the loss is the sum of the agents' batch means.
+    probs are (..., B, 5), actions and advantages (..., B). The loss is one
+    batch mean per leading index, (...,): a scalar for one agent.
 
     probs are the floor-mixed distributions actually sampled from; the floor
     scales the softmax jacobian by (1 - 5*eps).
@@ -409,7 +404,7 @@ def actor_loss_grads(
     taken = (*np.indices(actions.shape, sparse=True), actions)
     log_pi = np.log(probs)
     entropy = -np.sum(probs * log_pi, axis=-1)
-    loss = float(np.sum(np.mean(-advantages * log_pi[taken] - entropy_coeff * entropy, axis=-1)))
+    loss = np.mean(-advantages * log_pi[taken] - entropy_coeff * entropy, axis=-1)
     # dL/dpi
     dl_dpi = entropy_coeff * (log_pi + 1.0)
     dl_dpi[taken] -= advantages / probs[taken]
@@ -437,7 +432,7 @@ def actor_loss_closure(
         outputs, cache = nc.forward(net, obs)
         probs = floor_mix(outputs[0], epsilon)
         loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
-        return loss, lambda: nc.backward(net, cache, [dl_dz])
+        return float(loss), lambda: nc.backward(net, cache, [dl_dz])
 
     return loss_and_grads
 
@@ -504,7 +499,7 @@ def actor_update(
     _, cache = nc.forward(policies.network, joint_obs.transpose(1, 0, 2))
     grads = nc.backward(policies.network, cache, [dl_dz])
     nc.adam_step(policies.opt, policies.network, grads)
-    return loss
+    return float(loss.sum())
 
 
 def train_round(

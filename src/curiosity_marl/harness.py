@@ -280,13 +280,12 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
             round_loss = (
                 float(np.mean(stats.curiosity_losses)) if stats.curiosity_losses else 0.0
             )
-            ep_len = world.episode_length
-            for k in range(n_eps):
-                extrinsic[done + k] = stats.extrinsic_returns[k]
-                normalized[done + k] = stats.success_steps[k] / ep_len
-                mean_intrinsic[done + k] = stats.mean_intrinsic[k]
-                curiosity_loss[done + k] = round_loss
-                success_any[done + k] = stats.success_any[k]
+            played = slice(done, done + n_eps)
+            extrinsic[played] = stats.extrinsic_returns
+            normalized[played] = np.divide(stats.success_steps, world.episode_length)
+            mean_intrinsic[played] = stats.mean_intrinsic
+            curiosity_loss[played] = round_loss
+            success_any[played] = stats.success_any
             done += n_eps
             while next_mark <= done:
                 emit_row(next_mark, next_mark - cfg.eval_interval)

@@ -163,16 +163,10 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) 
     if members < 1:
         raise ValueError("a network needs at least one member")
     fan_ins = (spec.input_dim, *spec.hidden_dims[:-1])
-    trunk_out = spec.hidden_dims[-1]
-    shapes = [*zip(spec.hidden_dims, fan_ins)]
-    shapes += [(out, trunk_out + extra) for out, extra in zip(spec.output_dims, spec.head_extra_input_dims)]
-    draws = []
-    for _ in range(members):
-        weights = []
-        for out_dim, fan_in in shapes:
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(out_dim, fan_in)))
-        draws.append(weights)
+    fan_ins += tuple(spec.hidden_dims[-1] + extra for extra in spec.head_extra_input_dims)
+    shapes = list(zip((*spec.hidden_dims, *spec.output_dims), fan_ins))
+    bounds = [1.0 / np.sqrt(fan_in) for fan_in in fan_ins]
+    draws = [[rng.uniform(-b, b, size=s) for b, s in zip(bounds, shapes)] for _ in range(members)]
     weights = [np.stack(layer) for layer in zip(*draws)]
     biases = [np.zeros((members, 1, out_dim)) for out_dim, _ in shapes]
     n_trunk = len(spec.hidden_dims)
@@ -243,11 +237,12 @@ def forward(
     with zero extra-input dim.
     """
     spec = net.spec
-    members = net.members
+    members = net.trunk_w[0].shape[0]
     x = np.asarray(trunk_input, dtype=float)
-    if not 1 <= x.ndim <= 3 or x.shape[-1] != spec.input_dim:
+    nd = x.ndim
+    if not 1 <= nd <= 3 or x.shape[-1] != spec.input_dim:
         raise ValueError(f"trunk input shape {x.shape} does not end in spec {spec.input_dim}")
-    if x.ndim == 3 and x.shape[0] != members:
+    if nd == 3 and x.shape[0] != members:
         raise ValueError(f"trunk input has {x.shape[0]} members, network {members}")
     if head_extra_inputs is None:
         head_extra_inputs = [None] * spec.n_heads
@@ -255,13 +250,14 @@ def forward(
         raise ValueError("one extra input (or None) per head required")
     # the caller's view of an (M, B, out) output: without the member axis for
     # a shared input to one member, without the batch axis for a vector
-    if x.ndim == 3:
-        pick, lead = (), x.shape[:-1]
+    lead = x.shape[:-1]
+    if nd == 3:
+        pick = ()
     elif members == 1:
-        pick, lead = (0,) * (3 - x.ndim), x.shape[:-1]
+        pick = (0,) if nd == 2 else (0, 0)
     else:
-        pick, lead = (slice(None),) + (0,) * (2 - x.ndim), (members, *x.shape[:-1])
-    rows = x if x.ndim > 1 else x[None, :]
+        pick, lead = (() if nd == 2 else (slice(None), 0)), (members, *lead)
+    rows = x if nd > 1 else x[None, :]
 
     bufs = _buffers_for(net, rows.shape[-2])
     bufs.generation += 1
@@ -293,7 +289,7 @@ def forward(
         head_inputs.append(h_in)
         out = np.matmul(h_in, w.mT)
         out += b
-        outputs.append(out[pick])
+        outputs.append(out[pick] if pick else out)
 
     cache = ForwardCache(rows, head_inputs, lead, bufs, bufs.generation)
     return outputs, cache
@@ -405,7 +401,7 @@ def grad_check(
     scale = max(float(np.max(np.abs(a))) for a in analytic)
     worst = 0.0
     for p_idx, p in enumerate(net.parameters()):
-        a = analytic[p_idx]
+        a = analytic[p_idx].ravel().tolist()
         flat = p.ravel()
         for i in range(flat.size):
             orig = flat[i]
@@ -415,7 +411,7 @@ def grad_check(
             loss_minus, _ = loss_and_grads(net)
             flat[i] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * h)
-            ana = a.ravel()[i]
+            ana = a[i]
             rel = abs(ana - numeric) / max(abs(ana), abs(numeric), scale, 1e-8)
             worst = max(worst, rel)
     return worst
