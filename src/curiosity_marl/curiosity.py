@@ -141,7 +141,10 @@ def _module_batches(
         if bank.kind in TWO_HEADED_KINDS:
             others = other_agents(n_agents)
             extra = np.concatenate(
-                [obs[:, others].reshape(b, n_agents, -1), one_hot[:, others].reshape(b, n_agents, -1)],
+                [
+                    obs[:, others].reshape(b, n_agents, -1),
+                    one_hot[:, others].reshape(b, n_agents, -1),
+                ],
                 axis=2,
             ).transpose(1, 0, 2)
             jobs.append((bank.agents, bank.agents_opt, x, [None, extra], [own, joint_target]))

@@ -263,7 +263,7 @@ def forward(
     bufs.generation += 1
     a = rows
     for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
-        np.matmul(a, w.mT, out=z)
+        np.matmul(a, w.swapaxes(1, 2), out=z)
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
@@ -287,7 +287,7 @@ def forward(
             h_in[..., : a.shape[-1]] = a
             h_in[..., a.shape[-1] :] = extra
         head_inputs.append(h_in)
-        out = np.matmul(h_in, w.mT)
+        out = np.matmul(h_in, w.swapaxes(1, 2))
         out += b
         outputs.append(out[pick] if pick else out)
 
@@ -323,7 +323,7 @@ def backward(
             if gy.shape != want:
                 raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
             gy = gy.reshape(h_in.shape[:-1] + (-1,))
-            head_w_grads.append(np.matmul(gy.mT, h_in))
+            head_w_grads.append(np.matmul(gy.swapaxes(1, 2), h_in))
             head_b_grads.append(gy.sum(axis=1, keepdims=True))
         gys.append(gy)
     bufs.generation += 1  # the work arrays are overwritten below
@@ -344,7 +344,7 @@ def backward(
         factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z))
         np.multiply(d_a, factor, out=d_z)
         layer_in = cache.rows if layer == 0 else bufs.a[layer - 1]
-        trunk_w_grads.append(np.matmul(d_z.mT, layer_in))
+        trunk_w_grads.append(np.matmul(d_z.swapaxes(1, 2), layer_in))
         trunk_b_grads.append(d_z.sum(axis=1, keepdims=True))
         if layer > 0:
             d_a = np.matmul(d_z, net.trunk_w[layer], out=bufs.a[layer - 1])

@@ -30,7 +30,9 @@ def _verdict(name: str):
 
 
 def test_criterion_1_gradient_suite():
-    with _verdict("1 gradient suites (network, actor, critic, curiosity; fd vs analytic, mutation control)"):
+    with _verdict(
+        "1 gradient suites (network, actor, critic, curiosity; fd vs analytic, mutation control)"
+    ):
         start = time.monotonic()
         net_err, mutant_err = nc.gradient_suite(n_networks=100, seed=0)
         actor_err = coma.actor_gradient_suite(n_policies=20, seed=0)

@@ -221,7 +221,7 @@ class TestIntrinsicOracles:
                 )
                 assert reward[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind if k is not CuriosityKind.NONE])
+    @pytest.mark.parametrize("kind", [k for k in CuriosityKind if k is not CuriosityKind.NONE])
     def test_one_forward_per_role(self, kind, monkeypatch):
         """Scoring runs each role once over the whole batch; icm_min's stack
         scores every agent's transitions with every member in that one pass."""

@@ -46,7 +46,9 @@ class TestInit:
         assert [w.shape for w in net.trunk_w] == [(1, 5, 3), (1, 6, 5)]
         assert net.head_w[0].shape == (1, 2, 6)
         assert net.head_w[1].shape == (1, 4, 6 + 3)
-        assert [b.shape for b in net.trunk_b + net.head_b] == [(1, 1, 5), (1, 1, 6), (1, 1, 2), (1, 1, 4)]
+        assert [b.shape for b in net.trunk_b + net.head_b] == [
+            (1, 1, 5), (1, 1, 6), (1, 1, 2), (1, 1, 4)
+        ]
         fan_ins = [3, 5, 6, 9]
         for w, fan_in in zip(net.trunk_w + net.head_w, fan_ins):
             assert np.all(np.abs(w) <= 1.0 / np.sqrt(fan_in))
