@@ -391,7 +391,7 @@ def actor_loss_grads(
     advantages: np.ndarray,
     epsilon: float,
     entropy_coeff: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean policy-gradient surrogate -A*log(pi[u]) - beta*H(pi) over a batch
     of B steps for one agent, and its gradient w.r.t. the network logits;
     probs are (..., B, 5), actions and advantages (..., B). The loss is one

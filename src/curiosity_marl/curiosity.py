@@ -7,11 +7,6 @@ the full next joint observation, with the other agents' observations and
 actions concatenated after the shared trunk (second head only). Joint vectors
 always concatenate agents in ascending index order: all observations first,
 then all one-hot actions.
-
-A bank holds its modules by role. The per-agent modules (the mcm family,
-icm_indiv, icm_min, and the individual half of mcm_sep) are one network
-stack whose member n is agent n's module, so each role trains and scores in
-one pass; icm_joint and mcm_sep also have one joint module.
 """
 
 from __future__ import annotations
@@ -43,7 +38,8 @@ JOINT_KINDS = (CuriosityKind.ICM_JOINT, CuriosityKind.MCM_SEP)
 
 @dataclass
 class CuriosityBank:
-    """A method's modules by role; a role the method lacks is None."""
+    """A method's modules by role, each trained and scored in one pass; a
+    role the method lacks is None."""
 
     kind: CuriosityKind
     n_agents: int
@@ -118,16 +114,14 @@ def make_bank(
 def _module_batches(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ):
-    """(network, optimizer, inputs, extras, targets) per role of the bank, the
-    per-agent stack first, for stacked transitions: obs and next_obs are
-    (B, N, d), actions (B, N).
+    """(network, optimizer, inputs (M, B, in), extras, targets per head) for
+    each role of the bank, the per-agent stack first, from stacked
+    transitions: obs and next_obs are (B, N, d), actions (B, N).
 
-    Inputs are member-leading, (M, B, in), and targets are a list per head.
-    Member n of the per-agent stack predicts agent n's next observation from
-    agent n's observation and one-hot action; joint modules predict the
-    concatenated next joint observation; two-headed modules predict both,
-    their second head taking the other agents' observations and one-hot
-    actions as extra input.
+    Member n of the per-agent stack predicts agent n's next observation;
+    joint modules predict the concatenated next joint observation;
+    two-headed modules predict both, their second head taking the other
+    agents' observations and one-hot actions as extra input.
     """
     b, n_agents, _ = obs.shape
     one_hot = one_hot_action(actions)  # (B, N, 5)

@@ -5,27 +5,21 @@ more affine output heads, where each head may concatenate extra inputs to the
 trunk output before its affine layer. Everything is float64 and purely
 deterministic; the only randomness is the init Generator.
 
-A Network is a stack of M members that share a spec but not their
-parameters: every weight is (M, out, in) and every bias (M, 1, out), and member
-m's slices are its own small network. Agents that each own a network of one
-shape (the policies, the per-agent curiosity modules) are one stack, so a
-pass over all of them is one forward, one backward and one Adam step. A
-single network, such as the critic, is a stack of one. Each parameter is
-one C-contiguous array, so p.ravel() is a view that grad_check can perturb
-in place. Parameter order (used by Gradients and Adam): trunk layer 0
+Every Network is a stack of M members with one spec: weights are
+(M, out, in) and biases (M, 1, out), so member m computes x @ w[m].T + b[m].
+Agents that own one network each (the policies, the per-agent curiosity
+modules) are one stack, trained by one forward, backward and Adam step; the
+critic is a stack of one. A trunk input of shape (M, B, in) gives each member
+its own rows, and a (B, in) matrix or (in,) vector is shared by all. Outputs
+are (M, B, out), without the member axis for a shared input to one member
+and without the batch axis for a vector. Each member's arithmetic is a
+one-member network's, bit for bit: stacked products run one 2-D BLAS call
+per member, and batch reductions keep the one-member axis and layout. Each
+parameter is one C-contiguous array, so p.ravel() is the view grad_check
+perturbs. Parameter order (used by Gradients and Adam): trunk layer 0
 weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
 
-Inputs are row vectors, so member m's affine map is x @ w[m].T + b[m], the
-bias broadcasting over the batch axis. A
-trunk input of shape (M, B, in) gives each member its own rows; a (B, in)
-matrix or an (in,) vector is shared by every member. Outputs are (M, B, out),
-without the member axis when the input had none and M = 1, and without the
-batch axis when the input was a vector. Each member's arithmetic is that of
-a one-member network on its own rows, bit for bit: the stacked products run
-one 2-D BLAS call per member, and every batch reduction runs along the axis
-and memory layout of the one-member case.
-
-Each Network keeps one set of trunk work arrays, (M, B, width), per batch
+Each stack keeps one set of trunk work arrays, (M, B, width), per batch
 size B: forward fills them in place and backward overwrites them with the
 trunk's gradients, so repeated passes allocate little beyond head outputs
 and parameter gradients. A ForwardCache is therefore valid only until the

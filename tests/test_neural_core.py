@@ -274,15 +274,17 @@ def reference_backward(net, ref_cache, head_output_grads, member=0):
     return trunk_grads + head_grads
 
 
-def pass_inputs(spec, batch, rng):
-    """Trunk input, head extras and output grads for one pass; batch None
-    means 1-D vectors."""
-    shape = () if batch is None else (batch,)
-    x = rng.standard_normal((*shape, spec.input_dim))
-    extras = [
-        rng.standard_normal((*shape, d)) if d else None for d in spec.head_extra_input_dims
-    ]
-    gys = [rng.standard_normal((*shape, d)) for d in spec.output_dims]
+def pass_inputs(spec, batch, rng, members=1, shared=True):
+    """Trunk input, head extras and output grads for one pass of a stack:
+    one input shared by every member, or (M, ...) rows per member; batch
+    None means vectors."""
+    lead = () if batch is None else (batch,)
+    if not shared:
+        lead = (members, *lead)
+    x = rng.standard_normal((*lead, spec.input_dim))
+    extras = [rng.standard_normal((*lead, d)) if d else None for d in spec.head_extra_input_dims]
+    out_lead = lead if not shared or members == 1 else (members, *lead)
+    gys = [rng.standard_normal((*out_lead, d)) for d in spec.output_dims]
     return x, extras, gys
 
 
@@ -388,20 +390,6 @@ class TestReusedBuffers:
         assert len(calls) == 1
 
 
-def member_inputs(spec, members, batch, shared, rng):
-    """Trunk input, head extras and output grads for a stack: rows per member
-    (M, B, ...), or one (B, ...) input shared by every member; batch None
-    means a shared vector."""
-    lead = () if batch is None else (batch,)
-    if not shared:
-        lead = (members, *lead)
-    x = rng.standard_normal((*lead, spec.input_dim))
-    extras = [rng.standard_normal((*lead, d)) if d else None for d in spec.head_extra_input_dims]
-    out_lead = lead if not shared or members == 1 else (members, *lead)
-    gys = [rng.standard_normal((*out_lead, d)) for d in spec.output_dims]
-    return x, extras, gys
-
-
 class TestMemberStack:
     """A stack of M members computes what M one-member passes compute, bit
     for bit; the reference runs each member alone on 2-D arrays."""
@@ -417,7 +405,7 @@ class TestMemberStack:
         singles = [net.member(m).copy() for m in range(members)]
         single_opts = [nc.init_adam(single, lr=0.01) for single in singles]
         for _ in range(2):  # the second step runs on updated parameters and moments
-            x, extras, gys = member_inputs(net.spec, members, batch, shared, rng)
+            x, extras, gys = pass_inputs(net.spec, batch, rng, members, shared)
             outs, cache = nc.forward(net, x, extras)
             grads = nc.backward(net, cache, gys)
             for m, single in enumerate(singles):
@@ -439,7 +427,7 @@ class TestMemberStack:
     def test_shared_vector_gives_member_rows(self):
         rng = np.random.default_rng(60)
         net = nc.init_network(small_spec(two_headed=True), rng, members=3)
-        x, extras, gys = member_inputs(net.spec, 3, None, True, rng)
+        x, extras, gys = pass_inputs(net.spec, None, rng, members=3)
         outs, cache = nc.forward(net, x, extras)
         assert [out.shape for out in outs] == [(3, 2), (3, 4)]
         for m in range(3):
