@@ -79,16 +79,28 @@ class _Buffers:
     generation: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
+    """Parameters are tuples of arrays that are only ever updated in place,
+    so the transposed views a forward pass multiplies by are built once."""
+
     spec: NetworkSpec
-    trunk_w: list[np.ndarray]  # (M, out, in) per layer
-    trunk_b: list[np.ndarray]  # (M, 1, out) per layer
-    head_w: list[np.ndarray]
-    head_b: list[np.ndarray]
+    trunk_w: tuple[np.ndarray, ...]  # (M, out, in) per layer
+    trunk_b: tuple[np.ndarray, ...]  # (M, 1, out) per layer
+    head_w: tuple[np.ndarray, ...]
+    head_b: tuple[np.ndarray, ...]
+    _trunk_wt: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _head_wt: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _buffers: dict[int, _Buffers] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # each member's weight transposed, (M, in, out)
+        object.__setattr__(self, "_trunk_wt", tuple(w.swapaxes(1, 2) for w in self.trunk_w))
+        object.__setattr__(self, "_head_wt", tuple(w.swapaxes(1, 2) for w in self.head_w))
 
     @property
     def members(self) -> int:
@@ -256,13 +268,13 @@ def forward(
     bufs = _buffers_for(net, rows.shape[-2])
     bufs.generation += 1
     a = rows
-    for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
-        np.matmul(a, w.swapaxes(1, 2), out=z)
+    for wt, b, z, act in zip(net._trunk_wt, net.trunk_b, bufs.z, bufs.a):
+        np.matmul(a, wt, out=z)
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
     outputs, head_inputs = [], []
-    for k, (w, b) in enumerate(zip(net.head_w, net.head_b)):
+    for k, (wt, b) in enumerate(zip(net._head_wt, net.head_b)):
         extra_dim = spec.head_extra_input_dims[k]
         if extra_dim == 0:
             h_in = a
@@ -281,7 +293,7 @@ def forward(
             h_in[..., : a.shape[-1]] = a
             h_in[..., a.shape[-1] :] = extra
         head_inputs.append(h_in)
-        out = np.matmul(h_in, w.swapaxes(1, 2))
+        out = np.matmul(h_in, wt)
         out += b
         outputs.append(out[pick] if pick else out)
 

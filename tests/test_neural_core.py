@@ -1,6 +1,8 @@
 """Network library tests: shapes, init bounds, exact gradients, Adam, reused
 buffers, member stacks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -448,6 +450,19 @@ class TestMemberStack:
         for p in net.parameters():
             assert p.flags.c_contiguous and p.shape[0] == 3
             assert np.shares_memory(p.ravel(), p)
+
+    def test_parameters_are_updated_in_place_only(self):
+        """A forward multiplies by transposed views built with the network, so
+        its parameter arrays can be written but not rebound."""
+        net = nc.init_network(small_spec(), np.random.default_rng(65), members=2)
+        with pytest.raises(TypeError):
+            net.trunk_w[0] = np.zeros_like(net.trunk_w[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.head_w = ()
+        x = np.ones((2, 3))
+        net.head_w[0][...] = 0.0
+        net.head_b[0][...] = 1.5
+        assert np.all(nc.forward(net, x)[0][0] == 1.5)
 
     def test_member_slice_is_a_view(self):
         net = nc.init_network(small_spec(), np.random.default_rng(62), members=2)
