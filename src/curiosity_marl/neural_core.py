@@ -15,8 +15,9 @@ are (M, B, out), without the member axis for a shared input to one member
 and without the batch axis for a vector. Each member's arithmetic is a
 one-member network's, bit for bit: stacked products run one 2-D BLAS call
 per member, and batch reductions keep the one-member axis and layout. Each
-parameter is one C-contiguous array, so p.ravel() is the view grad_check
-perturbs. Parameter order (used by Gradients and Adam): trunk layer 0
+parameter is one C-contiguous array, updated only in place: p.ravel() is the
+view grad_check perturbs, and the transposed views a forward multiplies by
+are built once per network. Parameter order (used by Gradients and Adam): trunk layer 0
 weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
 
 Each stack keeps one set of trunk work arrays, (M, B, width), per batch
