@@ -367,22 +367,17 @@ def critic_gradient_suite(
     """Finite-difference audit of the critic regression gradient on random
     small critics and frozen batches. Returns (max relative error, relative
     error of the sign-flip mutant from the first critic)."""
-    if n_critics < 1:
-        raise ValueError("an audit needs at least one network")
-    rng = np.random.default_rng(seed)
-    worst = mutant = 0.0
-    for i in range(n_critics):
-        input_dim = int(rng.integers(2, 9))
-        hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-        net = nc.init_network(nc.NetworkSpec(input_dim, (N_ACTIONS,), hidden), rng)
-        batch = int(rng.integers(2, 7))
-        x, _ = nc.kink_free_draw(net, lambda: (rng.standard_normal((batch, input_dim)), None))
-        taken = rng.integers(0, N_ACTIONS, size=batch)
-        closure = critic_loss_closure(x, taken, rng.standard_normal(batch))
-        worst = max(worst, nc.grad_check(net, closure, h))
-        if i == 0:
-            mutant = nc.mutation_control(net, closure, h)
-    return worst, mutant
+    return nc.audit(_critic_case, n_critics, seed, h)
+
+
+def _critic_case(rng: np.random.Generator, i: int):
+    input_dim = int(rng.integers(2, 9))
+    hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+    net = nc.init_network(nc.NetworkSpec(input_dim, (N_ACTIONS,), hidden), rng)
+    batch = int(rng.integers(2, 7))
+    x, _ = nc.kink_free_draw(net, lambda: (rng.standard_normal((batch, input_dim)), None))
+    taken = rng.integers(0, N_ACTIONS, size=batch)
+    return net, critic_loss_closure(x, taken, rng.standard_normal(batch))
 
 
 def actor_loss_grads(
@@ -422,8 +417,11 @@ def actor_loss_closure(
     epsilon: float,
     entropy_coeff: float,
 ):
-    """(loss, grads_fn) closure over a frozen step batch, for gradient audits;
-    grads_fn() must run before the next forward of this batch size."""
+    """(loss, grads_fn) closure over a frozen step batch: obs (B, d) for one
+    policy, or (N, B, d) with actions and advantages (N, B) for a policy
+    stack, whose loss is the sum of the agents' losses. actor_update trains
+    on it and actor_gradient_suite audits it. grads_fn() must run before the
+    next forward of this batch size."""
     obs = np.atleast_2d(np.asarray(obs, float))
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)
@@ -432,7 +430,7 @@ def actor_loss_closure(
         outputs, cache = nc.forward(net, obs)
         probs = floor_mix(outputs[0], epsilon)
         loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
-        return float(loss), lambda: nc.backward(net, cache, [dl_dz])
+        return float(loss.sum()), lambda: nc.backward(net, cache, [dl_dz])
 
     return loss_and_grads
 
@@ -440,27 +438,18 @@ def actor_loss_closure(
 def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -> float:
     """Finite-difference audit of the actor surrogate gradient on random
     small policies and frozen batches; returns the max relative error."""
-    if n_policies < 1:
-        raise ValueError("an audit needs at least one network")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_policies):
-        obs_dim = int(rng.integers(2, 8))
-        hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-        spec = nc.NetworkSpec(obs_dim, (N_ACTIONS,), hidden)
-        net = nc.init_network(spec, rng)
-        batch = int(rng.integers(1, 5))
-        obs = rng.standard_normal((batch, obs_dim))
-        for _ in range(200):
-            _, cache = nc.forward(net, obs)
-            if nc.min_kink_distance(cache) > 1e-3:
-                break
-            obs = rng.standard_normal((batch, obs_dim))
-        actions = rng.integers(0, N_ACTIONS, size=batch)
-        advantages = rng.standard_normal(batch)
-        closure = actor_loss_closure(obs, actions, advantages, 0.05, 0.01)
-        worst = max(worst, nc.grad_check(net, closure, h))
-    return worst
+    return nc.audit(_actor_case, n_policies, seed, h)[0]
+
+
+def _actor_case(rng: np.random.Generator, i: int):
+    obs_dim = int(rng.integers(2, 8))
+    hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+    net = nc.init_network(nc.NetworkSpec(obs_dim, (N_ACTIONS,), hidden), rng)
+    batch = int(rng.integers(1, 5))
+    obs, _ = nc.kink_free_draw(net, lambda: (rng.standard_normal((batch, obs_dim)), None))
+    actions = rng.integers(0, N_ACTIONS, size=batch)
+    advantages = rng.standard_normal(batch)
+    return net, actor_loss_closure(obs, actions, advantages, 0.05, 0.01)
 
 
 def actor_update(
@@ -495,11 +484,12 @@ def actor_update(
     advantages = (advantages - advantages.mean(axis=-1, keepdims=True)) / (
         advantages.std(axis=-1, keepdims=True) + 1e-8
     )
-    loss, dl_dz = actor_loss_grads(pi, u, advantages, epsilon, cfg.entropy_coeff)
-    _, cache = nc.forward(policies.network, joint_obs.transpose(1, 0, 2))
-    grads = nc.backward(policies.network, cache, [dl_dz])
-    nc.adam_step(policies.opt, policies.network, grads)
-    return float(loss.sum())
+    closure = actor_loss_closure(
+        joint_obs.transpose(1, 0, 2), u, advantages, epsilon, cfg.entropy_coeff
+    )
+    loss, grads_fn = closure(policies.network)
+    nc.adam_step(policies.opt, policies.network, grads_fn())
+    return loss
 
 
 def train_round(

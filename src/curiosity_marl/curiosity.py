@@ -208,40 +208,36 @@ def curiosity_gradient_suite(
     two-headed shapes; the audited loss is the sum of the members' losses.
     Returns (max relative error, relative error of the sign-flip mutant from
     the first stack)."""
-    if n_modules < 1:
-        raise ValueError("an audit needs at least one network")
-    rng = np.random.default_rng(seed)
-    worst = mutant = 0.0
-    for i in range(n_modules):
-        two_headed = i % 2 == 1
-        n_agents, obs_dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-        if two_headed:
-            spec = _two_headed_spec(n_agents, obs_dim, hidden, 0.01)
-        else:
-            spec = _indiv_spec(obs_dim, hidden, 0.01)
-        members, batch = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        module = nc.init_network(spec, rng, members)
+    return nc.audit(_module_case, n_modules, seed, h)
 
-        def draw():
-            extras = [
-                rng.standard_normal((members, batch, d)) if d else None
-                for d in spec.head_extra_input_dims
-            ]
-            return rng.standard_normal((members, batch, spec.input_dim)), extras
 
-        x, extras = nc.kink_free_draw(module, draw)
-        targets = [rng.standard_normal((members, batch, d)) for d in spec.output_dims]
-        member_closure = module_loss_closure(x, extras, targets, two_headed)
+def _module_case(rng: np.random.Generator, i: int):
+    two_headed = i % 2 == 1
+    n_agents, obs_dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+    if two_headed:
+        spec = _two_headed_spec(n_agents, obs_dim, hidden, 0.01)
+    else:
+        spec = _indiv_spec(obs_dim, hidden, 0.01)
+    members, batch = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    module = nc.init_network(spec, rng, members)
 
-        def closure(net: nc.Network):
-            losses, grads_fn = member_closure(net)
-            return float(np.sum(losses)), grads_fn
+    def draw():
+        extras = [
+            rng.standard_normal((members, batch, d)) if d else None
+            for d in spec.head_extra_input_dims
+        ]
+        return rng.standard_normal((members, batch, spec.input_dim)), extras
 
-        worst = max(worst, nc.grad_check(module, closure, h))
-        if i == 0:
-            mutant = nc.mutation_control(module, closure, h)
-    return worst, mutant
+    x, extras = nc.kink_free_draw(module, draw)
+    targets = [rng.standard_normal((members, batch, d)) for d in spec.output_dims]
+    member_closure = module_loss_closure(x, extras, targets, two_headed)
+
+    def closure(net: nc.Network):
+        losses, grads_fn = member_closure(net)
+        return float(np.sum(losses)), grads_fn
+
+    return module, closure
 
 
 def _sq_err(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -411,17 +411,23 @@ def grad_check(
         a = analytic[p_idx].ravel().tolist()
         flat = p.ravel()
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            loss_plus, _ = loss_and_grads(net)
-            flat[i] = orig - h
-            loss_minus, _ = loss_and_grads(net)
-            flat[i] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
+            numeric = _central_difference(net, loss_and_grads, flat, i, h)
             ana = a[i]
             rel = abs(ana - numeric) / max(abs(ana), abs(numeric), scale, 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+def _central_difference(net: Network, loss_and_grads, flat: np.ndarray, i: int, h: float) -> float:
+    """(loss at flat[i] + h - loss at flat[i] - h) / 2h, where flat is a view
+    of one of net's parameters; flat[i] is restored afterwards."""
+    orig = flat[i]
+    flat[i] = orig + h
+    loss_plus, _ = loss_and_grads(net)
+    flat[i] = orig - h
+    loss_minus, _ = loss_and_grads(net)
+    flat[i] = orig
+    return (loss_plus - loss_minus) / (2.0 * h)
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
@@ -441,16 +447,27 @@ def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
     analytic = loss_and_grads(net)[1]()
     p_idx = max(range(len(analytic)), key=lambda j: float(np.max(np.abs(analytic[j]))))
     flat_idx = int(np.argmax(np.abs(analytic[p_idx])))
-    p = net.parameters()[p_idx].ravel()
-    orig = p[flat_idx]
-    p[flat_idx] = orig + h
-    loss_plus, _ = loss_and_grads(net)
-    p[flat_idx] = orig - h
-    loss_minus, _ = loss_and_grads(net)
-    p[flat_idx] = orig
-    numeric = (loss_plus - loss_minus) / (2.0 * h)
+    flat = net.parameters()[p_idx].ravel()
+    numeric = _central_difference(net, loss_and_grads, flat, flat_idx, h)
     mutated = -analytic[p_idx].ravel()[flat_idx]
     return abs(mutated - numeric) / max(abs(mutated), abs(numeric), 1e-8)
+
+
+def audit(make_case, n: int, seed: int, h: float = 1e-5) -> tuple[float, float]:
+    """Finite-difference audit of n cases, each make_case(rng, i) -> (net,
+    loss_and_grads) drawn in turn from default_rng(seed): grad_check on every
+    case and mutation_control on the first. Returns (max relative error,
+    relative error of the sign-flip mutant — expected to be large)."""
+    if n < 1:
+        raise ValueError("an audit needs at least one network")
+    rng = np.random.default_rng(seed)
+    worst = mutant = 0.0
+    for i in range(n):
+        net, closure = make_case(rng, i)
+        worst = max(worst, grad_check(net, closure, h))
+        if i == 0:
+            mutant = mutation_control(net, closure, h)
+    return worst, mutant
 
 
 def gradient_suite(
@@ -463,41 +480,34 @@ def gradient_suite(
     Returns (max relative error across the suite, relative error of the
     sign-flip mutant from the first network — expected to be large).
     """
-    if n_networks < 1:
-        raise ValueError("an audit needs at least one network")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    mutant = 0.0
-    for i in range(n_networks):
-        two_headed = i % 2 == 1
-        input_dim = int(rng.integers(2, 7))
-        hidden = (int(rng.integers(3, 11)), int(rng.integers(3, 11)))
-        if two_headed:
-            spec = NetworkSpec(
-                input_dim,
-                (int(rng.integers(1, 6)), int(rng.integers(1, 6))),
-                hidden,
-                head_extra_input_dims=(0, int(rng.integers(1, 7))),
-            )
-        else:
-            spec = NetworkSpec(input_dim, (int(rng.integers(1, 6)),), hidden)
-        net = init_network(spec, rng)
-        batch = int(rng.integers(1, 4))
-        x = extras = None
-        for _ in range(200):
-            x = rng.standard_normal((batch, input_dim))
-            extras = None
-            if two_headed:
-                extras = [None, rng.standard_normal((batch, spec.head_extra_input_dims[1]))]
-            _, cache = forward(net, x, extras)
-            if min_kink_distance(cache) > 1e-3:
-                break
-        targets = [rng.standard_normal((batch, d)) for d in spec.output_dims]
-        closure = squared_error_loss_closure(x, targets, extras)
-        worst = max(worst, grad_check(net, closure, h))
-        if i == 0:
-            mutant = mutation_control(net, closure, h)
-    return worst, mutant
+    return audit(_network_case, n_networks, seed, h)
+
+
+def _network_case(rng: np.random.Generator, i: int):
+    two_headed = i % 2 == 1
+    input_dim = int(rng.integers(2, 7))
+    hidden = (int(rng.integers(3, 11)), int(rng.integers(3, 11)))
+    if two_headed:
+        spec = NetworkSpec(
+            input_dim,
+            (int(rng.integers(1, 6)), int(rng.integers(1, 6))),
+            hidden,
+            head_extra_input_dims=(0, int(rng.integers(1, 7))),
+        )
+    else:
+        spec = NetworkSpec(input_dim, (int(rng.integers(1, 6)),), hidden)
+    net = init_network(spec, rng)
+    batch = int(rng.integers(1, 4))
+
+    def draw():
+        x = rng.standard_normal((batch, input_dim))
+        if not two_headed:
+            return x, None
+        return x, [None, rng.standard_normal((batch, spec.head_extra_input_dims[1]))]
+
+    x, extras = kink_free_draw(net, draw)
+    targets = [rng.standard_normal((batch, d)) for d in spec.output_dims]
+    return net, squared_error_loss_closure(x, targets, extras)
 
 
 def kink_free_draw(net: Network, draw, margin: float = 1e-3, tries: int = 200):

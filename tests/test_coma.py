@@ -451,6 +451,50 @@ def test_actor_gradient_matches_finite_differences():
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("n_agents", [2, 4])
+def test_stacked_actor_closure_equals_member_closures(n_agents):
+    """The policy stack's loss is the sum of the agents' one-member losses and
+    each member's gradients are its one-member gradients, bit for bit: the
+    one-member closure that actor_gradient_suite audits is the one
+    actor_update trains each agent on."""
+    rng = np.random.default_rng(41)
+    policies = coma.make_policy_set(n_agents, 6, rng, hidden_dims=(7, 5))
+    obs = rng.standard_normal((n_agents, 9, 6))
+    actions = rng.integers(0, nav_env.N_ACTIONS, (n_agents, 9))
+    advantages = rng.standard_normal((n_agents, 9))
+    loss, grads_fn = coma.actor_loss_closure(obs, actions, advantages, 0.05, 0.01)(
+        policies.network
+    )
+    grads = grads_fn()
+    member_losses = []
+    for m in range(n_agents):
+        closure = coma.actor_loss_closure(obs[m], actions[m], advantages[m], 0.05, 0.01)
+        member_loss, member_grads_fn = closure(policies.network.member(m))
+        member_losses.append(member_loss)
+        for g, member_g in zip(grads, member_grads_fn()):
+            assert np.array_equal(g[m : m + 1], member_g)
+    assert np.array_equal(loss, np.sum(member_losses))
+
+
+def test_actor_update_trains_on_the_audited_closure(monkeypatch):
+    """actor_update takes its loss and gradients from actor_loss_closure, the
+    closure actor_gradient_suite audits, and from nothing else."""
+    policies, critic, env, bank, cfg = fresh_setup(2, seed=42)
+    rng = np.random.default_rng(43)
+    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    closures = []
+    actor_loss_closure = coma.actor_loss_closure
+
+    def counted(*args, **kwargs):
+        closure = actor_loss_closure(*args, **kwargs)
+        closures.append(closure(policies.network)[0])
+        return closure
+
+    monkeypatch.setattr(coma, "actor_loss_closure", counted)
+    loss = coma.actor_update(policies, critic, buf, cfg, 0.1)
+    assert closures == [loss]
+
+
 @pytest.mark.parametrize("suite", [coma.actor_gradient_suite, coma.critic_gradient_suite])
 @pytest.mark.parametrize("n_networks", [0, -1])
 def test_empty_gradient_suites_raise(suite, n_networks):

@@ -117,6 +117,32 @@ class TestBackward:
         with pytest.raises(ValueError):
             nc.gradient_suite(n_networks)
 
+    def test_audit_checks_every_case_and_mutates_the_first(self, monkeypatch):
+        """Cases come from one seeded generator in index order; grad_check
+        sees every one and mutation_control only case 0."""
+        seen = {"cases": [], "grad_check": [], "mutation_control": []}
+
+        def make_case(rng, i):
+            net = nc.init_network(small_spec(), rng)
+            x = rng.standard_normal((2, 3))
+            seen["cases"].append((i, net))
+            return net, nc.squared_error_loss_closure(x, [rng.standard_normal((2, 2))])
+
+        for name in ("grad_check", "mutation_control"):
+            def counted(net, closure, h, _fn=getattr(nc, name), _name=name):
+                seen[_name].append(net)
+                return _fn(net, closure, h)
+
+            monkeypatch.setattr(nc, name, counted)
+        worst, mutant = nc.audit(make_case, 3, seed=5)
+        nets = [net for _, net in seen["cases"]]
+        assert [i for i, _ in seen["cases"]] == [0, 1, 2]
+        assert list(map(id, seen["grad_check"])) == list(map(id, nets))
+        assert list(map(id, seen["mutation_control"])) == [id(nets[0])]
+        assert worst < 1e-6 and mutant > 1e-3
+        again = nc.audit(make_case, 3, seed=5)
+        assert again == (worst, mutant)
+
     def test_full_size_network_gradients(self):
         """One audit at production scale (64x64 trunk, both head styles)."""
         rng = np.random.default_rng(21)
