@@ -257,7 +257,6 @@ def intrinsic_rewards(
     if kind is CuriosityKind.NONE:
         return np.zeros((b, n_agents))
     jobs = _module_batches(bank, obs, actions, next_obs)
-
     if kind is CuriosityKind.ICM_MIN:
         # Every agent m's model is scored on every agent n's own transition,
         # in one forward over agent-major rows; agent n receives the
@@ -265,27 +264,25 @@ def intrinsic_rewards(
         ((module, _, x, _, (own,)),) = jobs
         (pred,), _ = nc.forward(module, x.reshape(n_agents * b, -1))
         errors = _sq_err(pred, own.reshape(n_agents * b, -1))  # (N models, N*B)
-        # A transposed view, unlike the other kinds' rewards: the per-episode
-        # mean of the run CSV sums them in this memory order.
-        return errors.min(axis=0).reshape(n_agents, b).T
-
-    # errors[role][head]: (M, B) squared errors of every member's head
-    errors = [
-        [_sq_err(out, target) for out, target in zip(nc.forward(module, x, extras)[0], targets)]
-        for module, _, x, extras, targets in jobs
-    ]
-    if kind is CuriosityKind.MCM:
-        per_agent = errors[0][0] + errors[0][1]
-    elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
-        per_agent = errors[0][0]
-    elif kind is CuriosityKind.MCM_JOINT:
-        per_agent = errors[0][1]
-    elif kind is CuriosityKind.ICM_JOINT:
-        per_agent = np.repeat(errors[0][0], n_agents, axis=0)
-    elif kind is CuriosityKind.MCM_SEP:
-        per_agent = errors[0][0] + errors[1][0]
+        per_agent = errors.min(axis=0).reshape(n_agents, b)
     else:
-        raise AssertionError(f"unhandled kind {kind}")
+        # errors[role][head]: (M, B) squared errors of every member's head
+        errors = [
+            [_sq_err(out, target) for out, target in zip(nc.forward(net, x, extras)[0], targets)]
+            for net, _, x, extras, targets in jobs
+        ]
+        if kind is CuriosityKind.MCM:
+            per_agent = errors[0][0] + errors[0][1]
+        elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
+            per_agent = errors[0][0]
+        elif kind is CuriosityKind.MCM_JOINT:
+            per_agent = errors[0][1]
+        elif kind is CuriosityKind.ICM_JOINT:
+            per_agent = np.repeat(errors[0][0], n_agents, axis=0)
+        elif kind is CuriosityKind.MCM_SEP:
+            per_agent = errors[0][0] + errors[1][0]
+        else:
+            raise AssertionError(f"unhandled kind {kind}")
     return np.ascontiguousarray(per_agent.T)
 
 

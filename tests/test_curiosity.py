@@ -246,6 +246,14 @@ class TestIntrinsicOracles:
             assert np.all(cur.intrinsic_rewards(bank, *random_batch(rng, 5)) >= 0.0)
 
     @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind])
+    def test_rewards_share_one_layout(self, kind):
+        """Every kind returns C-contiguous (B, N) rewards, so a mean over them
+        sums in one memory order whatever the method."""
+        bank = bank_of(kind, 11, n_agents=4)
+        rewards = cur.intrinsic_rewards(bank, *random_batch(np.random.default_rng(54), 6, 4))
+        assert rewards.shape == (6, 4) and rewards.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind])
     @pytest.mark.parametrize("n_agents", [2, 4])
     def test_batched_rewards_match_per_row_oracle(self, kind, n_agents):
         """One forward per module over a whole batch scores every transition
