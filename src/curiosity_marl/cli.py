@@ -114,9 +114,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.networks < 1:
-        print("error: --networks: must be >= 1", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--networks", args.networks, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag}: must be >= {least}", file=sys.stderr)
+            return 2
     net_err, mutant_err = nc.gradient_suite(args.networks, args.seed)
     actor_err = coma.actor_gradient_suite(seed=args.seed)
     critic_err, critic_mutant = coma.critic_gradient_suite(seed=args.seed)

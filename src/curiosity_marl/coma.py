@@ -87,8 +87,6 @@ class PolicySet:
 class CentralCritic:
     network: nc.Network
     opt: nc.AdamState
-    n_agents: int
-    obs_dim: int
 
 
 @dataclass
@@ -171,7 +169,7 @@ def make_critic(
         leaky_slope=leaky_slope,
     )
     network = nc.init_network(spec, rng)
-    return CentralCritic(network, nc.init_adam(network, lr=lr), n_agents, obs_dim)
+    return CentralCritic(network, nc.init_adam(network, lr=lr))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

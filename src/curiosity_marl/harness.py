@@ -473,11 +473,14 @@ def sweep(
     """Run the methods x seeds cross-product; every cell gets its own files.
     Returns one cell record per combination, failures included. A method or
     seed listed twice is rejected: its cells would share one run_id, and so
-    one CSV, which parallel workers would write at once."""
+    one CSV, which parallel workers would write at once. So is a workers
+    count below 1."""
     for name, values in (("methods", methods), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ConfigurationError(f"{name}: listed more than once: {repeated}")
+    if workers < 1:
+        raise ConfigurationError("workers: must be >= 1")
     out_dir = resolve_results_dir(results_dir)
     cfgs = []
     for method in methods:

@@ -103,6 +103,19 @@ def test_sweep_repeated_seed_exits_2(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_without_workers_exits_2(workers, tmp_path, capsys):
+    sweep_file = tmp_path / "sweep.cfg"
+    sweep_file.write_text("methods = none\nseeds = 0\ntotal_episodes = 8\n")
+    out = tmp_path / "out"
+    code = cli.main(
+        ["sweep", "--config", str(sweep_file), "--workers", workers, "--results-dir", str(out)]
+    )
+    assert code == 2
+    assert "error: workers: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_small(capsys):
     code = cli.main(["gradcheck", "--networks", "5"])
     assert code == 0
@@ -120,6 +133,18 @@ def test_gradcheck_without_networks_exits_2(networks, capsys):
     captured = capsys.readouterr()
     assert "error: --networks: must be >= 1" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_gradcheck_negative_seed_exits_2_before_any_suite(capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli.nc, "gradient_suite", no_suite)
+    code = cli.main(["gradcheck", "--seed", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: --seed: must be >= 0" in captured.err
+    assert captured.out == ""
 
 
 def test_report_roundtrip(tmp_path, capsys):

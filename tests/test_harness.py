@@ -472,6 +472,14 @@ def test_sweep_rejects_repeated_cells(tmp_path, text, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_workers_below_one(tmp_path, workers):
+    """workers < 1 used to fall through to a serial run and exit 0."""
+    with pytest.raises(ConfigurationError, match="workers: must be >= 1"):
+        harness.sweep(["none"], [0], SWEEP_BASE, str(tmp_path), workers=workers)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_aggregate_over_sweep_results(tmp_path):
     harness.sweep(["none", "mcm"], [0, 1], SWEEP_BASE, str(tmp_path))
     summaries = harness.load_results(str(tmp_path))
