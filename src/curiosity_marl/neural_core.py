@@ -418,9 +418,9 @@ def grad_check(
     return worst
 
 
-def _central_difference(net: Network, loss_and_grads, flat: np.ndarray, i: int, h: float) -> float:
-    """(loss at flat[i] + h - loss at flat[i] - h) / 2h, where flat is a view
-    of one of net's parameters; flat[i] is restored afterwards."""
+def _central_difference(net: Network, loss_and_grads, flat: np.ndarray, i: int, h: float):
+    """(loss(flat[i] + h) - loss(flat[i] - h)) / 2h, where flat is a view of
+    one of net's parameters; flat[i] is restored afterwards."""
     orig = flat[i]
     flat[i] = orig + h
     loss_plus, _ = loss_and_grads(net)
