@@ -457,9 +457,9 @@ def actor_update(
     cfg: TrainConfig,
     epsilon: float,
 ) -> float:
-    """One Adam step of the policy stack on the counterfactual-advantage
-    surrogate, with advantages from the current critic. Returns the sum of
-    the agents' actor losses.
+    """One Adam step of the policy stack on actor_loss_closure, the
+    counterfactual-advantage surrogate, with advantages from the current
+    critic. Returns the sum of the agents' actor losses.
 
     Advantages are z-scored per agent within the batch before entering the
     surrogate. The raw counterfactual advantage shrinks by an order of
