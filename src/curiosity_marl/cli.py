@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         result = harness.run_experiment(cfg, args.results_dir)
-    except RuntimeError as e:
+    except (RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out_dir = harness.resolve_results_dir(args.results_dir)

@@ -11,6 +11,7 @@ the critic regresses lambda-returns of those streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,10 +103,18 @@ class RolloutBuffer:
     success: np.ndarray  # (E, T) bool
     intrinsic: np.ndarray  # (E, T, N)
     mixed: np.ndarray  # (E, T, N)
+    curiosity_losses: list[float]  # each module's pre-update loss on these steps
 
     def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every step's (obs, actions, next_obs), episode by episode."""
         return _flat_transitions(self.obs, self.actions)
+
+    @cached_property
+    def critic_x(self) -> np.ndarray:
+        """critic_inputs of every step and agent, (E, T, N, in), built once
+        for the critic and the actor update."""
+        obs, taken, _ = self.transitions()
+        return critic_inputs(obs, taken).reshape(*self.actions.shape, -1)
 
 
 def _flat_transitions(obs: np.ndarray, actions: np.ndarray):
@@ -269,14 +278,23 @@ def rollout_episode(
     action_rng: np.random.Generator,
 ) -> RolloutBuffer:
     """Play the round's cfg.episodes_per_update episodes in lockstep with the
-    current components, then score every transition's intrinsic reward.
+    current policies, then score them, in this order:
+
+    1. the loop only samples actions, moves the agents and observes;
+    2. env.score gives every step's extrinsic reward and success at once,
+       from the stacked (E, T, N, 2) positions;
+    3. cur.curiosity_update runs one forward per curiosity role over all
+       E*T transitions, whose prediction errors are both the intrinsic
+       rewards (from the pre-update bank) and the loss of the role's Adam
+       step, so the bank trains here;
+    4. the mixed rewards combine the two.
 
     Every episode's start jitter is drawn from env_rng at reset, and every
     action uniform from action_rng in one (E, T, N) block: the values each
     stream would give with the episodes played one after another, step by
-    step and agent by agent. The bank does not change during the rollout, so
-    scoring all E*T transitions after the last step, in one forward per
-    module, gives the rewards that scoring each step online would."""
+    step and agent by agent. Neither the scoring nor the bank changes during
+    the loop, so scoring after the last step gives the rewards that scoring
+    each step online would."""
     e = cfg.episodes_per_update
     t_max = env.config.episode_length
     n = policies.n_agents
@@ -286,55 +304,51 @@ def rollout_episode(
     obs[:, 0] = first_obs
     actions = np.empty((e, t_max, n), dtype=int)
     probs = np.empty((e, t_max, n, N_ACTIONS))
-    extrinsic = np.empty((e, t_max))
-    success = np.empty((e, t_max), dtype=bool)
+    positions = np.empty((e, t_max, n, 2))
     for t in range(t_max):
         actions[:, t], probs[:, t] = select_actions(
             policies, obs[:, t], epsilon, uniforms[:, t]
         )
-        result = env.step(actions[:, t])
-        obs[:, t + 1] = result.next_joint_obs
-        extrinsic[:, t] = result.extrinsic_reward
-        success[:, t] = result.success
-    intrinsic = cur.intrinsic_rewards(bank, *_flat_transitions(obs, actions))
+        obs[:, t + 1] = env.move(actions[:, t])
+        positions[:, t] = env.state.agent_positions
+    extrinsic, success = env.score(positions)
+    intrinsic, curiosity_losses = cur.curiosity_update(bank, *_flat_transitions(obs, actions))
     intrinsic = intrinsic.reshape(e, t_max, n)
     mixed = cur.mix_rewards(
         extrinsic[..., None], intrinsic, cfg.intrinsic_lambda, cfg.intrinsic_clip
     )
-    return RolloutBuffer(obs, actions, probs, extrinsic, success, intrinsic, mixed)
+    return RolloutBuffer(
+        obs, actions, probs, extrinsic, success, intrinsic, mixed, curiosity_losses
+    )
 
 
-def _critic_batch(
-    critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack critic inputs, taken-action indices, and lambda-return targets
-    for every (episode, agent, step) triple, in that row order, using
-    pre-update Q estimates."""
-    obs, taken, _ = buf.transitions()
+def _critic_batch(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig):
+    """Critic inputs, taken-action indices and lambda-return targets for
+    every (episode, agent, step) triple, in that row order, plus the
+    pre-update critic's forward over those inputs, from which the targets'
+    bootstrap Q estimates are taken: (x, taken, targets, forwarded)."""
     e, t_max, n = buf.actions.shape
-    x = critic_inputs(obs, taken)  # (E*T, N, in)
-    q_all, _ = nc.forward(critic.network, x.reshape(e * t_max * n, -1))
-    q_all = q_all[0].reshape(e, t_max, n, N_ACTIONS)
-    q_taken = np.take_along_axis(q_all, buf.actions[..., None], axis=3)[..., 0]
+    x = buf.critic_x.transpose(0, 2, 1, 3).reshape(e * n * t_max, -1)
+    taken = buf.actions.transpose(0, 2, 1).reshape(-1)
+    forwarded = nc.forward(critic.network, x)
+    q_taken = forwarded[0][0][np.arange(len(taken)), taken].reshape(e, n, t_max)
     targets = td_lambda_targets(  # (T, E, N)
-        buf.mixed.transpose(1, 0, 2), q_taken.transpose(1, 0, 2), cfg.gamma, cfg.td_lambda
+        buf.mixed.transpose(1, 0, 2), q_taken.transpose(2, 0, 1), cfg.gamma, cfg.td_lambda
     )
-    return (
-        x.reshape(e, t_max, n, -1).transpose(0, 2, 1, 3).reshape(e * n * t_max, -1),
-        buf.actions.transpose(0, 2, 1).reshape(-1),
-        targets.transpose(1, 2, 0).reshape(-1),
-    )
+    return x, taken, targets.transpose(1, 2, 0).reshape(-1), forwarded
 
 
 def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     """(loss, grads_fn) closure for the critic's regression: the mean over
     rows of (Q(x)[taken] - target)^2. Only the taken action's output gets a
-    gradient. grads_fn() must run before the next forward of this batch size."""
+    gradient. A caller that has run nc.forward(net, x) may pass its result
+    as forwarded instead of having it run again. grads_fn() must run before
+    the next forward of this batch size."""
     b = len(taken)
     rows = np.arange(b)
 
-    def loss_and_grads(net: nc.Network):
-        (q,), cache = nc.forward(net, x)
+    def loss_and_grads(net: nc.Network, forwarded=None):
+        (q,), cache = nc.forward(net, x) if forwarded is None else forwarded
         diff = q[rows, taken] - targets
 
         def grads_fn():
@@ -349,13 +363,16 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
 
 def critic_update(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig) -> float:
     """Regress the critic's taken-action Q toward frozen lambda-return targets
-    for critic_epochs Adam steps; returns the pre-update mean squared error."""
-    closure = critic_loss_closure(*_critic_batch(critic, buf, cfg))
+    for critic_epochs Adam steps; returns the pre-update mean squared error.
+    The first epoch trains on the forward that gave the targets."""
+    x, taken, targets, forwarded = _critic_batch(critic, buf, cfg)
+    closure = critic_loss_closure(x, taken, targets)
     losses = []
     for _ in range(cfg.critic_epochs):
-        loss, grads_fn = closure(critic.network)
+        loss, grads_fn = closure(critic.network, forwarded)
         nc.adam_step(critic.opt, critic.network, grads_fn())
         losses.append(loss)
+        forwarded = None
     return losses[0]
 
 
@@ -470,8 +487,7 @@ def actor_update(
     joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
     b = actions.shape[0]
     probs = buf.probs.reshape(b, n, N_ACTIONS)
-    critic_x = critic_inputs(joint_obs, actions).reshape(b * n, -1)
-    q_all, _ = nc.forward(critic.network, critic_x)
+    q_all, _ = nc.forward(critic.network, buf.critic_x.reshape(b * n, -1))
     q_all = q_all[0].reshape(b, n, N_ACTIONS)
     # agent-major and contiguous, so each agent's z-score reduces one
     # contiguous run, as a 1-D array's does
@@ -500,8 +516,12 @@ def train_round(
     env_rng: np.random.Generator,
     action_rng: np.random.Generator,
 ) -> RoundStats:
-    """Roll out a batch of episodes in lockstep, then update critic, actors,
-    and the curiosity bank in that order."""
+    """One round, in this order: rollout_episode plays a batch of episodes
+    in lockstep, scores their rewards and trains the curiosity bank on the
+    same pass that scored them; then the critic and the actors update.
+    Each network's pre-update forward over the round runs once: the
+    critic's gives both its targets and its first epoch, and the bank's
+    gives both the intrinsic rewards and its Adam step."""
     epsilon = epsilon_at(cfg, episode_index)
     buf = rollout_episode(env, policies, bank, cfg, epsilon, env_rng, action_rng)
     stats = RoundStats(
@@ -509,9 +529,8 @@ def train_round(
         success_steps=buf.success.sum(axis=1).tolist(),
         success_any=buf.success.any(axis=1).tolist(),
         mean_intrinsic=buf.intrinsic.mean(axis=(1, 2)).tolist(),
+        curiosity_losses=buf.curiosity_losses,
     )
     stats.critic_loss = critic_update(critic, buf, cfg)
     stats.actor_loss = actor_update(policies, critic, buf, cfg, epsilon)
-    if bank.kind is not cur.CuriosityKind.NONE:
-        stats.curiosity_losses = cur.curiosity_update(bank, *buf.transitions())
     return stats

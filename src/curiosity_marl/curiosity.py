@@ -156,48 +156,71 @@ def module_loss_closure(
     targets: list[np.ndarray],
     two_headed: bool,
 ):
-    """(losses, grads_fn) closure for the batch-mean forward loss of every
-    member of a module stack: ||prediction - target||^2 for one-headed
+    """(losses, errors, grads_fn) closure for the batch-mean forward loss of
+    every member of a module stack: ||prediction - target||^2 for one-headed
     modules, half the sum of both heads' squared errors for two-headed ones.
     inputs are (M, B, in), and each head's target broadcasts against its
-    (M, B, out) predictions. losses is (M,); grads_fn() returns the gradients
-    of their sum, and must run before the next forward of this batch size."""
+    (M, B, out) predictions. losses is (M,); errors[k] is (M, B), every
+    row's squared error on head k, from which intrinsic rewards are made;
+    grads_fn() returns the gradients of the losses' sum, and must run before
+    the next forward of this batch size."""
     b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):
         outputs, cache = nc.forward(module, inputs, extras)
         diffs = [out - target for out, target in zip(outputs, targets)]
+        squares = [diff * diff for diff in diffs]
         losses = 0.0
-        for diff in diffs:
-            losses = losses + np.sum(diff * diff, axis=(1, 2))
+        for sq in squares:
+            losses = losses + np.sum(sq, axis=(1, 2))
+        errors = [np.sum(sq, axis=-1) for sq in squares]
         if two_headed:
             # d(mean loss)/d(out): the 1/2 cancels the 2 of the squared norm
-            return 0.5 * losses / b, lambda: nc.backward(module, cache, [d / b for d in diffs])
-        return losses / b, lambda: nc.backward(module, cache, [2.0 * d / b for d in diffs])
+            return (
+                0.5 * losses / b,
+                errors,
+                lambda: nc.backward(module, cache, [d / b for d in diffs]),
+            )
+        return losses / b, errors, lambda: nc.backward(module, cache, [2.0 * d / b for d in diffs])
 
     return loss_and_grads
 
 
 def curiosity_update(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
-) -> list[float]:
-    """One Adam step per role on the batch-mean forward loss over stacked
-    transitions: obs and next_obs are (B, N, d), actions (B, N).
+) -> tuple[np.ndarray, list[float]]:
+    """Score stacked transitions (obs and next_obs (B, N, d), actions
+    (B, N)) and take one Adam step per role on their batch-mean forward
+    loss, from one forward per role: the prediction errors of that forward
+    are both the intrinsic rewards and the loss. icm_min scores with its own
+    cross-scoring forward first.
 
     One-headed modules minimize ||prediction - target||^2; two-headed modules
-    minimize half the sum of the squared individual and joint errors. Returns
-    the pre-update mean loss of every module: the per-agent ones in agent
-    order, then the joint one.
+    minimize half the sum of the squared individual and joint errors.
+    Returns (rewards, losses): the (B, N) intrinsic rewards of the
+    pre-update bank, as intrinsic_rewards gives them, and the pre-update
+    mean loss of every module, the per-agent ones in agent order, then the
+    joint one. A bank without modules returns zero rewards and no losses.
     """
     if len(obs) == 0:
         raise ValueError("curiosity_update requires a non-empty batch")
-    two_headed = bank.kind in TWO_HEADED_KINDS
-    losses = []
-    for module, opt, x, extras, targets in _module_batches(bank, obs, actions, next_obs):
-        member_losses, grads_fn = module_loss_closure(x, extras, targets, two_headed)(module)
+    kind = bank.kind
+    if kind is CuriosityKind.NONE:
+        return np.zeros(actions.shape), []
+    jobs = _module_batches(bank, obs, actions, next_obs)
+    if kind is CuriosityKind.ICM_MIN:
+        rewards = _min_rewards(jobs[0])
+    errors, losses = [], []
+    for module, opt, x, extras, targets in jobs:
+        member_losses, role_errors, grads_fn = module_loss_closure(
+            x, extras, targets, kind in TWO_HEADED_KINDS
+        )(module)
         nc.adam_step(opt, module, grads_fn())
+        errors.append(role_errors)
         losses.extend(member_losses.tolist())
-    return losses
+    if kind is not CuriosityKind.ICM_MIN:
+        rewards = _combine_errors(kind, errors, bank.n_agents)
+    return rewards, losses
 
 
 def curiosity_gradient_suite(
@@ -234,7 +257,7 @@ def _module_case(rng: np.random.Generator, i: int):
     member_closure = module_loss_closure(x, extras, targets, two_headed)
 
     def closure(net: nc.Network):
-        losses, grads_fn = member_closure(net)
+        losses, _, grads_fn = member_closure(net)
         return float(np.sum(losses)), grads_fn
 
     return module, closure
@@ -250,39 +273,55 @@ def intrinsic_rewards(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ) -> np.ndarray:
     """Per-agent intrinsic rewards (B, N) for stacked transitions (obs and
-    next_obs (B, N, d), actions (B, N)), one forward per role, using the
-    bank's current (pre-update) parameters. Always non-negative."""
+    next_obs (B, N, d), actions (B, N)), one forward per role through
+    module_loss_closure, whose errors curiosity_update also takes its
+    rewards from, using the bank's current parameters and changing none.
+    Always non-negative."""
     kind = bank.kind
-    b, n_agents = actions.shape
     if kind is CuriosityKind.NONE:
-        return np.zeros((b, n_agents))
+        return np.zeros(actions.shape)
     jobs = _module_batches(bank, obs, actions, next_obs)
     if kind is CuriosityKind.ICM_MIN:
-        # Every agent m's model is scored on every agent n's own transition,
-        # in one forward over agent-major rows; agent n receives the
-        # smallest of those errors.
-        ((module, _, x, _, (own,)),) = jobs
-        (pred,), _ = nc.forward(module, x.reshape(n_agents * b, -1))
-        errors = _sq_err(pred, own.reshape(n_agents * b, -1))  # (N models, N*B)
-        per_agent = errors.min(axis=0).reshape(n_agents, b)
-    else:
-        # errors[role][head]: (M, B) squared errors of every member's head
-        errors = [
-            [_sq_err(out, target) for out, target in zip(nc.forward(net, x, extras)[0], targets)]
+        return _min_rewards(jobs[0])
+    two_headed = kind in TWO_HEADED_KINDS
+    return _combine_errors(
+        kind,
+        [
+            module_loss_closure(x, extras, targets, two_headed)(net)[1]
             for net, _, x, extras, targets in jobs
-        ]
-        if kind is CuriosityKind.MCM:
-            per_agent = errors[0][0] + errors[0][1]
-        elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
-            per_agent = errors[0][0]
-        elif kind is CuriosityKind.MCM_JOINT:
-            per_agent = errors[0][1]
-        elif kind is CuriosityKind.ICM_JOINT:
-            per_agent = np.repeat(errors[0][0], n_agents, axis=0)
-        elif kind is CuriosityKind.MCM_SEP:
-            per_agent = errors[0][0] + errors[1][0]
-        else:
-            raise AssertionError(f"unhandled kind {kind}")
+        ],
+        bank.n_agents,
+    )
+
+
+def _min_rewards(job) -> np.ndarray:
+    """icm_min's (B, N) rewards: every agent m's model is scored on every
+    agent n's own transition, in one forward over agent-major rows, and
+    agent n receives the smallest of those errors."""
+    module, _, x, _, (own,) = job
+    n_agents, b, _ = x.shape
+    (pred,), _ = nc.forward(module, x.reshape(n_agents * b, -1))
+    errors = _sq_err(pred, own.reshape(n_agents * b, -1))  # (N models, N*B)
+    return np.ascontiguousarray(errors.min(axis=0).reshape(n_agents, b).T)
+
+
+def _combine_errors(
+    kind: CuriosityKind, errors: list[list[np.ndarray]], n_agents: int
+) -> np.ndarray:
+    """(B, N) rewards of every kind but icm_min from errors[role][head], the
+    (M, B) squared errors of every member's head, the per-agent role first."""
+    if kind is CuriosityKind.MCM:
+        per_agent = errors[0][0] + errors[0][1]
+    elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
+        per_agent = errors[0][0]
+    elif kind is CuriosityKind.MCM_JOINT:
+        per_agent = errors[0][1]
+    elif kind is CuriosityKind.ICM_JOINT:
+        per_agent = np.repeat(errors[0][0], n_agents, axis=0)
+    elif kind is CuriosityKind.MCM_SEP:
+        per_agent = errors[0][0] + errors[1][0]
+    else:
+        raise AssertionError(f"unhandled kind {kind}")
     return np.ascontiguousarray(per_agent.T)
 
 

@@ -9,7 +9,7 @@ steps one episode, or a batch of episodes in lockstep along leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 ACTION_NAMES = ("up", "down", "left", "right", "stay")
 N_ACTIONS = len(ACTION_NAMES)
 
-# Unit displacement per action, scaled by step_size in step().
+# Unit displacement per action, scaled by step_size in move().
 _ACTION_DELTAS = np.array(
     [[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 )
@@ -194,10 +194,10 @@ def observe(state: EnvState) -> np.ndarray:
     )
 
 
-def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, StepResult]:
+def move(config: WorldConfig, state: EnvState, joint_action) -> EnvState:
     """Move every agent one step_size along its action, clamp to the world,
-    advance the clock, and score the new state under the reward mode.
-    joint_action holds one action index per agent of every episode, (..., N)."""
+    and advance the clock; nothing is scored. joint_action holds one action
+    index per agent of every episode, (..., N)."""
     if state.timestep >= config.episode_length:
         raise EpisodeExhaustedError(
             f"episode already finished at t={state.timestep}"
@@ -210,14 +210,26 @@ def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, 
     new_pos = np.clip(
         state.agent_positions + config.step_size * _ACTION_DELTAS[actions], -h, h
     )
-    new_state = EnvState(
+    return EnvState(
         new_pos, state.landmark_positions, state.landmark_assignment, state.timestep + 1
     )
-    dists, success = _distances_and_success(config, new_state)
+
+
+def score(config: WorldConfig, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
+    """(extrinsic reward, success) of every set of agent positions in state
+    under the reward mode, one of each per leading index. Every term is
+    elementwise along the leading axes, so positions stacked over a round's
+    steps, (E, T, N, 2), score as each step scores alone."""
     if config.reward_mode == "sparse":
-        reward = success.astype(float)
-    else:
-        reward = _dense_reward(config, new_state, dists, success)
+        return sparse_reward(config, state)
+    dists, success = _distances_and_success(config, state)
+    return _dense_reward(config, state, dists, success), success
+
+
+def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, StepResult]:
+    """move, then score the new state under the reward mode."""
+    new_state = move(config, state, joint_action)
+    reward, success = score(config, new_state)
     return new_state, StepResult(
         next_joint_obs=observe(new_state),
         extrinsic_reward=reward,
@@ -275,12 +287,13 @@ def _dense_reward(
 
 
 class NavEnv:
-    """Stateful wrapper over the functional reset/step core.
+    """Stateful wrapper over the functional reset/move/score core.
 
     reset(rng, n_episodes) starts a batch of episodes that then step in
     lockstep, one action per agent of every episode; reset(rng) plays a
-    single episode. One instance per logical training thread; instances
-    share nothing.
+    single episode. A trainer may move without scoring and score the
+    positions it kept afterwards, in one call. One instance per logical
+    training thread; instances share nothing.
     """
 
     def __init__(self, config: WorldConfig):
@@ -292,8 +305,21 @@ class NavEnv:
         self.state, obs = reset(self.config, rng, n_episodes)
         return obs
 
-    def step(self, joint_action) -> StepResult:
+    def _started(self) -> EnvState:
         if self.state is None:
             raise RuntimeError("reset() must be called before step()")
-        self.state, result = step(self.config, self.state, joint_action)
+        return self.state
+
+    def step(self, joint_action) -> StepResult:
+        self.state, result = step(self.config, self._started(), joint_action)
         return result
+
+    def move(self, joint_action) -> np.ndarray:
+        """step without scoring; returns the next joint observations."""
+        self.state = move(self.config, self._started(), joint_action)
+        return observe(self.state)
+
+    def score(self, agent_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(extrinsic reward, success) of agent positions (..., N, 2) in this
+        world, as step scores them."""
+        return score(self.config, replace(self._started(), agent_positions=agent_positions))

@@ -291,9 +291,9 @@ def test_criterion_7_overfit_sanity():
         obs = env.reset(np.random.default_rng(2))
         r = env.step((3, 0))
         tr = (obs[None], np.array([[3, 0]]), r.next_joint_obs[None])
-        initial = float(np.mean(curiosity.curiosity_update(bank, *tr)))
+        initial = float(np.mean(curiosity.curiosity_update(bank, *tr)[1]))
         for _ in range(499):
-            last = float(np.mean(curiosity.curiosity_update(bank, *tr)))
+            last = float(np.mean(curiosity.curiosity_update(bank, *tr)[1]))
         assert last < 1e-3 * initial, f"curiosity loss only fell to {last / initial:.2e}"
 
         rng = np.random.default_rng(3)

@@ -67,6 +67,16 @@ def test_run_malformed_set_exits_2(tmp_path, capsys):
     assert "--set" in capsys.readouterr().err
 
 
+def test_run_unwritable_results_dir_exits_1(capsys):
+    """A results directory that cannot be made is a run failure, reported
+    in one line rather than a traceback."""
+    code = cli.main(["run", "--method", "none", "--results-dir", "/dev/null/x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/dev/null/x" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -179,6 +179,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     bank = curiosity.make_bank("mcm", n_agents, world.obs_dim, rng)
     cfg = coma.TrainConfig(episodes_per_update=5)
     eps = 0.1
+    scorer = dataclasses.replace(bank, agents=bank.agents.copy())  # the rollout trains bank
     buf = coma.rollout_episode(
         nav_env.NavEnv(world), policies, bank, cfg, eps,
         np.random.default_rng(32), np.random.default_rng(33),
@@ -203,7 +204,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     steps = buf.transitions()
     np.testing.assert_allclose(
         buf.intrinsic.reshape(-1, n_agents),
-        [curiosity.intrinsic_rewards(bank, *(a[b : b + 1] for a in steps))[0]
+        [curiosity.intrinsic_rewards(scorer, *(a[b : b + 1] for a in steps))[0]
          for b in range(len(steps[0]))],
         rtol=0, atol=1e-12,
     )
@@ -211,10 +212,13 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
 
 @pytest.mark.parametrize("n_agents", [2, 4])
 def test_one_network_pass_per_role(n_agents, monkeypatch):
-    """The policy stack runs one forward per rollout step for all agents, and
-    each update runs one backward and one Adam step per role: the policy
-    stack in actor_update, the per-agent stack and the joint module in
-    curiosity_update."""
+    """One whole train_round runs each network's pre-update forward once: the
+    policy stack one forward per rollout step for all agents plus one in
+    actor_update; the critic one forward per epoch, the first of which also
+    gives its targets, plus one in actor_update; and each curiosity role
+    (the per-agent stack and the joint module) one forward, which both
+    scores and trains it. Every update runs one backward and one Adam step
+    per role and epoch."""
     policies, critic, env, bank, cfg = fresh_setup(n_agents, kind="mcm_sep", seed=35)
     calls = {"forward": [], "backward": [], "adam_step": []}
     for name, net_arg in (("forward", 0), ("backward", 0), ("adam_step", 1)):
@@ -228,23 +232,17 @@ def test_one_network_pass_per_role(n_agents, monkeypatch):
         return {name: sum(n is net for n in nets) for name, nets in calls.items()}
 
     rng = np.random.default_rng(36)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
-    t_max = env.config.episode_length
-    assert passes_of(policies.network) == {"forward": t_max, "backward": 0, "adam_step": 0}
-    assert passes_of(bank.agents)["forward"] == passes_of(bank.joint)["forward"] == 1
-
-    for nets in calls.values():
-        nets.clear()
-    coma.actor_update(policies, critic, buf, cfg, 0.1)
-    assert passes_of(policies.network) == {"forward": 1, "backward": 1, "adam_step": 1}
-
-    for nets in calls.values():
-        nets.clear()
-    losses = curiosity.curiosity_update(bank, *buf.transitions())
-    assert len(losses) == n_agents + 1
+    stats = coma.train_round(policies, critic, env, bank, cfg, 0, rng, rng)
+    assert len(stats.curiosity_losses) == n_agents + 1
+    t_max, epochs = env.config.episode_length, cfg.critic_epochs
+    assert passes_of(policies.network) == {"forward": t_max + 1, "backward": 1, "adam_step": 1}
+    assert passes_of(critic.network) == {
+        "forward": epochs + 1, "backward": epochs, "adam_step": epochs
+    }
     for role in (bank.agents, bank.joint):
         assert passes_of(role) == {"forward": 1, "backward": 1, "adam_step": 1}
-    assert len(calls["backward"]) == len(calls["adam_step"]) == 2
+    assert len(calls["forward"]) == t_max + 1 + epochs + 1 + 2
+    assert len(calls["backward"]) == len(calls["adam_step"]) == 1 + epochs + 2
 
 
 # --- critic features and advantage ------------------------------------------
@@ -581,7 +579,7 @@ def test_critic_targets_use_pre_update_bootstrap():
     policies, critic, env, bank, cfg = fresh_setup(episodes_per_update=2)
     rng = np.random.default_rng(17)
     buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
-    x, taken, targets = coma._critic_batch(critic, buf, cfg)
+    x, taken, targets, _ = coma._critic_batch(critic, buf, cfg)
     t_max = env.config.episode_length
     assert x.shape[0] == 2 * t_max * 2
     assert taken.shape == targets.shape == (x.shape[0],)
@@ -605,6 +603,117 @@ def test_critic_targets_use_pre_update_bootstrap():
 
 
 # --- full training rounds ----------------------------------------------------
+
+
+def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, action_rng):
+    """train_round as a sequence of separate passes: env rewards scored step
+    by step, a scoring forward of the bank before the critic and actor
+    updates, the critic's targets from a forward of their own in (episode,
+    step, agent) row order, and the bank's update on a fresh forward last."""
+    epsilon = coma.epsilon_at(cfg, episode_index)
+    e, t_max, n = cfg.episodes_per_update, env.config.episode_length, policies.n_agents
+    first_obs = env.reset(env_rng, e)
+    uniforms = action_rng.random((e, t_max, n))
+    obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
+    obs[:, 0] = first_obs
+    actions = np.empty((e, t_max, n), dtype=int)
+    probs = np.empty((e, t_max, n, nav_env.N_ACTIONS))
+    extrinsic = np.empty((e, t_max))
+    success = np.empty((e, t_max), dtype=bool)
+    for t in range(t_max):
+        actions[:, t], probs[:, t] = coma.select_actions(
+            policies, obs[:, t], epsilon, uniforms[:, t]
+        )
+        result = env.step(actions[:, t])
+        obs[:, t + 1] = result.next_joint_obs
+        extrinsic[:, t] = result.extrinsic_reward
+        success[:, t] = result.success
+    steps = (
+        obs[:, :-1].reshape(e * t_max, n, -1),
+        actions.reshape(e * t_max, n),
+        obs[:, 1:].reshape(e * t_max, n, -1),
+    )
+    intrinsic = curiosity.intrinsic_rewards(bank, *steps).reshape(e, t_max, n)
+    mixed = curiosity.mix_rewards(
+        extrinsic[..., None], intrinsic, cfg.intrinsic_lambda, cfg.intrinsic_clip
+    )
+    buf = coma.RolloutBuffer(obs, actions, probs, extrinsic, success, intrinsic, mixed, [])
+
+    x = coma.critic_inputs(steps[0], steps[1])  # (E*T, N, in)
+    q = nc.forward(critic.network, x.reshape(e * t_max * n, -1))[0][0]
+    q_taken = np.take_along_axis(q.reshape(e, t_max, n, -1), actions[..., None], axis=3)[..., 0]
+    targets = coma.td_lambda_targets(
+        mixed.transpose(1, 0, 2), q_taken.transpose(1, 0, 2), cfg.gamma, cfg.td_lambda
+    )
+    closure = coma.critic_loss_closure(
+        x.reshape(e, t_max, n, -1).transpose(0, 2, 1, 3).reshape(e * n * t_max, -1),
+        actions.transpose(0, 2, 1).reshape(-1),
+        targets.transpose(1, 2, 0).reshape(-1),
+    )
+    critic_losses = []
+    for _ in range(cfg.critic_epochs):
+        loss, grads_fn = closure(critic.network)
+        nc.adam_step(critic.opt, critic.network, grads_fn())
+        critic_losses.append(loss)
+    actor_loss = coma.actor_update(policies, critic, buf, cfg, epsilon)
+
+    curiosity_losses = []
+    two_headed = bank.kind in curiosity.TWO_HEADED_KINDS
+    for module, opt, xs, extras, heads in curiosity._module_batches(bank, *steps):
+        member_losses, _, grads_fn = curiosity.module_loss_closure(xs, extras, heads, two_headed)(
+            module
+        )
+        nc.adam_step(opt, module, grads_fn())
+        curiosity_losses.extend(member_losses.tolist())
+    return coma.RoundStats(
+        extrinsic_returns=extrinsic.sum(axis=1).tolist(),
+        success_steps=success.sum(axis=1).tolist(),
+        success_any=success.any(axis=1).tolist(),
+        mean_intrinsic=intrinsic.mean(axis=(1, 2)).tolist(),
+        curiosity_losses=curiosity_losses,
+        critic_loss=critic_losses[0],
+        actor_loss=actor_loss,
+    )
+
+
+def trained_state(policies, critic, bank):
+    """Every parameter and Adam moment of every network, with step counts."""
+    arrays, steps = [], []
+    pairs = [(policies.network, policies.opt), (critic.network, critic.opt)]
+    pairs += [(bank.agents, bank.agents_opt), (bank.joint, bank.joint_opt)]
+    for net, opt in pairs:
+        if net is not None:
+            arrays += [*net.parameters(), *opt.m, *opt.v]
+            steps.append(opt.step_count)
+    return arrays, steps
+
+
+@pytest.mark.parametrize("kind", ["none", "mcm", "icm_joint", "icm_min"])
+@pytest.mark.parametrize("n_agents", [2, 4])
+@pytest.mark.parametrize("reward_mode", ["sparse", "dense"])
+def test_train_round_equals_separate_passes_bit_for_bit(kind, n_agents, reward_mode):
+    """Scoring rewards after the rollout and sharing each network's
+    pre-update forward change no bit of a round: its stats, parameters and
+    Adam moments equal those of the separate passes. This holds because a
+    row's Q does not depend on the row's position in the critic's batch."""
+    world = small_world(n_agents=n_agents, reward_mode=reward_mode)
+    cfg = coma.TrainConfig(episodes_per_update=4, total_episodes=64)
+    runs = []
+    for play in (coma.train_round, reference_round):
+        rng = np.random.default_rng(60)
+        policies = coma.make_policy_set(n_agents, world.obs_dim, rng)
+        critic = coma.make_critic(n_agents, world.obs_dim, rng)
+        bank = curiosity.make_bank(kind, n_agents, world.obs_dim, rng)
+        env, env_rng, action_rng = nav_env.NavEnv(world), *np.random.default_rng(61).spawn(2)
+        stats = [
+            play(policies, critic, env, bank, cfg, i * 4, env_rng, action_rng) for i in range(2)
+        ]
+        runs.append((stats, trained_state(policies, critic, bank)))
+    (stats, (arrays, steps)), (ref_stats, (ref_arrays, ref_steps)) = runs
+    assert stats == ref_stats
+    assert steps == ref_steps
+    assert len(arrays) == len(ref_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
 
 
 def test_train_round_stats_and_determinism():

@@ -224,7 +224,9 @@ class TestIntrinsicOracles:
     @pytest.mark.parametrize("kind", [k for k in CuriosityKind if k is not CuriosityKind.NONE])
     def test_one_forward_per_role(self, kind, monkeypatch):
         """Scoring runs each role once over the whole batch; icm_min's stack
-        scores every agent's transitions with every member in that one pass."""
+        scores every agent's transitions with every member in that one pass.
+        curiosity_update scores and trains on one forward per role, and
+        icm_min adds only its cross-scoring forward, ahead of the update."""
         bank = bank_of(kind, 10, n_agents=4)
         nets = []
         forward = nc.forward
@@ -234,10 +236,27 @@ class TestIntrinsicOracles:
             return forward(net, *args, **kwargs)
 
         monkeypatch.setattr(nc, "forward", counted)
-        cur.intrinsic_rewards(bank, *random_batch(np.random.default_rng(53), 6, n_agents=4))
+        batch = random_batch(np.random.default_rng(53), 6, n_agents=4)
+        cur.intrinsic_rewards(bank, *batch)
         roles = [role for role in (bank.agents, bank.joint) if role is not None]
-        assert len(nets) == len(roles)
-        assert all(net is role for net, role in zip(nets, roles))
+        assert list(map(id, nets)) == list(map(id, roles))
+        nets.clear()
+        cur.curiosity_update(bank, *batch)
+        expected = (roles[:1] if kind is CuriosityKind.ICM_MIN else []) + roles
+        assert list(map(id, nets)) == list(map(id, expected))
+
+    @pytest.mark.parametrize("kind", [k.value for k in CuriosityKind])
+    @pytest.mark.parametrize("n_agents", [2, 4])
+    def test_update_returns_the_pre_update_rewards(self, kind, n_agents):
+        """The rewards curiosity_update scores on its training forward are, bit
+        for bit, the ones intrinsic_rewards gives before the update."""
+        bank = bank_of(kind, 12, n_agents=n_agents)
+        batch = random_batch(np.random.default_rng(55), 7, n_agents=n_agents)
+        expected = cur.intrinsic_rewards(bank, *batch)
+        rewards, losses = cur.curiosity_update(bank, *batch)
+        assert np.array_equal(rewards, expected) and rewards.flags.c_contiguous
+        assert len(losses) == len(modules(bank))
+        assert kind == "none" or not np.array_equal(cur.intrinsic_rewards(bank, *batch), expected)
 
     def test_rewards_nonnegative(self):
         rng = np.random.default_rng(48)
@@ -273,7 +292,7 @@ class TestLossOracles:
         bank = bank_of("mcm", 13)
         batch = random_batch(np.random.default_rng(50), 1)
         rewards = cur.intrinsic_rewards(bank, *batch)[0]
-        losses = cur.curiosity_update(bank, *batch)  # pre-update losses
+        _, losses = cur.curiosity_update(bank, *batch)  # pre-update losses
         for agent in range(2):
             assert losses[agent] == pytest.approx(0.5 * rewards[agent], abs=1e-12)
 
@@ -282,7 +301,7 @@ class TestLossOracles:
         rng = np.random.default_rng(51)
         batch = random_batch(rng, 6)
         frozen = [m.copy() for m in modules(bank)]
-        losses = cur.curiosity_update(bank, *batch)
+        _, losses = cur.curiosity_update(bank, *batch)
         for agent in range(2):
             manual = 0.0
             for obs, actions, next_obs in rows(batch):
@@ -294,9 +313,9 @@ class TestLossOracles:
     def test_update_reduces_loss_on_fixed_batch(self):
         bank = bank_of("mcm", 15, lr=1e-2)
         batch = random_batch(np.random.default_rng(52), 4)
-        first = cur.curiosity_update(bank, *batch)
+        _, first = cur.curiosity_update(bank, *batch)
         for _ in range(100):
-            last = cur.curiosity_update(bank, *batch)
+            _, last = cur.curiosity_update(bank, *batch)
         assert sum(last) < 0.2 * sum(first)
 
     def test_gradients_match_finite_differences(self):
