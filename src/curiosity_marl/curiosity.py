@@ -159,8 +159,8 @@ def module_loss_closure(
     """(losses, errors, grads_fn) closure for the batch-mean forward loss of
     every member of a module stack: ||prediction - target||^2 for one-headed
     modules, half the sum of both heads' squared errors for two-headed ones.
-    inputs are (M, B, in), and each head's target broadcasts against its
-    (M, B, out) predictions. losses is (M,); errors[k] is (M, B), every
+    inputs are (M, B, in), or (B, in) shared by every member, and each
+    head's target broadcasts against its (M, B, out) predictions. losses is (M,); errors[k] is (M, B), every
     row's squared error on head k, from which intrinsic rewards are made;
     grads_fn() returns the gradients of the losses' sum, and must run before
     the next forward of this batch size."""
@@ -263,12 +263,6 @@ def _module_case(rng: np.random.Generator, i: int):
     return module, closure
 
 
-def _sq_err(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Row-wise squared error of (B, k) predictions."""
-    diff = pred - target
-    return np.sum(diff * diff, axis=-1)
-
-
 def intrinsic_rewards(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ) -> np.ndarray:
@@ -300,8 +294,8 @@ def _min_rewards(job) -> np.ndarray:
     agent n receives the smallest of those errors."""
     module, _, x, _, (own,) = job
     n_agents, b, _ = x.shape
-    (pred,), _ = nc.forward(module, x.reshape(n_agents * b, -1))
-    errors = _sq_err(pred, own.reshape(n_agents * b, -1))  # (N models, N*B)
+    rows, targets = x.reshape(n_agents * b, -1), [own.reshape(n_agents * b, -1)]
+    errors = module_loss_closure(rows, None, targets, False)(module)[1][0]  # (N models, N*B)
     return np.ascontiguousarray(errors.min(axis=0).reshape(n_agents, b).T)
 
 

@@ -36,7 +36,7 @@ class ConfigurationError(ValueError):
 
 
 class EpisodeExhaustedError(RuntimeError):
-    """Raised when step() is called after the episode horizon."""
+    """Raised when step() or move() is called after the episode horizon."""
 
 
 @dataclass(frozen=True)

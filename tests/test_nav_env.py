@@ -1,5 +1,7 @@
 """Environment tests: geometry, reward predicates, determinism, replay logs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,36 @@ class TestLockstep:
         if reward_mode == "dense":
             n_pairs = n_agents * (n_agents - 1) // 2
             assert result.extrinsic_reward[1] <= -n_pairs * config.c_collide
+
+    @pytest.mark.parametrize("reward_mode", ["sparse", "dense"])
+    @pytest.mark.parametrize("n_agents,scenario", [(2, "same_landmark"), (4, "different_landmark")])
+    def test_moved_positions_score_as_steps(self, reward_mode, n_agents, scenario):
+        """Moving without scoring and then scoring the kept (E, T, N, 2)
+        positions in one call gives, bit for bit, the observations, rewards
+        and success that stepping gives, with agents huddled so pairs
+        collide and pushed onto their landmarks and the walls."""
+        config = WorldConfig(n_agents=n_agents, scenario=scenario, reward_mode=reward_mode)
+        rng = np.random.default_rng(42)
+        landmarks = nav_env.canonical_layout(config)[1]
+        start, _ = nav_env.reset(config, np.random.default_rng(43), 6)
+        start_pos = start.agent_positions.copy()
+        start_pos[0] = landmarks[list(nav_env.landmark_assignment(scenario, n_agents))]
+        start_pos[1] = 0.0  # every pair collides
+        stepped, moved = NavEnv(config), NavEnv(config)
+        stepped.state = moved.state = dataclasses.replace(start, agent_positions=start_pos)
+        positions = np.empty((6, config.episode_length, n_agents, 2))
+        results = []
+        for t in range(config.episode_length):
+            actions = rng.integers(0, 5, (6, n_agents))
+            actions[:2] = 4  # stay docked, stay huddled
+            actions[2] = 3  # run into the right wall
+            results.append(stepped.step(actions))
+            np.testing.assert_array_equal(moved.move(actions), results[-1].next_joint_obs)
+            positions[:, t] = moved.state.agent_positions
+        reward, success = moved.score(positions)
+        assert np.array_equal(reward, np.stack([r.extrinsic_reward for r in results], axis=1))
+        assert np.array_equal(success, np.stack([r.success for r in results], axis=1))
+        assert success[0].all() and not success[1:].any()
 
     def test_batched_reset_draws_episode_by_episode(self):
         config = WorldConfig(n_agents=4)
