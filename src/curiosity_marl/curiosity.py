@@ -160,10 +160,11 @@ def module_loss_closure(
     every member of a module stack: ||prediction - target||^2 for one-headed
     modules, half the sum of both heads' squared errors for two-headed ones.
     inputs are (M, B, in), or (B, in) shared by every member, and each
-    head's target broadcasts against its (M, B, out) predictions. losses is (M,); errors[k] is (M, B), every
-    row's squared error on head k, from which intrinsic rewards are made;
-    grads_fn() returns the gradients of the losses' sum, and must run before
-    the next forward of this batch size."""
+    head's target broadcasts against its (M, B, out) predictions. losses is
+    (M,); errors[k] is (M, B), every row's squared error on head k, from
+    which intrinsic rewards are made; grads_fn() returns the gradients of
+    the losses' sum, and must run before the next forward of this batch
+    size."""
     b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):

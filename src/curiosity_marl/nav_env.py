@@ -307,7 +307,7 @@ class NavEnv:
 
     def _started(self) -> EnvState:
         if self.state is None:
-            raise RuntimeError("reset() must be called before step()")
+            raise RuntimeError("reset() must be called before step(), move() or score()")
         return self.state
 
     def step(self, joint_action) -> StepResult:
