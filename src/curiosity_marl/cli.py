@@ -155,8 +155,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = harness.aggregate(results)
     print(harness.format_aggregate(rows))
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w") as f:
-        f.write(harness.aggregate_csv(rows))
+    try:
+        with open(summary_path, "w") as f:
+            f.write(harness.aggregate_csv(rows))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"\nsummary CSV written to {summary_path}")
     return 0
 

@@ -342,21 +342,27 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     """(loss, grads_fn) closure for the critic's regression: the mean over
     rows of (Q(x)[taken] - target)^2. Only the taken action's output gets a
     gradient. A caller that has run nc.forward(net, x) may pass its result
-    as forwarded instead of having it run again. grads_fn() must run before
-    the next forward of this batch size."""
+    as forwarded instead of having it run again. On a probe network of K
+    copies of the one-member critic the loss is each copy's, (K,).
+    grads_fn() must run before the next forward of this batch size."""
     b = len(taken)
     rows = np.arange(b)
 
     def loss_and_grads(net: nc.Network, forwarded=None):
         (q,), cache = nc.forward(net, x) if forwarded is None else forwarded
-        diff = q[rows, taken] - targets
+        # (B,), or (K, B) for K copies, one contiguous row per copy
+        diff = np.ascontiguousarray(q[..., rows, taken] - targets)
 
         def grads_fn():
             out_grad = np.zeros_like(q)
             out_grad[rows, taken] = 2.0 * diff / b
             return nc.backward(net, cache, [out_grad])
 
-        return float(diff @ diff) / b, grads_fn
+        # diff @ diff per copy: a stacked (1, B) @ (B, 1) product over
+        # contiguous rows takes the dot product diff @ diff takes for one
+        # copy, bit for bit; a strided row may sum in another order
+        loss = np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0] / b
+        return (float(loss) if loss.ndim == 0 else loss), grads_fn
 
     return loss_and_grads
 
@@ -435,17 +441,25 @@ def actor_loss_closure(
     """(loss, grads_fn) closure over a frozen step batch: obs (B, d) for one
     policy, or (N, B, d) with actions and advantages (N, B) for a policy
     stack, whose loss is the sum of the agents' losses. actor_update trains
-    on it and actor_gradient_suite audits it. grads_fn() must run before the
-    next forward of this batch size."""
+    on it and actor_gradient_suite audits it. On a probe network of K copies
+    the loss is each copy's, (K,). grads_fn() must run before the next
+    forward of this batch size."""
     obs = np.atleast_2d(np.asarray(obs, float))
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)
+    members = len(obs) if obs.ndim == 3 else 1
 
     def loss_and_grads(net: nc.Network):
-        outputs, cache = nc.forward(net, obs)
+        copies = nc.copies_of(net, members)
+        x, u, adv = obs, actions, advantages
+        if copies > 1:  # every copy's (M, B) rows, copy after copy
+            if obs.ndim == 3:
+                x = nc.tile_copies(obs, copies)
+            u, adv = (nc.tile_copies(a.reshape(members, -1), copies) for a in (u, adv))
+        outputs, cache = nc.forward(net, x)
         probs = floor_mix(outputs[0], epsilon)
-        loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
-        return float(loss.sum()), lambda: nc.backward(net, cache, [dl_dz])
+        loss, dl_dz = actor_loss_grads(probs, u, adv, epsilon, entropy_coeff)
+        return nc.sum_per_copy(loss, copies), lambda: nc.backward(net, cache, [dl_dz])
 
     return loss_and_grads
 

@@ -164,12 +164,27 @@ def module_loss_closure(
     (M,); errors[k] is (M, B), every row's squared error on head k, from
     which intrinsic rewards are made; grads_fn() returns the gradients of
     the losses' sum, and must run before the next forward of this batch
-    size."""
+    size. On a probe network of K copies of a stack of M members with
+    (M, B, in) inputs, the per-member data are tiled per copy and losses
+    is (K * M,), copy after copy."""
     b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):
-        outputs, cache = nc.forward(module, inputs, extras)
-        diffs = [out - target for out, target in zip(outputs, targets)]
+        x, ex, ts = inputs, extras, targets
+        if inputs.ndim == 3 and module.members != len(inputs):
+            members = len(inputs)
+            copies = nc.copies_of(module, members)
+            x = nc.tile_copies(inputs, copies)
+            if extras is not None:
+                ex = [None if e is None else nc.tile_copies(e, copies) for e in extras]
+            # per-member targets, (M, B, out) or (1, B, out); shared (B, out) broadcast
+            ts = [
+                t if t.ndim < 3
+                else nc.tile_copies(np.broadcast_to(t, (members, *t.shape[1:])), copies)
+                for t in targets
+            ]
+        outputs, cache = nc.forward(module, x, ex)
+        diffs = [out - target for out, target in zip(outputs, ts)]
         squares = [diff * diff for diff in diffs]
         losses = 0.0
         for sq in squares:
@@ -229,9 +244,9 @@ def curiosity_gradient_suite(
 ) -> tuple[float, float]:
     """Finite-difference audit of the forward-model losses on random small
     stacks of 1-3 modules and frozen batches, alternating one- and
-    two-headed shapes; the audited loss is the sum of the members' losses.
-    Returns (max relative error, relative error of the sign-flip mutant from
-    the first stack)."""
+    two-headed shapes; the audited loss is the sum of the members' losses,
+    taken per copy on a probe network. Returns (max relative error, relative
+    error of the sign-flip mutant from the first stack)."""
     return nc.audit(_module_case, n_modules, seed, h)
 
 
@@ -259,7 +274,7 @@ def _module_case(rng: np.random.Generator, i: int):
 
     def closure(net: nc.Network):
         losses, _, grads_fn = member_closure(net)
-        return float(np.sum(losses)), grads_fn
+        return nc.sum_per_copy(losses, nc.copies_of(net, members)), grads_fn
 
     return module, closure
 

@@ -15,10 +15,19 @@ are (M, B, out), without the member axis for a shared input to one member
 and without the batch axis for a vector. Each member's arithmetic is a
 one-member network's, bit for bit: stacked products run one 2-D BLAS call
 per member, and batch reductions keep the one-member axis and layout. Each
-parameter is one C-contiguous array, updated only in place: p.ravel() is the
-view grad_check perturbs, and the transposed views a forward multiplies by
-are built once per network. Parameter order (used by Gradients and Adam): trunk layer 0
-weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
+parameter is one C-contiguous array, updated only in place, so the
+transposed views a forward multiplies by are built once per network.
+Parameter order (used by Gradients and Adam): trunk layer 0 weight, trunk
+layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
+
+Finite-difference audits use the same guarantee. grad_check stacks K copies
+of the audited network into one probe network, copy 2j with one parameter
+element raised by h and copy 2j + 1 with it lowered, and runs every probe of
+a chunk in one forward. A loss closure therefore takes a network of K times
+the members its data describe and returns one loss per copy, (K,), each
+bit for bit the loss it returns for that copy alone; called on the audited
+network itself (the trained path) it returns one float as before.
+copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
 Each stack keeps one set of trunk work arrays, (M, B, width), per batch
 size B: forward fills them in place and backward overwrites them with the
@@ -117,13 +126,7 @@ class Network:
         return params
 
     def _map(self, fn) -> "Network":
-        return Network(
-            self.spec,
-            [fn(w) for w in self.trunk_w],
-            [fn(b) for b in self.trunk_b],
-            [fn(w) for w in self.head_w],
-            [fn(b) for b in self.head_b],
-        )
+        return _from_parameters(self.spec, [fn(p) for p in self.parameters()])
 
     def copy(self) -> "Network":
         return self._map(np.copy)
@@ -133,6 +136,13 @@ class Network:
         this stack's (it gets its own work arrays)."""
         m = range(self.members)[m]
         return self._map(lambda p: p[m : m + 1])
+
+
+def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
+    """The network whose parameters() are params, in canonical order."""
+    n_trunk = 2 * len(spec.hidden_dims)
+    trunk, heads = params[:n_trunk], params[n_trunk:]
+    return Network(spec, trunk[0::2], trunk[1::2], heads[0::2], heads[1::2])
 
 
 @dataclass
@@ -389,6 +399,14 @@ def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState
     return opt, net
 
 
+# Largest number of parameter floats a probe network of grad_check or
+# mutation_control materializes (8 MB): the copies of the perturbed tensor,
+# and for a stack of several members the copies of every tensor, whose
+# member axis a zero-stride view cannot repeat. A tensor too large for two
+# copies to fit is probed two copies at a time.
+PROBE_FLOATS = 1 << 20
+
+
 def grad_check(
     net: Network,
     loss_and_grads,
@@ -398,36 +416,96 @@ def grad_check(
 
     loss_and_grads(net) must deterministically return (loss, grads_fn), where
     grads_fn() runs the backward pass of that forward and returns its
-    Gradients. Only the analytic side calls grads_fn; the finite-difference
-    probes read the loss alone. Each element's error is measured
-    against the network's dominant gradient magnitude, so near-zero entries
-    (whose central differences are pure cancellation noise) cannot swamp the
-    comparison while any error at update-relevant scale still registers.
+    Gradients. Only the analytic side calls grads_fn. The central differences
+    come from probe networks of K copies of net (see the module docstring),
+    on which loss_and_grads must return one loss per copy; each copy's loss
+    is the one net gives with that one element moved, so every difference,
+    and so the result, is that of probing one element at a time. Each
+    element's error is measured against the network's dominant gradient
+    magnitude, so near-zero entries (whose central differences are pure
+    cancellation noise) cannot swamp the comparison while any error at
+    update-relevant scale still registers. A NaN error is returned as NaN.
     """
     analytic = loss_and_grads(net)[1]()
     scale = max(float(np.max(np.abs(a))) for a in analytic)
     worst = 0.0
-    for p_idx, p in enumerate(net.parameters()):
-        a = analytic[p_idx].ravel().tolist()
-        flat = p.ravel()
-        for i in range(flat.size):
-            numeric = _central_difference(net, loss_and_grads, flat, i, h)
-            ana = a[i]
-            rel = abs(ana - numeric) / max(abs(ana), abs(numeric), scale, 1e-8)
-            worst = max(worst, rel)
-    return worst
+    for p_idx, a in enumerate(analytic):
+        ana = a.ravel()
+        numeric = _central_differences(net, loss_and_grads, p_idx, np.arange(ana.size), h)
+        # |ana - numeric| / max(|ana|, |numeric|, scale, 1e-8), elementwise
+        floor = np.maximum(np.maximum(np.abs(ana), np.abs(numeric)), max(scale, 1e-8))
+        worst = np.maximum(worst, np.max(np.abs(ana - numeric) / floor))
+    return float(worst)
 
 
-def _central_difference(net: Network, loss_and_grads, flat: np.ndarray, i: int, h: float):
-    """(loss(flat[i] + h) - loss(flat[i] - h)) / 2h, where flat is a view of
-    one of net's parameters; flat[i] is restored afterwards."""
-    orig = flat[i]
-    flat[i] = orig + h
-    loss_plus, _ = loss_and_grads(net)
-    flat[i] = orig - h
-    loss_minus, _ = loss_and_grads(net)
-    flat[i] = orig
-    return (loss_plus - loss_minus) / (2.0 * h)
+def _central_differences(
+    net: Network, loss_and_grads, p_idx: int, elements: np.ndarray, h: float
+) -> np.ndarray:
+    """(loss(p[i] + h) - loss(p[i] - h)) / 2h for each flat index i in
+    elements of net's parameter p_idx, one closure call per chunk of
+    elements whose probe network materializes at most PROBE_FLOATS floats."""
+    params = net.parameters()
+    per_copy = params[p_idx].size if net.members == 1 else sum(p.size for p in params)
+    chunk = max(1, PROBE_FLOATS // (2 * per_copy))
+    numeric = np.empty(len(elements))
+    for start in range(0, len(elements), chunk):
+        idx = elements[start : start + chunk]
+        losses = np.asarray(loss_and_grads(_probe_network(net, p_idx, idx, h))[0])
+        if losses.shape != (2 * len(idx),):
+            raise ValueError(
+                f"loss closure returned shape {losses.shape} on a probe network of "
+                f"{2 * len(idx)} copies; it must return one loss per copy"
+            )
+        numeric[start : start + len(idx)] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    return numeric
+
+
+def _probe_network(net: Network, p_idx: int, elements: np.ndarray, h: float) -> Network:
+    """K = 2 * len(elements) copies of net in one stack, copy k as members
+    k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of parameter
+    p_idx plus h, copy 2j + 1 the same element minus h. Only the perturbed
+    tensor is copied for a one-member net; its other parameters are
+    zero-stride views of net's."""
+    copies = 2 * len(elements)
+    params = []
+    for j, p in enumerate(net.parameters()):
+        probe = np.broadcast_to(p, (copies, *p.shape))
+        if j == p_idx:
+            probe = probe.copy()
+            flat, orig = probe.reshape(copies, -1), p.ravel()[elements]
+            flat[0::2][np.arange(len(elements)), elements] = orig + h
+            flat[1::2][np.arange(len(elements)), elements] = orig - h
+        # a view for one member; a stack's member axis is copied
+        params.append(probe.reshape(copies * p.shape[0], *p.shape[1:]))
+    return _from_parameters(net.spec, params)
+
+
+def copies_of(net: Network, members: int) -> int:
+    """How many copies of a `members`-member network net stacks: 1 for such
+    a network itself, K for a probe network of grad_check."""
+    copies, rest = divmod(net.members, members)
+    if rest or not copies:
+        raise ValueError(f"a {net.members}-member network is no stack of {members}-member copies")
+    return copies
+
+
+def tile_copies(a: np.ndarray, copies: int) -> np.ndarray:
+    """Per-member data (M, ...) repeated for every copy, (copies * M, ...),
+    for a probe network of copies copies of an M-member network; a itself
+    for one copy."""
+    if copies == 1:
+        return a
+    return np.broadcast_to(a, (copies, *a.shape)).reshape(copies * len(a), *a.shape[1:])
+
+
+def sum_per_copy(a: np.ndarray, copies: int):
+    """The sum of a's entries: a float for one copy; for several, (copies,),
+    each copy's sum over its equal share of a's leading axis. A share is
+    one contiguous run, summed as the one-copy sum sums its whole array, so
+    each copy's sum is bit for bit the one that copy alone gives."""
+    if copies == 1:
+        return float(np.sum(a))
+    return np.sum(a.reshape(copies, -1), axis=1)
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
@@ -442,13 +520,13 @@ def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
 
     A working checker must report a large value here (the flip doubles the
     discrepancy); this guards against a checker that silently passes
-    everything.
+    everything. The central difference comes from a two-copy probe network,
+    as grad_check's do.
     """
     analytic = loss_and_grads(net)[1]()
     p_idx = max(range(len(analytic)), key=lambda j: float(np.max(np.abs(analytic[j]))))
     flat_idx = int(np.argmax(np.abs(analytic[p_idx])))
-    flat = net.parameters()[p_idx].ravel()
-    numeric = _central_difference(net, loss_and_grads, flat, flat_idx, h)
+    numeric = _central_differences(net, loss_and_grads, p_idx, np.array([flat_idx]), h)[0]
     mutated = -analytic[p_idx].ravel()[flat_idx]
     return abs(mutated - numeric) / max(abs(mutated), abs(numeric), 1e-8)
 
@@ -528,13 +606,15 @@ def squared_error_loss_closure(
     targets: list[np.ndarray],
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ):
-    """(loss, grads_fn) closure for sum over heads of ||output - target||^2;
+    """(loss, grads_fn) closure for sum over heads of ||output - target||^2
+    of a one-member network, on a trunk input (B, in) or (in,); on a stack
+    of K members, such as a probe network, the loss is each member's, (K,).
     grads_fn() must run before the next forward of this batch size."""
 
     def loss_and_grads(net: Network):
         outputs, cache = forward(net, trunk_input, head_extra_inputs)
         diffs = [out - target for out, target in zip(outputs, targets)]
-        loss = sum(float(np.sum(diff * diff)) for diff in diffs)
+        loss = sum(sum_per_copy(diff * diff, net.members) for diff in diffs)
         return loss, lambda: backward(net, cache, [2.0 * diff for diff in diffs])
 
     return loss_and_grads

@@ -178,6 +178,20 @@ def test_report_roundtrip(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
 
 
+def test_report_unwritable_summary_exits_1(tmp_path, capsys):
+    """A summary.csv that cannot be written is a report failure, reported in
+    one line rather than a traceback, after the table."""
+    cli.main(["run", "--method", "none", "--total-episodes", "8", "--results-dir", str(tmp_path)])
+    (tmp_path / "summary.csv").mkdir()
+    capsys.readouterr()
+    code = cli.main(["report", "--results-dir", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "none" in captured.out
+    assert captured.err.startswith("error: ") and "summary.csv" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_report_empty_dir_exits_1(tmp_path, capsys):
     code = cli.main(["report", "--results-dir", str(tmp_path)])
     assert code == 1

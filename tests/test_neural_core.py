@@ -9,7 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curiosity_marl import coma
+from curiosity_marl import curiosity as cur
 from curiosity_marl import neural_core as nc
+
+
+def full_size_case():
+    """A 64x64 two-headed network and its squared-error closure, on inputs
+    away from the leaky-ReLU kink."""
+    rng = np.random.default_rng(21)
+    spec = nc.NetworkSpec(6, (4, 8), hidden_dims=(64, 64), head_extra_input_dims=(0, 5))
+    net = nc.init_network(spec, rng)
+    x = rng.standard_normal((2, 6))
+    extra = rng.standard_normal((2, 5))
+    _, cache = nc.forward(net, x, [None, extra])
+    assert nc.min_kink_distance(cache) > 1e-4
+    targets = [rng.standard_normal((2, 4)), rng.standard_normal((2, 8))]
+    return net, nc.squared_error_loss_closure(x, targets, [None, extra])
 
 
 def small_spec(two_headed=False):
@@ -145,15 +160,7 @@ class TestBackward:
 
     def test_full_size_network_gradients(self):
         """One audit at production scale (64x64 trunk, both head styles)."""
-        rng = np.random.default_rng(21)
-        spec = nc.NetworkSpec(6, (4, 8), hidden_dims=(64, 64), head_extra_input_dims=(0, 5))
-        net = nc.init_network(spec, rng)
-        x = rng.standard_normal((2, 6))
-        extra = rng.standard_normal((2, 5))
-        _, cache = nc.forward(net, x, [None, extra])
-        assert nc.min_kink_distance(cache) > 1e-4
-        targets = [rng.standard_normal((2, 4)), rng.standard_normal((2, 8))]
-        closure = nc.squared_error_loss_closure(x, targets, [None, extra])
+        net, closure = full_size_case()
         assert nc.grad_check(net, closure, h=1e-5) < 1e-6
 
     def test_none_head_skips_gradient(self):
@@ -507,3 +514,128 @@ class TestMemberStack:
             nc.forward(net, rng.standard_normal((2, 4, 3)), [None, rng.standard_normal((4, 3))])
         with pytest.raises(ValueError):
             nc.init_network(small_spec(), rng, members=0)
+
+
+def one_at_a_time(net, closure, h=1e-5):
+    """A grad_check and mutation_control that probe one element at a time,
+    moving it in net itself: (max relative error, each parameter's central
+    differences, mutant's relative error)."""
+
+    def central_difference(flat, i):
+        orig = flat[i]
+        flat[i] = orig + h
+        loss_plus, _ = closure(net)
+        flat[i] = orig - h
+        loss_minus, _ = closure(net)
+        flat[i] = orig
+        return (loss_plus - loss_minus) / (2.0 * h)
+
+    analytic = closure(net)[1]()
+    scale = max(float(np.max(np.abs(a))) for a in analytic)
+    worst, numerics = 0.0, []
+    for p, a in zip(net.parameters(), analytic):
+        flat, ana = p.ravel(), a.ravel().tolist()
+        numerics.append(np.array([central_difference(flat, i) for i in range(flat.size)]))
+        for x, numeric in zip(ana, numerics[-1].tolist()):
+            worst = max(worst, abs(x - numeric) / max(abs(x), abs(numeric), scale, 1e-8))
+    p_idx = max(range(len(analytic)), key=lambda j: float(np.max(np.abs(analytic[j]))))
+    flat_idx = int(np.argmax(np.abs(analytic[p_idx])))
+    numeric = central_difference(net.parameters()[p_idx].ravel(), flat_idx)
+    mutated = -analytic[p_idx].ravel()[flat_idx]
+    mutant = abs(mutated - numeric) / max(abs(mutated), abs(numeric), 1e-8)
+    return worst, numerics, mutant
+
+
+class TestProbeNetworks:
+    """grad_check and mutation_control take every central difference from
+    member-stacked probe networks; each must be what moving one element of
+    the audited network gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_case, seed",
+        [
+            (nc._network_case, 7),
+            (coma._actor_case, 7),
+            (coma._critic_case, 0),
+            (cur._module_case, 0),
+        ],
+        ids=["squared_error", "actor", "critic", "curiosity"],
+    )
+    def test_probes_equal_one_at_a_time_reference(self, make_case, seed, monkeypatch):
+        drawn = []
+        kink_free_draw = nc.kink_free_draw
+
+        def recorded(net, draw, *args):
+            x, extras = kink_free_draw(net, draw, *args)
+            drawn.append((x.shape, extras is not None and extras[-1] is not None))
+            return x, extras
+
+        monkeypatch.setattr(nc, "kink_free_draw", recorded)
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            net, closure = make_case(rng, i)
+            worst, numerics, mutant = one_at_a_time(net, closure)
+            for p_idx, (p, want) in enumerate(zip(net.parameters(), numerics)):
+                got = nc._central_differences(net, closure, p_idx, np.arange(p.size), 1e-5)
+                assert np.array_equal(got, want)
+            assert nc.grad_check(net, closure) == worst
+            assert nc.mutation_control(net, closure) == mutant
+        if make_case is coma._critic_case:
+            # a strided row's dot product sums in another order from batch 4 on
+            assert any(shape[0] >= 4 for shape, _ in drawn)
+        if make_case is cur._module_case:
+            assert ((3, 3, 9), True) in drawn  # a 3-member two-headed stack
+
+    def test_probe_networks_stay_within_probe_floats(self, monkeypatch):
+        """On the 64x64 network, no probe network materializes more
+        parameter floats than PROBE_FLOATS (the unperturbed tensors are
+        zero-stride views), the 4,096-weight layer takes several chunks,
+        every element is probed both ways once, and the result is the
+        one-at-a-time one."""
+        net, closure = full_size_case()
+        probes = []
+        forward = nc.forward
+
+        def recorded(probe, *args, **kwargs):
+            if probe.members > 1:
+                owned = [p.size for p in probe.parameters() if p.strides[0] != 0]
+                probes.append((probe.members, len(owned), sum(owned)))
+            return forward(probe, *args, **kwargs)
+
+        monkeypatch.setattr(nc, "forward", recorded)
+        worst = nc.grad_check(net, closure)
+        sizes = [p.size for p in net.parameters()]
+        assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
+        assert all(n_owned == 1 for _, n_owned, _ in probes)
+        assert sum(copies for copies, _, _ in probes) == 2 * sum(sizes)
+        assert len(probes) > len(sizes)
+        monkeypatch.setattr(nc, "forward", forward)
+        assert worst == one_at_a_time(net, closure)[0]
+
+    def test_stack_probes_copy_every_tensor(self):
+        net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(70), members=3)
+        params = net.parameters()
+        probe = nc._probe_network(net, 2, np.array([0, 5]), 1e-5)
+        assert probe.members == 12
+        for j, (p, q) in enumerate(zip(params, probe.parameters())):
+            assert q.shape == (12, *p.shape[1:]) and not np.shares_memory(p, q)
+            for k in range(4):
+                copy = q[3 * k : 3 * k + 3]
+                if j != 2:
+                    assert np.array_equal(copy, p)
+            if j == 2:
+                moved = q.reshape(4, -1) - p.ravel()
+                assert np.count_nonzero(moved) == 4
+                assert moved[0, 0] > 0 and moved[1, 0] < 0 and moved[2, 5] > 0 and moved[3, 5] < 0
+
+    def test_closure_without_per_copy_losses_is_rejected(self):
+        rng = np.random.default_rng(71)
+        net = nc.init_network(small_spec(), rng)
+        closure = nc.squared_error_loss_closure(rng.standard_normal((2, 3)), [np.zeros((2, 2))])
+
+        def one_loss(n):
+            loss, grads_fn = closure(n)
+            return float(np.sum(loss)), grads_fn
+
+        with pytest.raises(ValueError, match="one loss per copy"):
+            nc.grad_check(net, one_loss)
