@@ -165,24 +165,18 @@ def module_loss_closure(
     which intrinsic rewards are made; grads_fn() returns the gradients of
     the losses' sum, and must run before the next forward of this batch
     size. On a probe network of K copies of a stack of M members with
-    (M, B, in) inputs, the per-member data are tiled per copy and losses
-    is (K * M,), copy after copy."""
+    (M, B, in) inputs, the (M, B, ...) inputs, extras and targets are tiled
+    per copy, and losses is (K * M,), copy after copy."""
     b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):
         x, ex, ts = inputs, extras, targets
         if inputs.ndim == 3 and module.members != len(inputs):
-            members = len(inputs)
-            copies = nc.copies_of(module, members)
+            copies = nc.copies_of(module, len(inputs))
             x = nc.tile_copies(inputs, copies)
             if extras is not None:
                 ex = [None if e is None else nc.tile_copies(e, copies) for e in extras]
-            # per-member targets, (M, B, out) or (1, B, out); shared (B, out) broadcast
-            ts = [
-                t if t.ndim < 3
-                else nc.tile_copies(np.broadcast_to(t, (members, *t.shape[1:])), copies)
-                for t in targets
-            ]
+            ts = [t if t.ndim < 3 else nc.tile_copies(t, copies) for t in targets]
         outputs, cache = nc.forward(module, x, ex)
         diffs = [out - target for out, target in zip(outputs, ts)]
         squares = [diff * diff for diff in diffs]

@@ -612,22 +612,6 @@ class TestProbeNetworks:
         monkeypatch.setattr(nc, "forward", forward)
         assert worst == one_at_a_time(net, closure)[0]
 
-    def test_stack_probes_copy_every_tensor(self):
-        net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(70), members=3)
-        params = net.parameters()
-        probe = nc._probe_network(net, 2, np.array([0, 5]), 1e-5)
-        assert probe.members == 12
-        for j, (p, q) in enumerate(zip(params, probe.parameters())):
-            assert q.shape == (12, *p.shape[1:]) and not np.shares_memory(p, q)
-            for k in range(4):
-                copy = q[3 * k : 3 * k + 3]
-                if j != 2:
-                    assert np.array_equal(copy, p)
-            if j == 2:
-                moved = q.reshape(4, -1) - p.ravel()
-                assert np.count_nonzero(moved) == 4
-                assert moved[0, 0] > 0 and moved[1, 0] < 0 and moved[2, 5] > 0 and moved[3, 5] < 0
-
     def test_closure_without_per_copy_losses_is_rejected(self):
         rng = np.random.default_rng(71)
         net = nc.init_network(small_spec(), rng)
