@@ -491,7 +491,7 @@ def copies_of(net: Network, members: int) -> int:
 
 def tile_copies(a: np.ndarray, copies: int) -> np.ndarray:
     """Per-member data (M, ...) repeated for every copy, (copies * M, ...),
-    for a probe network of copies copies of an M-member network; a itself
+    for a probe network of that many copies of an M-member network; a itself
     for one copy."""
     if copies == 1:
         return a
