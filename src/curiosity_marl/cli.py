@@ -133,10 +133,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         f"curiosity-loss gradient suite: max relative error {module_err:.3e}, "
         f"mutation control {module_mutant:.3e}"
     )
+    # each bound checked on its own: a NaN fails it, where a max or min over
+    # the suites could drop a NaN that does not come first
     ok = (
-        max(net_err, critic_err, module_err) < 1e-6
+        all(err < 1e-6 for err in (net_err, critic_err, module_err))
         and actor_err < 1e-5
-        and min(mutant_err, critic_mutant, module_mutant) > 1e-3
+        and all(err > 1e-3 for err in (mutant_err, critic_mutant, module_mutant))
     )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -236,9 +236,10 @@ def _leaky(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
 
 def _leaky_grad(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
     """Derivative of leaky-ReLU at z into out: 1 where z > 0, else slope.
-    The indices are 0 or 1, so mode="clip" changes no value; it lets take
-    write into out without the copy that its default mode makes."""
-    return np.take((slope, 1.0), np.greater(z, 0.0).view(np.int8), out=out, mode="clip")
+    z > 0 written as a float is 1.0 or 0.0 (NaN compares false), and for
+    0 < slope < 1 the max with slope maps these to exactly 1.0 and slope."""
+    np.greater(z, 0.0, out=out)
+    return np.maximum(out, slope, out=out)
 
 
 def forward(
@@ -400,10 +401,10 @@ def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState
 
 
 # Largest number of parameter floats a probe network of grad_check or
-# mutation_control materializes (8 MB): the copies of the perturbed tensor,
-# and for a stack of several members the copies of every tensor, whose
-# member axis a zero-stride view cannot repeat. A tensor too large for two
-# copies to fit is probed two copies at a time.
+# mutation_control materializes (8 MB): the copies of the tensors its
+# elements fall in, and for a stack of several members the copies of every
+# tensor, whose member axis a zero-stride view cannot repeat. A tensor too
+# large for two copies to fit is probed two copies at a time.
 PROBE_FLOATS = 1 << 20
 
 
@@ -417,8 +418,10 @@ def grad_check(
     loss_and_grads(net) must deterministically return (loss, grads_fn), where
     grads_fn() runs the backward pass of that forward and returns its
     Gradients. Only the analytic side calls grads_fn. The central differences
-    come from probe networks of K copies of net (see the module docstring),
-    on which loss_and_grads must return one loss per copy; each copy's loss
+    of every element of every parameter, in flat parameters() order, come
+    from probe networks of K copies of net (see the module docstring), one
+    per chunk of elements: one for a network of the gradient suites' size.
+    On them loss_and_grads must return one loss per copy; each copy's loss
     is the one net gives with that one element moved, so every difference,
     and so the result, is that of probing one element at a time. Each
     element's error is measured against the network's dominant gradient
@@ -426,58 +429,95 @@ def grad_check(
     cancellation noise) cannot swamp the comparison while any error at
     update-relevant scale still registers. A NaN error is returned as NaN.
     """
-    analytic = loss_and_grads(net)[1]()
-    scale = max(float(np.max(np.abs(a))) for a in analytic)
-    worst = 0.0
-    for p_idx, a in enumerate(analytic):
-        ana = a.ravel()
-        numeric = _central_differences(net, loss_and_grads, p_idx, np.arange(ana.size), h)
-        # |ana - numeric| / max(|ana|, |numeric|, scale, 1e-8), elementwise
-        floor = np.maximum(np.maximum(np.abs(ana), np.abs(numeric)), max(scale, 1e-8))
-        worst = np.maximum(worst, np.max(np.abs(ana - numeric) / floor))
-    return float(worst)
+    ana = _flat_analytic(net, loss_and_grads)
+    numeric = _central_differences(net, loss_and_grads, np.arange(ana.size), h)
+    # |ana - numeric| / max(|ana|, |numeric|, scale, 1e-8), elementwise
+    scale = float(np.max(np.abs(ana)))
+    floor = np.maximum(np.maximum(np.abs(ana), np.abs(numeric)), max(scale, 1e-8))
+    return float(np.max(np.abs(ana - numeric) / floor))
+
+
+def _flat_analytic(net: Network, loss_and_grads) -> np.ndarray:
+    """The analytic gradients of every parameter, concatenated in flat
+    parameters() order."""
+    return np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])
 
 
 def _central_differences(
-    net: Network, loss_and_grads, p_idx: int, elements: np.ndarray, h: float
+    net: Network, loss_and_grads, elements: np.ndarray, h: float
 ) -> np.ndarray:
-    """(loss(p[i] + h) - loss(p[i] - h)) / 2h for each flat index i in
-    elements of net's parameter p_idx, one closure call per chunk of
-    elements whose probe network materializes at most PROBE_FLOATS floats."""
-    params = net.parameters()
-    per_copy = params[p_idx].size if net.members == 1 else sum(p.size for p in params)
-    chunk = max(1, PROBE_FLOATS // (2 * per_copy))
+    """(loss(x[i] + h) - loss(x[i] - h)) / 2h for each index i in elements,
+    ascending indices into the flat concatenation x of net.parameters(); one
+    closure call per chunk of elements (see _chunk_stops)."""
     numeric = np.empty(len(elements))
-    for start in range(0, len(elements), chunk):
-        idx = elements[start : start + chunk]
-        losses = np.asarray(loss_and_grads(_probe_network(net, p_idx, idx, h))[0])
+    start = 0
+    for stop in _chunk_stops(net, elements):
+        idx = elements[start:stop]
+        losses = np.asarray(loss_and_grads(_probe_network(net, idx, h))[0])
         if losses.shape != (2 * len(idx),):
             raise ValueError(
                 f"loss closure returned shape {losses.shape} on a probe network of "
                 f"{2 * len(idx)} copies; it must return one loss per copy"
             )
-        numeric[start : start + len(idx)] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+        numeric[start:stop] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+        start = stop
     return numeric
 
 
-def _probe_network(net: Network, p_idx: int, elements: np.ndarray, h: float) -> Network:
+def _chunk_stops(net: Network, elements: np.ndarray) -> list[int]:
+    """Where each chunk of the ascending flat indices `elements` ends. A
+    chunk grows in order while 2 * (its length) * (the floats of the
+    tensors its elements fall in, or of every tensor for a stack of several
+    members) stays within PROBE_FLOATS, and holds at least one element."""
+    sizes = [p.size for p in net.parameters()]
+    ends = _tensor_ends(sizes, elements)
+    stops: list[int] = []
+    start = 0
+    while start < len(elements):
+        stop, floats = start, 0 if net.members == 1 else sum(sizes)
+        for end, size in zip(ends, sizes):
+            if end <= stop:  # no element of this tensor left
+                continue
+            floats += size if net.members == 1 else 0
+            stop = max(stop, start + 1, min(end, start + PROBE_FLOATS // (2 * floats)))
+            if stop < end:
+                break
+        stops.append(stop)
+        start = stop
+    return stops
+
+
+def _tensor_ends(sizes: list[int], elements: np.ndarray) -> list[int]:
+    """For each tensor in parameters() order, the position in the ascending
+    flat indices `elements` after its last element."""
+    return np.searchsorted(elements, np.cumsum(sizes)).tolist()
+
+
+def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
     """K = 2 * len(elements) copies of net in one stack, copy k as members
-    k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of parameter
-    p_idx plus h, copy 2j + 1 the same element minus h. Only the perturbed
-    tensor is copied for a one-member net; its other parameters are
-    zero-stride views of net's."""
+    k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of the
+    parameters (ascending indices, in parameters() order) plus h, copy 2j + 1
+    the same element minus h. For a one-member net only the tensors the
+    elements fall in are copied; its other parameters are zero-stride views
+    of net's."""
     copies = 2 * len(elements)
-    params = []
-    for j, p in enumerate(net.parameters()):
-        probe = np.broadcast_to(p, (copies, *p.shape))
-        if j == p_idx:
-            probe = probe.copy()
-            flat, orig = probe.reshape(copies, -1), p.ravel()[elements]
-            flat[0::2][np.arange(len(elements)), elements] = orig + h
-            flat[1::2][np.arange(len(elements)), elements] = orig - h
-        # a view for one member; a stack's member axis is copied
-        params.append(probe.reshape(copies * p.shape[0], *p.shape[1:]))
-    return _from_parameters(net.spec, params)
+    params = net.parameters()
+    ends = _tensor_ends([p.size for p in params], elements)
+    probes = []
+    lo = offset = 0
+    for p, hi in zip(params, ends):
+        if hi > lo or net.members > 1:
+            flat = np.empty((copies, p.size))
+            flat[...] = p.reshape(1, -1)
+            j, idx = np.arange(lo, hi), elements[lo:hi] - offset
+            orig = p.reshape(-1)[idx]
+            flat[2 * j, idx] = orig + h
+            flat[2 * j + 1, idx] = orig - h
+            probes.append(flat.reshape(copies * p.shape[0], *p.shape[1:]))
+        else:  # a zero-stride view of the one member, copy after copy
+            probes.append(np.broadcast_to(p, (copies, *p.shape[1:])))
+        lo, offset = hi, offset + p.size
+    return _from_parameters(net.spec, probes)
 
 
 def copies_of(net: Network, members: int) -> int:
@@ -520,14 +560,14 @@ def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
 
     A working checker must report a large value here (the flip doubles the
     discrepancy); this guards against a checker that silently passes
-    everything. The central difference comes from a two-copy probe network,
-    as grad_check's do.
+    everything. The entry is the first largest in flat parameters() order,
+    and its central difference comes from a two-copy probe network, as
+    grad_check's do.
     """
-    analytic = loss_and_grads(net)[1]()
-    p_idx = max(range(len(analytic)), key=lambda j: float(np.max(np.abs(analytic[j]))))
-    flat_idx = int(np.argmax(np.abs(analytic[p_idx])))
-    numeric = _central_differences(net, loss_and_grads, p_idx, np.array([flat_idx]), h)[0]
-    mutated = -analytic[p_idx].ravel()[flat_idx]
+    ana = _flat_analytic(net, loss_and_grads)
+    flat_idx = int(np.argmax(np.abs(ana)))
+    numeric = _central_differences(net, loss_and_grads, np.array([flat_idx]), h)[0]
+    mutated = -ana[flat_idx]
     return abs(mutated - numeric) / max(abs(mutated), abs(numeric), 1e-8)
 
 
@@ -542,7 +582,7 @@ def audit(make_case, n: int, seed: int, h: float = 1e-5) -> tuple[float, float]:
     worst = mutant = 0.0
     for i in range(n):
         net, closure = make_case(rng, i)
-        worst = max(worst, grad_check(net, closure, h))
+        worst = float(np.maximum(worst, grad_check(net, closure, h)))  # NaN sticks
         if i == 0:
             mutant = mutation_control(net, closure, h)
     return worst, mutant

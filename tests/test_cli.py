@@ -134,6 +134,27 @@ def test_gradcheck_small(capsys):
     assert "mutation control" in out
 
 
+@pytest.mark.parametrize(
+    "suite, result",
+    [
+        ("critic_gradient_suite", (float("nan"), 1.0)),
+        ("curiosity_gradient_suite", (float("nan"), 1.0)),
+        ("curiosity_gradient_suite", (0.0, float("nan"))),
+    ],
+    ids=["critic_error", "curiosity_error", "curiosity_mutant"],
+)
+def test_gradcheck_nan_fails(suite, result, capsys, monkeypatch):
+    """A NaN from a suite that is not the first one checked is a failure,
+    not a value the max or min over the suites can drop."""
+    owner = cli.coma if suite.startswith("critic") else cli.cur
+    monkeypatch.setattr(owner, suite, lambda seed: result)
+    code = cli.main(["gradcheck", "--networks", "5"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "nan" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
 @pytest.mark.parametrize("networks", ["0", "-1"])
 def test_gradcheck_without_networks_exits_2(networks, capsys):
     """An audit of no networks checks nothing, so it is a usage error rather

@@ -158,6 +158,29 @@ class TestBackward:
         again = nc.audit(make_case, 3, seed=5)
         assert again == (worst, mutant)
 
+    def test_audit_reports_nan_from_any_case(self):
+        """A case whose losses are NaN fails the audit wherever it comes:
+        Python's max(0.0, nan) is 0.0, so a running max must not drop it."""
+
+        def make_case(rng, i):
+            net = nc.init_network(small_spec(), rng)
+            closure = nc.squared_error_loss_closure(
+                rng.standard_normal((2, 3)), [rng.standard_normal((2, 2))]
+            )
+            if i != 1:
+                return net, closure
+
+            def nan_losses(n):
+                loss, grads_fn = closure(n)
+                return loss * np.nan, grads_fn
+
+            return net, nan_losses
+
+        worst, mutant = nc.audit(make_case, 3, seed=5)
+        assert np.isnan(worst)
+        assert not worst < 1e-6
+        assert mutant > 1e-3
+
     def test_full_size_network_gradients(self):
         """One audit at production scale (64x64 trunk, both head styles)."""
         net, closure = full_size_case()
@@ -546,6 +569,40 @@ def one_at_a_time(net, closure, h=1e-5):
     return worst, numerics, mutant
 
 
+def net_floats(net):
+    return sum(p.size for p in net.parameters())
+
+
+def record_probes(monkeypatch, net):
+    """Patch nc.forward to record, for every forward of a network other
+    than net, (copies of net, indices of the parameters it owns rather than
+    views, floats it owns)."""
+    probes = []
+    forward = nc.forward
+
+    def recorded(probe, *args, **kwargs):
+        if probe is not net:
+            owned = [j for j, p in enumerate(probe.parameters()) if p.strides[0] != 0]
+            floats = sum(probe.parameters()[j].size for j in owned)
+            probes.append((probe.members // net.members, owned, floats))
+        return forward(probe, *args, **kwargs)
+
+    monkeypatch.setattr(nc, "forward", recorded)
+    return probes
+
+
+def tensors_probed(probes, sizes):
+    """For probes that take the flat parameter elements in order, two copies
+    per element, the indices of the tensors each probe's elements fall in."""
+    ends = np.cumsum(sizes)
+    starts, tensors, start = ends - sizes, [], 0
+    for copies, _, _ in probes:
+        stop = start + copies // 2
+        tensors.append([j for j in range(len(sizes)) if starts[j] < stop and ends[j] > start])
+        start = stop
+    return tensors
+
+
 class TestProbeNetworks:
     """grad_check and mutation_control take every central difference from
     member-stacked probe networks; each must be what moving one element of
@@ -575,9 +632,9 @@ class TestProbeNetworks:
         for i in range(20):
             net, closure = make_case(rng, i)
             worst, numerics, mutant = one_at_a_time(net, closure)
-            for p_idx, (p, want) in enumerate(zip(net.parameters(), numerics)):
-                got = nc._central_differences(net, closure, p_idx, np.arange(p.size), 1e-5)
-                assert np.array_equal(got, want)
+            every = np.arange(sum(p.size for p in net.parameters()))
+            got = nc._central_differences(net, closure, every, 1e-5)
+            assert np.array_equal(got, np.concatenate(numerics))
             assert nc.grad_check(net, closure) == worst
             assert nc.mutation_control(net, closure) == mutant
         if make_case is coma._critic_case:
@@ -588,29 +645,74 @@ class TestProbeNetworks:
 
     def test_probe_networks_stay_within_probe_floats(self, monkeypatch):
         """On the 64x64 network, no probe network materializes more
-        parameter floats than PROBE_FLOATS (the unperturbed tensors are
-        zero-stride views), the 4,096-weight layer takes several chunks,
-        every element is probed both ways once, and the result is the
-        one-at-a-time one."""
+        parameter floats than PROBE_FLOATS, a probe owns exactly the tensors
+        its elements fall in (the others are zero-stride views), the
+        4,096-weight layer takes several chunks, every element is probed
+        both ways once, and the result is the one-at-a-time one."""
         net, closure = full_size_case()
-        probes = []
-        forward = nc.forward
-
-        def recorded(probe, *args, **kwargs):
-            if probe.members > 1:
-                owned = [p.size for p in probe.parameters() if p.strides[0] != 0]
-                probes.append((probe.members, len(owned), sum(owned)))
-            return forward(probe, *args, **kwargs)
-
-        monkeypatch.setattr(nc, "forward", recorded)
+        probes = record_probes(monkeypatch, net)
         worst = nc.grad_check(net, closure)
         sizes = [p.size for p in net.parameters()]
         assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
-        assert all(n_owned == 1 for _, n_owned, _ in probes)
+        assert [owned for _, owned, _ in probes] == tensors_probed(probes, sizes)
         assert sum(copies for copies, _, _ in probes) == 2 * sum(sizes)
         assert len(probes) > len(sizes)
-        monkeypatch.setattr(nc, "forward", forward)
+        monkeypatch.undo()
         assert worst == one_at_a_time(net, closure)[0]
+
+    @pytest.mark.parametrize(
+        "make_case, seed",
+        [(nc._network_case, 3), (coma._actor_case, 3), (coma._critic_case, 3), (cur._module_case, 3)],
+        ids=["squared_error", "actor", "critic", "curiosity"],
+    )
+    def test_suite_networks_take_one_probe_forward(self, make_case, seed, monkeypatch):
+        """Every parameter of a network of P floats with 2 P^2 within
+        PROBE_FLOATS, which every network and actor suite case is, is probed
+        in one forward; mutation_control's element takes one for any size.
+        (Two of the curiosity suite's 2- and 3-member stacks are larger.)"""
+        rng = np.random.default_rng(seed)
+        one_forward = 0
+        for i in range(12):
+            net, closure = make_case(rng, i)
+            probes = record_probes(monkeypatch, net)
+            nc.grad_check(net, closure)
+            floats = net_floats(net)
+            if 2 * floats * floats <= nc.PROBE_FLOATS:
+                assert [copies for copies, _, _ in probes] == [2 * floats]
+                one_forward += 1
+            else:
+                assert len(probes) > 1
+            probes.clear()
+            nc.mutation_control(net, closure)
+            assert [copies for copies, _, _ in probes] == [2]
+            monkeypatch.undo()
+        assert one_forward >= 10
+
+    @pytest.mark.parametrize("make_case", [nc._network_case, cur._module_case], ids=["one", "stack"])
+    def test_chunks_across_tensor_boundaries_equal_reference(self, make_case, monkeypatch):
+        """With a small PROBE_FLOATS the chunks of a one-member network
+        span tensor boundaries (and a stack's fall anywhere), and every
+        difference is still the one-at-a-time one, bit for bit."""
+        rng = np.random.default_rng(13)
+        spans = 0
+        for i in range(6):
+            net, closure = make_case(rng, i)
+            worst, numerics, mutant = one_at_a_time(net, closure)
+            sizes = [p.size for p in net.parameters()]
+            monkeypatch.setattr(nc, "PROBE_FLOATS", 16 * max(sizes))
+            probes = record_probes(monkeypatch, net)
+            every = np.arange(sum(sizes))
+            got = nc._central_differences(net, closure, every, 1e-5)
+            assert np.array_equal(got, np.concatenate(numerics))
+            assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
+            assert len(probes) > 1
+            if net.members == 1:
+                assert [owned for _, owned, _ in probes] == tensors_probed(probes, sizes)
+                spans += sum(len(owned) > 1 for _, owned, _ in probes)
+            assert nc.grad_check(net, closure) == worst
+            assert nc.mutation_control(net, closure) == mutant
+            monkeypatch.undo()
+        assert spans > 0
 
     def test_closure_without_per_copy_losses_is_rejected(self):
         rng = np.random.default_rng(71)
