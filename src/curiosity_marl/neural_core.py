@@ -23,10 +23,15 @@ layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
 Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
 element raised by h and copy 2j + 1 with it lowered, and runs every probe of
-a chunk in one forward. A loss closure therefore takes a network of K times
-the members its data describe and returns one loss per copy, (K,), each
-bit for bit the loss it returns for that copy alone; called on the audited
-network itself (the trained path) it returns one float as before.
+a chunk in one forward. Chunks run over the flat index of all parameters, in
+parameters() order and across tensor boundaries, and are bounded by
+PROBE_FLOATS: a network of P parameter floats with 2 * P * P within it (P up
+to 724, every network of the network and actor suites) is audited in one
+probe forward, and a 64x64 network in about one chunk per tensor. A loss
+closure therefore takes a network of K times the members its data describe
+and returns one loss per copy, (K,), each bit for bit the loss it returns
+for that copy alone; called on the audited network itself (the trained
+path) it returns one float as before.
 copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
 Each stack keeps one set of trunk work arrays, (M, B, width), per batch
@@ -420,7 +425,7 @@ def grad_check(
     Gradients. Only the analytic side calls grads_fn. The central differences
     of every element of every parameter, in flat parameters() order, come
     from probe networks of K copies of net (see the module docstring), one
-    per chunk of elements: one for a network of the gradient suites' size.
+    per chunk of elements: one in all for a network of up to 724 floats.
     On them loss_and_grads must return one loss per copy; each copy's loss
     is the one net gives with that one element moved, so every difference,
     and so the result, is that of probing one element at a time. Each
@@ -429,18 +434,12 @@ def grad_check(
     cancellation noise) cannot swamp the comparison while any error at
     update-relevant scale still registers. A NaN error is returned as NaN.
     """
-    ana = _flat_analytic(net, loss_and_grads)
+    ana = np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])  # flat order
     numeric = _central_differences(net, loss_and_grads, np.arange(ana.size), h)
     # |ana - numeric| / max(|ana|, |numeric|, scale, 1e-8), elementwise
     scale = float(np.max(np.abs(ana)))
     floor = np.maximum(np.maximum(np.abs(ana), np.abs(numeric)), max(scale, 1e-8))
     return float(np.max(np.abs(ana - numeric) / floor))
-
-
-def _flat_analytic(net: Network, loss_and_grads) -> np.ndarray:
-    """The analytic gradients of every parameter, concatenated in flat
-    parameters() order."""
-    return np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])
 
 
 def _central_differences(
@@ -464,33 +463,27 @@ def _central_differences(
     return numeric
 
 
-def _chunk_stops(net: Network, elements: np.ndarray) -> list[int]:
+def _chunk_stops(net: Network, elements: np.ndarray):
     """Where each chunk of the ascending flat indices `elements` ends. A
     chunk grows in order while 2 * (its length) * (the floats of the
     tensors its elements fall in, or of every tensor for a stack of several
     members) stays within PROBE_FLOATS, and holds at least one element."""
     sizes = [p.size for p in net.parameters()]
-    ends = _tensor_ends(sizes, elements)
-    stops: list[int] = []
+    ends = np.searchsorted(elements, np.cumsum(sizes)).tolist()  # past each tensor's last
+    one_member = net.members == 1
     start = 0
     while start < len(elements):
-        stop, floats = start, 0 if net.members == 1 else sum(sizes)
+        stop, floats = start, 0 if one_member else sum(sizes)
         for end, size in zip(ends, sizes):
             if end <= stop:  # no element of this tensor left
                 continue
-            floats += size if net.members == 1 else 0
+            if one_member:
+                floats += size
             stop = max(stop, start + 1, min(end, start + PROBE_FLOATS // (2 * floats)))
             if stop < end:
                 break
-        stops.append(stop)
+        yield stop
         start = stop
-    return stops
-
-
-def _tensor_ends(sizes: list[int], elements: np.ndarray) -> list[int]:
-    """For each tensor in parameters() order, the position in the ascending
-    flat indices `elements` after its last element."""
-    return np.searchsorted(elements, np.cumsum(sizes)).tolist()
 
 
 def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
@@ -502,7 +495,7 @@ def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
     of net's."""
     copies = 2 * len(elements)
     params = net.parameters()
-    ends = _tensor_ends([p.size for p in params], elements)
+    ends = np.searchsorted(elements, np.cumsum([p.size for p in params])).tolist()
     probes = []
     lo = offset = 0
     for p, hi in zip(params, ends):
@@ -564,7 +557,7 @@ def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
     and its central difference comes from a two-copy probe network, as
     grad_check's do.
     """
-    ana = _flat_analytic(net, loss_and_grads)
+    ana = np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])
     flat_idx = int(np.argmax(np.abs(ana)))
     numeric = _central_differences(net, loss_and_grads, np.array([flat_idx]), h)[0]
     mutated = -ana[flat_idx]

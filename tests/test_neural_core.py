@@ -569,10 +569,6 @@ def one_at_a_time(net, closure, h=1e-5):
     return worst, numerics, mutant
 
 
-def net_floats(net):
-    return sum(p.size for p in net.parameters())
-
-
 def record_probes(monkeypatch, net):
     """Patch nc.forward to record, for every forward of a network other
     than net, (copies of net, indices of the parameters it owns rather than
@@ -661,22 +657,22 @@ class TestProbeNetworks:
         assert worst == one_at_a_time(net, closure)[0]
 
     @pytest.mark.parametrize(
-        "make_case, seed",
-        [(nc._network_case, 3), (coma._actor_case, 3), (coma._critic_case, 3), (cur._module_case, 3)],
+        "make_case",
+        [nc._network_case, coma._actor_case, coma._critic_case, cur._module_case],
         ids=["squared_error", "actor", "critic", "curiosity"],
     )
-    def test_suite_networks_take_one_probe_forward(self, make_case, seed, monkeypatch):
+    def test_suite_networks_take_one_probe_forward(self, make_case, monkeypatch):
         """Every parameter of a network of P floats with 2 P^2 within
         PROBE_FLOATS, which every network and actor suite case is, is probed
         in one forward; mutation_control's element takes one for any size.
         (Two of the curiosity suite's 2- and 3-member stacks are larger.)"""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         one_forward = 0
         for i in range(12):
             net, closure = make_case(rng, i)
             probes = record_probes(monkeypatch, net)
             nc.grad_check(net, closure)
-            floats = net_floats(net)
+            floats = sum(p.size for p in net.parameters())
             if 2 * floats * floats <= nc.PROBE_FLOATS:
                 assert [copies for copies, _, _ in probes] == [2 * floats]
                 one_forward += 1
@@ -688,7 +684,9 @@ class TestProbeNetworks:
             monkeypatch.undo()
         assert one_forward >= 10
 
-    @pytest.mark.parametrize("make_case", [nc._network_case, cur._module_case], ids=["one", "stack"])
+    @pytest.mark.parametrize(
+        "make_case", [nc._network_case, cur._module_case], ids=["one", "stack"]
+    )
     def test_chunks_across_tensor_boundaries_equal_reference(self, make_case, monkeypatch):
         """With a small PROBE_FLOATS the chunks of a one-member network
         span tensor boundaries (and a stack's fall anywhere), and every
