@@ -138,7 +138,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     ok = (
         all(err < 1e-6 for err in (net_err, critic_err, module_err))
         and actor_err < 1e-5
-        and all(err > 1e-3 for err in (mutant_err, critic_mutant, module_mutant))
+        and all(err > nc.MUTANT_MIN for err in (mutant_err, critic_mutant, module_mutant))
     )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -193,9 +193,9 @@ def floor_mix(logits: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
-    """Floor-mixed action distributions, one per row of the policy network's
-    output: obs is one observation (d,) or a batch (B, d) for a one-member
-    network, or (N, B, d), agent by agent, for a policy stack."""
+    """Floor-mixed action distributions (N, B, 5), one per row of the policy
+    network's output: obs is (N, B, d), agent by agent, for a stack of N
+    policies, or a batch (B, d) shared by them."""
     outputs, _ = nc.forward(network, obs)
     logits = outputs[0]
     if not np.all(np.isfinite(logits)):
@@ -331,7 +331,8 @@ def _critic_batch(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig):
     x = buf.critic_x.transpose(0, 2, 1, 3).reshape(e * n * t_max, -1)
     taken = buf.actions.transpose(0, 2, 1).reshape(-1)
     forwarded = nc.forward(critic.network, x)
-    q_taken = forwarded[0][0][np.arange(len(taken)), taken].reshape(e, n, t_max)
+    (q,), _ = forwarded
+    q_taken = q[0, np.arange(len(taken)), taken].reshape(e, n, t_max)
     targets = td_lambda_targets(  # (T, E, N)
         buf.mixed.transpose(1, 0, 2), q_taken.transpose(2, 0, 1), cfg.gamma, cfg.td_lambda
     )
@@ -342,27 +343,27 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     """(loss, grads_fn) closure for the critic's regression: the mean over
     rows of (Q(x)[taken] - target)^2. Only the taken action's output gets a
     gradient. A caller that has run nc.forward(net, x) may pass its result
-    as forwarded instead of having it run again. On a probe network of K
-    copies of the one-member critic the loss is each copy's, (K,).
-    grads_fn() must run before the next forward of this batch size."""
+    as forwarded instead of having it run again. The loss is each copy's,
+    (K,) on a probe network of K copies of the one-member critic and (1,) on
+    the critic itself. grads_fn() must run before the next forward of this
+    batch size."""
     b = len(taken)
     rows = np.arange(b)
 
     def loss_and_grads(net: nc.Network, forwarded=None):
         (q,), cache = nc.forward(net, x) if forwarded is None else forwarded
-        # (B,), or (K, B) for K copies, one contiguous row per copy
-        diff = np.ascontiguousarray(q[..., rows, taken] - targets)
+        # (K, B), one contiguous row per copy
+        diff = np.ascontiguousarray(q[:, rows, taken] - targets)
 
         def grads_fn():
             out_grad = np.zeros_like(q)
-            out_grad[rows, taken] = 2.0 * diff / b
+            out_grad[:, rows, taken] = 2.0 * diff / b
             return nc.backward(net, cache, [out_grad])
 
         # diff @ diff per copy: a stacked (1, B) @ (B, 1) product over
         # contiguous rows takes the dot product diff @ diff takes for one
         # copy, bit for bit; a strided row may sum in another order
-        loss = np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0] / b
-        return (float(loss) if loss.ndim == 0 else loss), grads_fn
+        return np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0] / b, grads_fn
 
     return loss_and_grads
 
@@ -379,7 +380,7 @@ def critic_update(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig) -
         nc.adam_step(critic.opt, critic.network, grads_fn())
         losses.append(loss)
         forwarded = None
-    return losses[0]
+    return float(losses[0][0])
 
 
 def critic_gradient_suite(
@@ -438,24 +439,20 @@ def actor_loss_closure(
     epsilon: float,
     entropy_coeff: float,
 ):
-    """(loss, grads_fn) closure over a frozen step batch: obs (B, d) for one
-    policy, or (N, B, d) with actions and advantages (N, B) for a policy
-    stack, whose loss is the sum of the agents' losses. actor_update trains
-    on it and actor_gradient_suite audits it. On a probe network of K copies
-    the loss is each copy's, (K,). grads_fn() must run before the next
+    """(loss, grads_fn) closure over a frozen step batch of a stack of N
+    policies: obs (N, B, d), actions and advantages (N, B). The loss is the
+    sum of the agents' losses, one per copy: (1,) on the stack itself, (K,)
+    on a probe network of K copies of it. actor_update trains on it and
+    actor_gradient_suite audits it. grads_fn() must run before the next
     forward of this batch size."""
-    obs = np.atleast_2d(np.asarray(obs, float))
+    obs = np.asarray(obs, float)
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)
-    members = len(obs) if obs.ndim == 3 else 1
 
     def loss_and_grads(net: nc.Network):
-        copies = nc.copies_of(net, members)
-        x, u, adv = obs, actions, advantages
-        if copies > 1:  # every copy's (M, B) rows, copy after copy
-            if obs.ndim == 3:
-                x = nc.tile_copies(obs, copies)
-            u, adv = (nc.tile_copies(a.reshape(members, -1), copies) for a in (u, adv))
+        copies = nc.copies_of(net, len(obs))
+        # every copy's (N, B) rows, copy after copy
+        x, u, adv = (nc.tile_copies(a, copies) for a in (obs, actions, advantages))
         outputs, cache = nc.forward(net, x)
         probs = floor_mix(outputs[0], epsilon)
         loss, dl_dz = actor_loss_grads(probs, u, adv, epsilon, entropy_coeff)
@@ -466,8 +463,11 @@ def actor_loss_closure(
 
 def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -> float:
     """Finite-difference audit of the actor surrogate gradient on random
-    small policies and frozen batches; returns the max relative error."""
-    return nc.audit(_actor_case, n_policies, seed, h)[0]
+    small policies and frozen batches; returns the max relative error, or
+    NaN, which fails every error bound, when the sign-flip mutant from the
+    first policy does not show an error above nc.MUTANT_MIN."""
+    worst, mutant = nc.audit(_actor_case, n_policies, seed, h)
+    return worst if mutant > nc.MUTANT_MIN else float("nan")
 
 
 def _actor_case(rng: np.random.Generator, i: int):
@@ -478,7 +478,7 @@ def _actor_case(rng: np.random.Generator, i: int):
     obs, _ = nc.kink_free_draw(net, lambda: (rng.standard_normal((batch, obs_dim)), None))
     actions = rng.integers(0, N_ACTIONS, size=batch)
     advantages = rng.standard_normal(batch)
-    return net, actor_loss_closure(obs, actions, advantages, 0.05, 0.01)
+    return net, actor_loss_closure(obs[None], actions[None], advantages[None], 0.05, 0.01)
 
 
 def actor_update(
@@ -501,7 +501,7 @@ def actor_update(
     joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
     b = actions.shape[0]
     probs = buf.probs.reshape(b, n, N_ACTIONS)
-    q_all, _ = nc.forward(critic.network, buf.critic_x.reshape(b * n, -1))
+    (q_all,), _ = nc.forward(critic.network, buf.critic_x.reshape(b * n, -1))
     q_all = q_all[0].reshape(b, n, N_ACTIONS)
     # agent-major and contiguous, so each agent's z-score reduces one
     # contiguous run, as a 1-D array's does
@@ -517,7 +517,7 @@ def actor_update(
     )
     loss, grads_fn = closure(policies.network)
     nc.adam_step(policies.opt, policies.network, grads_fn())
-    return loss
+    return float(loss[0])
 
 
 def train_round(

@@ -171,7 +171,7 @@ def module_loss_closure(
 
     def loss_and_grads(module: nc.Network):
         x, ex, ts = inputs, extras, targets
-        if inputs.ndim == 3 and module.members != len(inputs):
+        if inputs.ndim == 3:  # every copy's (M, B) rows, copy after copy
             copies = nc.copies_of(module, len(inputs))
             x = nc.tile_copies(inputs, copies)
             if extras is not None:
@@ -239,8 +239,9 @@ def curiosity_gradient_suite(
     """Finite-difference audit of the forward-model losses on random small
     stacks of 1-3 modules and frozen batches, alternating one- and
     two-headed shapes; the audited loss is the sum of the members' losses,
-    taken per copy on a probe network. Returns (max relative error, relative
-    error of the sign-flip mutant from the first stack)."""
+    one per copy: (1,) on the stack, (K,) on a probe network. Returns (max
+    relative error, relative error of the sign-flip mutant from the first
+    stack)."""
     return nc.audit(_module_case, n_modules, seed, h)
 
 

@@ -391,7 +391,7 @@ def load_run(results_dir: str, rid: str) -> RunSummary:
     total = cfg.resolved_total_episodes
     last = rows[-1]["episode"] if rows else 0
     if last != total:
-        raise IncompleteRunError(f"run {rid}: CSV ends at episode {last} of {total}")
+        raise IncompleteRunError(f"CSV ends at episode {last} of {total}")
     threshold = 0.9 * total
     weighted = 0.0
     weight = 0.0
@@ -419,8 +419,8 @@ def load_results(results_dir: str) -> list[RunSummary]:
             continue
         try:
             out.append(load_run(results_dir, rid))
-        except IncompleteRunError as e:
-            logger.warning("%s, skipping", e)
+        except ValueError as e:  # incomplete, or a sidecar or CSV that does not parse
+            logger.warning("run %s: %s, skipping", rid, e)
     return out
 
 

@@ -10,10 +10,9 @@ Every Network is a stack of M members with one spec: weights are
 Agents that own one network each (the policies, the per-agent curiosity
 modules) are one stack, trained by one forward, backward and Adam step; the
 critic is a stack of one. A trunk input of shape (M, B, in) gives each member
-its own rows, and a (B, in) matrix or (in,) vector is shared by all. Outputs
-are (M, B, out), without the member axis for a shared input to one member
-and without the batch axis for a vector. Each member's arithmetic is a
-one-member network's, bit for bit: stacked products run one 2-D BLAS call
+its own rows, and a (B, in) matrix is shared by all; outputs, and the output
+gradients backward takes, are always (M, B, out). Each member's arithmetic is
+a one-member network's, bit for bit: stacked products run one 2-D BLAS call
 per member, and batch reductions keep the one-member axis and layout. Each
 parameter is one C-contiguous array, updated only in place, so the
 transposed views a forward multiplies by are built once per network.
@@ -24,14 +23,14 @@ Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
 element raised by h and copy 2j + 1 with it lowered, and runs every probe of
 a chunk in one forward. Chunks run over the flat index of all parameters, in
-parameters() order and across tensor boundaries, and are bounded by
-PROBE_FLOATS: a network of P parameter floats with 2 * P * P within it (P up
-to 724, every network of the network and actor suites) is audited in one
-probe forward, and a 64x64 network in about one chunk per tensor. A loss
-closure therefore takes a network of K times the members its data describe
-and returns one loss per copy, (K,), each bit for bit the loss it returns
-for that copy alone; called on the audited network itself (the trained
-path) it returns one float as before.
+parameters() order and across tensor boundaries, and every chunk but the
+last has the one length that keeps a probe's parameter floats within
+PROBE_FLOATS: a network of P floats (every member counted) with 2 * P * P
+within it (P up to 724, every network of the network and actor suites) is
+audited in one probe forward. A loss closure therefore takes a network of
+K times the members its data describe and returns one loss per copy, (K,),
+each bit for bit the loss it returns for that copy alone; the trained path
+is the K = 1 case and gets a (1,) array.
 copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
 Each stack keeps one set of trunk work arrays, (M, B, width), per batch
@@ -154,7 +153,6 @@ def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
 class ForwardCache:
     rows: np.ndarray  # trunk input as (M, B, in), or (B, in) shared by every member
     head_inputs: list[np.ndarray]  # (M, B, trunk_out + extra) per head, views of buffers
-    lead: tuple[int, ...]  # the leading shape of the outputs the caller got
     buffers: _Buffers  # the network's work arrays for this batch size
     generation: int  # buffers.generation when this forward filled them
 
@@ -252,8 +250,9 @@ def forward(
     trunk_input: np.ndarray,
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ) -> tuple[list[np.ndarray], ForwardCache]:
-    """Run the trunk and all heads of every member on an (in,) vector, a
-    (B, in) matrix shared by every member, or (M, B, in) rows per member.
+    """Run the trunk and all heads of every member on (M, B, in) rows per
+    member, or a (B, in) matrix shared by every member; each head's output
+    is (M, B, out).
 
     head_extra_inputs[k] is concatenated to the trunk output before head k's
     affine layer and has the trunk input's leading shape; pass None for heads
@@ -262,29 +261,20 @@ def forward(
     spec = net.spec
     members = net.trunk_w[0].shape[0]
     x = np.asarray(trunk_input, dtype=float)
-    nd = x.ndim
-    if not 1 <= nd <= 3 or x.shape[-1] != spec.input_dim:
-        raise ValueError(f"trunk input shape {x.shape} does not end in spec {spec.input_dim}")
-    if nd == 3 and x.shape[0] != members:
+    if not 2 <= x.ndim <= 3 or x.shape[-1] != spec.input_dim:
+        raise ValueError(
+            f"trunk input shape {x.shape} is neither (M, B, in) nor (B, in), in = {spec.input_dim}"
+        )
+    if x.ndim == 3 and x.shape[0] != members:
         raise ValueError(f"trunk input has {x.shape[0]} members, network {members}")
     if head_extra_inputs is None:
         head_extra_inputs = [None] * spec.n_heads
     if len(head_extra_inputs) != spec.n_heads:
         raise ValueError("one extra input (or None) per head required")
-    # the caller's view of an (M, B, out) output: without the member axis for
-    # a shared input to one member, without the batch axis for a vector
-    lead = x.shape[:-1]
-    if nd == 3:
-        pick = ()
-    elif members == 1:
-        pick = (0,) if nd == 2 else (0, 0)
-    else:
-        pick, lead = (() if nd == 2 else (slice(None), 0)), (members, *lead)
-    rows = x if nd > 1 else x[None, :]
 
-    bufs = _buffers_for(net, rows.shape[-2])
+    bufs = _buffers_for(net, x.shape[-2])
     bufs.generation += 1
-    a = rows
+    a = x
     for wt, b, z, act in zip(net._trunk_wt, net.trunk_b, bufs.z, bufs.a):
         np.matmul(a, wt, out=z)
         z += b
@@ -312,42 +302,33 @@ def forward(
         head_inputs.append(h_in)
         out = np.matmul(h_in, wt)
         out += b
-        outputs.append(out[pick] if pick else out)
+        outputs.append(out)
 
-    cache = ForwardCache(rows, head_inputs, lead, bufs, bufs.generation)
+    cache = ForwardCache(x, head_inputs, bufs, bufs.generation)
     return outputs, cache
 
 
-def backward(
-    net: Network, cache: ForwardCache, head_output_grads: list[np.ndarray | None]
-) -> Gradients:
-    """Exact parameter gradients for the scalar loss whose per-head output
-    gradients are supplied, in the shape of the outputs; heads sum through
-    the shared trunk. Pass None to skip a head entirely.
-
-    Batched caches accumulate (sum) over the batch dimension, each member
-    over its own rows.
+def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarray]) -> Gradients:
+    """Exact parameter gradients for the scalar loss whose output gradients
+    are supplied, one (M, B, out) array per head, as forward returned the
+    outputs; heads sum through the shared trunk, and each member sums over
+    its own rows.
     """
     spec = net.spec
     if len(head_output_grads) != spec.n_heads:
-        raise ValueError("one output grad (or None) per head required")
+        raise ValueError("one output grad per head required")
     cache.check_live()
     bufs = cache.buffers
     trunk_out_dim = spec.hidden_dims[-1]
 
     head_w_grads, head_b_grads, gys = [], [], []
-    for k, (w, gy, h_in) in enumerate(zip(net.head_w, head_output_grads, cache.head_inputs)):
-        if gy is None:
-            head_w_grads.append(np.zeros_like(w))
-            head_b_grads.append(np.zeros_like(net.head_b[k]))
-        else:
-            gy = np.asarray(gy, dtype=float)
-            want = (*cache.lead, spec.output_dims[k])
-            if gy.shape != want:
-                raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
-            gy = gy.reshape(h_in.shape[:-1] + (-1,))
-            head_w_grads.append(np.matmul(gy.swapaxes(1, 2), h_in))
-            head_b_grads.append(gy.sum(axis=1, keepdims=True))
+    for k, (gy, h_in) in enumerate(zip(head_output_grads, cache.head_inputs)):
+        gy = np.asarray(gy, dtype=float)
+        want = (*h_in.shape[:-1], spec.output_dims[k])
+        if gy.shape != want:
+            raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
+        head_w_grads.append(np.matmul(gy.swapaxes(1, 2), h_in))
+        head_b_grads.append(gy.sum(axis=1, keepdims=True))
         gys.append(gy)
     bufs.generation += 1  # the work arrays are overwritten below
 
@@ -358,8 +339,7 @@ def backward(
     d_a = bufs.a[last]
     d_a.fill(0.0)
     for w, gy in zip(net.head_w, gys):
-        if gy is not None:
-            d_a += np.matmul(gy, w[:, :, :trunk_out_dim], out=_scratch(bufs, d_a))
+        d_a += np.matmul(gy, w[:, :, :trunk_out_dim], out=_scratch(bufs, d_a))
 
     trunk_w_grads, trunk_b_grads = [], []
     for layer in range(last, -1, -1):
@@ -406,10 +386,8 @@ def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState
 
 
 # Largest number of parameter floats a probe network of grad_check or
-# mutation_control materializes (8 MB): the copies of the tensors its
-# elements fall in, and for a stack of several members the copies of every
-# tensor, whose member axis a zero-stride view cannot repeat. A tensor too
-# large for two copies to fit is probed two copies at a time.
+# mutation_control holds (8 MB): 2 * (its elements) copies of every tensor.
+# A network too large for two copies to fit is probed two copies at a time.
 PROBE_FLOATS = 1 << 20
 
 
@@ -447,68 +425,42 @@ def _central_differences(
 ) -> np.ndarray:
     """(loss(x[i] + h) - loss(x[i] - h)) / 2h for each index i in elements,
     ascending indices into the flat concatenation x of net.parameters(); one
-    closure call per chunk of elements (see _chunk_stops)."""
+    closure call per chunk of elements. Every chunk but the last holds the
+    most elements whose probe network, 2 * (elements) * P floats for a net
+    of P parameter floats, fits within PROBE_FLOATS, and at least one."""
     numeric = np.empty(len(elements))
-    start = 0
-    for stop in _chunk_stops(net, elements):
-        idx = elements[start:stop]
+    chunk = max(1, PROBE_FLOATS // (2 * sum(p.size for p in net.parameters())))
+    for start in range(0, len(elements), chunk):
+        idx = elements[start : start + chunk]
         losses = np.asarray(loss_and_grads(_probe_network(net, idx, h))[0])
         if losses.shape != (2 * len(idx),):
             raise ValueError(
                 f"loss closure returned shape {losses.shape} on a probe network of "
                 f"{2 * len(idx)} copies; it must return one loss per copy"
             )
-        numeric[start:stop] = (losses[0::2] - losses[1::2]) / (2.0 * h)
-        start = stop
+        numeric[start : start + chunk] = (losses[0::2] - losses[1::2]) / (2.0 * h)
     return numeric
-
-
-def _chunk_stops(net: Network, elements: np.ndarray):
-    """Where each chunk of the ascending flat indices `elements` ends. A
-    chunk grows in order while 2 * (its length) * (the floats of the
-    tensors its elements fall in, or of every tensor for a stack of several
-    members) stays within PROBE_FLOATS, and holds at least one element."""
-    sizes = [p.size for p in net.parameters()]
-    ends = np.searchsorted(elements, np.cumsum(sizes)).tolist()  # past each tensor's last
-    one_member = net.members == 1
-    start = 0
-    while start < len(elements):
-        stop, floats = start, 0 if one_member else sum(sizes)
-        for end, size in zip(ends, sizes):
-            if end <= stop:  # no element of this tensor left
-                continue
-            if one_member:
-                floats += size
-            stop = max(stop, start + 1, min(end, start + PROBE_FLOATS // (2 * floats)))
-            if stop < end:
-                break
-        yield stop
-        start = stop
 
 
 def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
     """K = 2 * len(elements) copies of net in one stack, copy k as members
     k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of the
     parameters (ascending indices, in parameters() order) plus h, copy 2j + 1
-    the same element minus h. For a one-member net only the tensors the
-    elements fall in are copied; its other parameters are zero-stride views
-    of net's."""
+    the same element minus h. Every tensor holds its own values for every
+    copy; none is a view of net's."""
     copies = 2 * len(elements)
     params = net.parameters()
     ends = np.searchsorted(elements, np.cumsum([p.size for p in params])).tolist()
     probes = []
     lo = offset = 0
     for p, hi in zip(params, ends):
-        if hi > lo or net.members > 1:
-            flat = np.empty((copies, p.size))
-            flat[...] = p.reshape(1, -1)
-            j, idx = np.arange(lo, hi), elements[lo:hi] - offset
-            orig = p.reshape(-1)[idx]
-            flat[2 * j, idx] = orig + h
-            flat[2 * j + 1, idx] = orig - h
-            probes.append(flat.reshape(copies * p.shape[0], *p.shape[1:]))
-        else:  # a zero-stride view of the one member, copy after copy
-            probes.append(np.broadcast_to(p, (copies, *p.shape[1:])))
+        flat = np.empty((copies, p.size))
+        flat[...] = p.reshape(1, -1)
+        j, idx = np.arange(lo, hi), elements[lo:hi] - offset
+        orig = p.reshape(-1)[idx]
+        flat[2 * j, idx] = orig + h
+        flat[2 * j + 1, idx] = orig - h
+        probes.append(flat.reshape(copies * p.shape[0], *p.shape[1:]))
         lo, offset = hi, offset + p.size
     return _from_parameters(net.spec, probes)
 
@@ -524,20 +476,16 @@ def copies_of(net: Network, members: int) -> int:
 
 def tile_copies(a: np.ndarray, copies: int) -> np.ndarray:
     """Per-member data (M, ...) repeated for every copy, (copies * M, ...),
-    for a probe network of that many copies of an M-member network; a itself
-    for one copy."""
-    if copies == 1:
-        return a
+    for a network of that many copies of an M-member network: a read-only
+    view of a for one copy."""
     return np.broadcast_to(a, (copies, *a.shape)).reshape(copies * len(a), *a.shape[1:])
 
 
-def sum_per_copy(a: np.ndarray, copies: int):
-    """The sum of a's entries: a float for one copy; for several, (copies,),
-    each copy's sum over its equal share of a's leading axis. A share is
-    one contiguous run, summed as the one-copy sum sums its whole array, so
-    each copy's sum is bit for bit the one that copy alone gives."""
-    if copies == 1:
-        return float(np.sum(a))
+def sum_per_copy(a: np.ndarray, copies: int) -> np.ndarray:
+    """Each copy's sum of a's entries, (copies,), over its equal share of
+    a's leading axis. A share is one contiguous run, summed as a whole
+    array's entries are, so each copy's sum is bit for bit the one that copy
+    alone gives."""
     return np.sum(a.reshape(copies, -1), axis=1)
 
 
@@ -546,6 +494,11 @@ def min_kink_distance(cache: ForwardCache) -> float:
     only trustworthy when this comfortably exceeds the probe step."""
     cache.check_live()
     return min(float(np.min(np.abs(z))) for z in cache.buffers.z)
+
+
+# Least relative error the sign-flip mutant of mutation_control must show for
+# a checker to count as able to fail a wrong gradient.
+MUTANT_MIN = 1e-3
 
 
 def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
@@ -640,9 +593,10 @@ def squared_error_loss_closure(
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ):
     """(loss, grads_fn) closure for sum over heads of ||output - target||^2
-    of a one-member network, on a trunk input (B, in) or (in,); on a stack
-    of K members, such as a probe network, the loss is each member's, (K,).
-    grads_fn() must run before the next forward of this batch size."""
+    of each member of a network, on a trunk input (B, in) shared by them,
+    with (B, out) targets: (K,) losses for K members, (1,) for a one-member
+    network and one per copy for its probe network. grads_fn() must run
+    before the next forward of this batch size."""
 
     def loss_and_grads(net: Network):
         outputs, cache = forward(net, trunk_input, head_extra_inputs)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import numpy as np
 import pytest
 
 from curiosity_marl import cli, harness
@@ -155,6 +156,26 @@ def test_gradcheck_nan_fails(suite, result, capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL"
 
 
+def test_gradcheck_fails_on_lost_actor_mutant(capsys, monkeypatch):
+    """A sign-flip mutant that the actor's checker does not catch makes the
+    actor suite's error NaN, which fails gradcheck; the other suites keep
+    their mutants."""
+    mutation_control = cli.nc.mutation_control
+
+    def actor_mutant_lost(net, closure, h=1e-5):
+        if closure.__qualname__.startswith("actor_loss_closure"):
+            return 0.0
+        return mutation_control(net, closure, h)
+
+    monkeypatch.setattr(cli.nc, "mutation_control", actor_mutant_lost)
+    assert np.isnan(cli.coma.actor_gradient_suite(n_policies=2))
+    code = cli.main(["gradcheck", "--networks", "5"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "actor-loss gradient suite: max relative error nan" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
 @pytest.mark.parametrize("networks", ["0", "-1"])
 def test_gradcheck_without_networks_exits_2(networks, capsys):
     """An audit of no networks checks nothing, so it is a usage error rather
@@ -211,6 +232,28 @@ def test_report_unwritable_summary_exits_1(tmp_path, capsys):
     assert "none" in captured.out
     assert captured.err.startswith("error: ") and "summary.csv" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_report_skips_malformed_run(tmp_path, capsys, caplog):
+    """A run whose sidecar does not parse is left out of the report with a
+    warning, and the report of the other runs succeeds."""
+    for seed in ("0", "1"):
+        cli.main(
+            [
+                "run", "--method", "none", "--seed", seed, "--total-episodes", "8",
+                "--results-dir", str(tmp_path),
+            ]
+        )
+    sidecar = tmp_path / "none_same_landmark_2ag_s1.config"
+    sidecar.write_text(sidecar.read_text().replace("method = none", "method = bogus"))
+    capsys.readouterr()
+    code = cli.main(["report", "--results-dir", str(tmp_path)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    table = captured.out.splitlines()
+    assert any(line.split()[0] == "none" and line.split()[3] == "1" for line in table[2:])
+    assert any("none_same_landmark_2ag_s1" in r.getMessage() for r in caplog.records)
 
 
 def test_report_empty_dir_exits_1(tmp_path, capsys):

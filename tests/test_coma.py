@@ -89,7 +89,7 @@ def test_policy_probs_uniform_at_zero_logits():
     rng = np.random.default_rng(0)
     net = zero_network(nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng))
     for eps in (0.0, 0.02, 0.1):
-        p = coma.policy_probs(net, np.zeros(4), eps)
+        p = coma.policy_probs(net, np.zeros((1, 4)), eps)
         # (1 - 5e)/5 + e = 1/5 regardless of the floor
         np.testing.assert_allclose(p, 0.2, rtol=0, atol=1e-15)
 
@@ -98,7 +98,7 @@ def test_policy_probs_floor_and_ceiling():
     rng = np.random.default_rng(1)
     net = zero_network(nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng))
     net.head_b[0][0, 0, 2] = 50.0  # saturate one logit
-    p = coma.policy_probs(net, np.zeros(4), 0.04)
+    p = coma.policy_probs(net, np.zeros((1, 4)), 0.04)[0, 0]
     assert p[2] == pytest.approx(1.0 - 4 * 0.04)  # (1-5e)*1 + e
     for a in range(5):
         if a != 2:
@@ -111,7 +111,7 @@ def test_policy_probs_rejects_nonfinite_logits():
     net = nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng)
     net.head_w[0][0, 0, 0] = np.inf
     with pytest.raises(FloatingPointError):
-        coma.policy_probs(net, np.ones(4), 0.02)
+        coma.policy_probs(net, np.ones((1, 4)), 0.02)
 
 
 def test_select_actions_matches_probabilities():
@@ -121,7 +121,7 @@ def test_select_actions_matches_probabilities():
     obs = np.stack([rng.standard_normal(8), rng.standard_normal(8)])
     eps = 0.05
     expected = np.stack(
-        [coma.policy_probs(policies.network.member(i), obs[i], eps) for i in range(2)]
+        [coma.policy_probs(policies.network.member(i), obs[i][None], eps)[0, 0] for i in range(2)]
     )
     n_draws = 100_000
     counts = np.zeros((2, 5))
@@ -163,7 +163,9 @@ def test_lockstep_select_actions_match_per_row_oracle(n_agents):
     acts, probs = coma.select_actions(policies, obs, 0.05, uniforms)
     for row in range(16):
         for i in range(n_agents):
-            expected = coma.policy_probs(policies.network.member(i), obs[row, i], 0.05)
+            expected = coma.policy_probs(
+                policies.network.member(i), obs[row, i][None], 0.05
+            )[0, 0]
             np.testing.assert_allclose(probs[row, i], expected, rtol=0, atol=1e-12)
             assert acts[row, i] == sample_one(expected, uniforms[row, i])
 
@@ -192,7 +194,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
         np.testing.assert_array_equal(buf.obs[episode, 0], obs)
         for t in range(t_max):
             acts = [
-                sample_one(coma.policy_probs(net, obs[i], eps), action_rng.random())
+                sample_one(coma.policy_probs(net, obs[i][None], eps)[0, 0], action_rng.random())
                 for i, net in enumerate(map(policies.network.member, range(n_agents)))
             ]
             result = env.step(acts)
@@ -281,7 +283,7 @@ def test_critic_input_dim_matches():
 def critic_q(critic, joint_obs, joint_action, agent):
     """Q-values (1, 5) of one agent's candidate actions at one joint state."""
     x = coma.critic_inputs(joint_obs[None], np.array([joint_action]))
-    return nc.forward(critic.network, x[:, agent])[0][0]
+    return nc.forward(critic.network, x[:, agent])[0][0][0]
 
 
 def test_counterfactual_advantage_against_hand_sum():
@@ -466,12 +468,14 @@ def test_stacked_actor_closure_equals_member_closures(n_agents):
     grads = grads_fn()
     member_losses = []
     for m in range(n_agents):
-        closure = coma.actor_loss_closure(obs[m], actions[m], advantages[m], 0.05, 0.01)
+        closure = coma.actor_loss_closure(
+            obs[m][None], actions[m][None], advantages[m][None], 0.05, 0.01
+        )
         member_loss, member_grads_fn = closure(policies.network.member(m))
-        member_losses.append(member_loss)
+        member_losses.append(float(member_loss[0]))
         for g, member_g in zip(grads, member_grads_fn()):
             assert np.array_equal(g[m : m + 1], member_g)
-    assert np.array_equal(loss, np.sum(member_losses))
+    assert np.array_equal(loss, [np.sum(member_losses)])
 
 
 def test_actor_update_trains_on_the_audited_closure(monkeypatch):
@@ -514,10 +518,11 @@ def test_critic_loss_closure_matches_hand_formula():
     x = rng.standard_normal((4, 3))
     taken = np.array([0, 4, 4, 2])
     targets = rng.standard_normal(4)
-    q = nc.forward(net, x)[0][0]
+    q = nc.forward(net, x)[0][0][0]
     loss, grads_fn = coma.critic_loss_closure(x, taken, targets)(net)
     hand = sum((q[r, taken[r]] - targets[r]) ** 2 for r in range(4)) / 4
-    assert loss == pytest.approx(hand, rel=1e-12)
+    assert loss.shape == (1,)
+    assert float(loss[0]) == pytest.approx(hand, rel=1e-12)
     head_b_grad = grads_fn()[-1][0, 0]  # summed output gradient per action
     assert np.all(head_b_grad[[1, 3]] == 0.0)
     assert np.all(head_b_grad[[0, 2, 4]] != 0.0)
@@ -546,16 +551,16 @@ def test_actor_update_increases_advantaged_action_probability():
     net = nc.init_network(nc.NetworkSpec(4, (5,), (16, 16)), rng)
     opt = nc.init_adam(net, lr=1e-2)
     obs = rng.standard_normal((1, 4))
-    before = coma.policy_probs(net, obs[0], 0.0)[3]
+    before = coma.policy_probs(net, obs, 0.0)[0, 0, 3]
     for _ in range(50):
         probs = (1.0 - 5 * 0.02) * coma.softmax(nc.forward(net, obs)[0][0]) + 0.02
         _, dl_dz = coma.actor_loss_grads(
-            probs, np.array([3]), np.array([1.0]), 0.02, 0.0
+            probs, np.array([[3]]), np.array([[1.0]]), 0.02, 0.0
         )
         _, cache = nc.forward(net, obs)
         grads = nc.backward(net, cache, [dl_dz])
         nc.adam_step(opt, net, grads)
-    after = coma.policy_probs(net, obs[0], 0.0)[3]
+    after = coma.policy_probs(net, obs, 0.0)[0, 0, 3]
     assert after > before
     assert after > 0.9
 
@@ -591,7 +596,7 @@ def test_critic_targets_use_pre_update_bootstrap():
             for t in range(t_max):
                 joint_action = buf.actions[episode, t]
                 x_t = coma.critic_inputs(buf.obs[episode, t][None], joint_action[None])
-                q = nc.forward(critic.network, x_t[0, agent])[0][0]
+                q = nc.forward(critic.network, x_t[0, agent][None])[0][0][0, 0]
                 q_taken.append(q[joint_action[agent]])
             expected = coma.td_lambda_targets(
                 buf.mixed[episode, :, agent], np.array(q_taken), cfg.gamma, cfg.td_lambda
@@ -777,7 +782,7 @@ def test_policies_stay_valid_distributions_after_training():
     obs = env.reset(rng_env)
     eps = coma.epsilon_at(cfg, 32)
     for i in range(2):
-        p = coma.policy_probs(policies.network.member(i), obs[i], eps)
+        p = coma.policy_probs(policies.network.member(i), obs[i][None], eps)
         assert np.all(p >= eps - 1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 

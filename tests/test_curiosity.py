@@ -49,12 +49,13 @@ def scalar_sq_err(pred, target):
 
 
 def joint_oracle_input(obs, actions):
-    """Joint observation then every agent's one-hot action, ascending order."""
-    return np.concatenate([obs.ravel(), *(cur.one_hot_action(int(a)) for a in actions)])
+    """Joint observation then every agent's one-hot action, ascending order,
+    as one row."""
+    return np.concatenate([obs.ravel(), *(cur.one_hot_action(int(a)) for a in actions)])[None]
 
 
 def indiv_oracle_input(obs, actions, agent):
-    return np.concatenate([obs[agent], cur.one_hot_action(int(actions[agent]))])
+    return np.concatenate([obs[agent], cur.one_hot_action(int(actions[agent]))])[None]
 
 
 def two_headed_oracle(bank, obs, actions, next_obs, agent):
@@ -66,7 +67,9 @@ def two_headed_oracle(bank, obs, actions, next_obs, agent):
     u_others = np.concatenate([cur.one_hot_action(int(actions[m])) for m in others])
     trunk_in = np.concatenate([o_n, u_n])
     extra = np.concatenate([o_others, u_others])
-    pred_own, pred_joint = nc.forward(bank.agents.member(agent), trunk_in, [None, extra])[0]
+    pred_own, pred_joint = nc.forward(
+        bank.agents.member(agent), trunk_in[None], [None, extra[None]]
+    )[0]
     own_err = scalar_sq_err(pred_own, next_obs[agent])
     joint_err = scalar_sq_err(pred_joint, next_obs.ravel())
     return own_err, joint_err
@@ -74,7 +77,7 @@ def two_headed_oracle(bank, obs, actions, next_obs, agent):
 
 def per_row_oracle(bank, obs, actions, next_obs):
     """One transition's per-agent intrinsic rewards, every module run on one
-    row (a vector input) and every error summed component by component."""
+    row (a one-row input) and every error summed component by component."""
     n = bank.n_agents
     kind = bank.kind
     if kind is CuriosityKind.NONE:

@@ -325,6 +325,32 @@ def test_truncated_run_is_not_reported(tmp_path):
     assert harness.load_results(str(tmp_path)) == []
 
 
+@pytest.mark.parametrize("damage", ["bad_sidecar", "unknown_header", "short_row"])
+def test_load_results_skips_unreadable_run(damage, tmp_path, caplog):
+    """A run whose sidecar or CSV does not parse, such as a CSV whose last
+    row was cut off when the run was killed, is skipped with a warning that
+    names it; the other runs are still loaded."""
+    for seed in (0, 1):
+        cfg = harness.parse_config(f"method = none\ntotal_episodes = 16\nseed = {seed}\n")
+        harness.run_experiment(cfg, str(tmp_path))
+    rid = harness.run_id(cfg)
+    if damage == "bad_sidecar":
+        path = tmp_path / (rid + ".config")
+        path.write_text(path.read_text().replace("method = none", "method = bogus"))
+    else:
+        path = tmp_path / (rid + ".csv")
+        lines = path.read_text().splitlines()
+        if damage == "unknown_header":
+            lines[0] = lines[0].replace("episode", "episodes")
+        else:
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level("WARNING", logger="curiosity_marl.harness"):
+        summaries = harness.load_results(str(tmp_path))
+    assert [s.config.seed for s in summaries] == [0]
+    assert any(rid in r.getMessage() and "skipping" in r.getMessage() for r in caplog.records)
+
+
 def test_load_results_skips_orphan_sidecar(tmp_path):
     cfg = harness.parse_config("method = none\ntotal_episodes = 20\neval_interval = 10\n")
     harness.run_experiment(cfg, str(tmp_path))

@@ -90,9 +90,9 @@ class TestForward:
         net.trunk_b[0][:] = [0.0, 0.0]
         net.head_w[0][:] = [[1.0, 1.0]]
         net.head_b[0][:] = [0.25]
-        (out,), _ = nc.forward(net, np.array([3.0, 2.0]))
+        (out,), _ = nc.forward(net, np.array([3.0, 2.0])[None])
         # z = (3, -2); leaky(0.5) -> (3, -1); head: 3 + (-1) + 0.25
-        assert out[0] == pytest.approx(2.25, abs=1e-15)
+        assert out[0, 0, 0] == pytest.approx(2.25, abs=1e-15)
 
     def test_batch_matches_per_row(self):
         # BLAS may pick different kernels per shape, so rows agree to a few
@@ -104,20 +104,23 @@ class TestForward:
         extra = rng.standard_normal((4, 3))
         batch_outs, _ = nc.forward(net, x, [None, extra])
         for i in range(4):
-            row_outs, _ = nc.forward(net, x[i], [None, extra[i]])
+            row_outs, _ = nc.forward(net, x[i][None], [None, extra[i][None]])
             for b_out, r_out in zip(batch_outs, row_outs):
-                np.testing.assert_allclose(b_out[i], r_out, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(b_out[0, i], r_out[0, 0], rtol=1e-12, atol=1e-14)
 
     def test_dimension_errors(self):
         net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nc.forward(net, np.zeros(4))
+            nc.forward(net, np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            nc.forward(net, np.zeros(3), [None, None])  # head 1 needs its extra
+            nc.forward(net, np.zeros((1, 3)), [None, None])  # head 1 needs its extra
         with pytest.raises(ValueError):
-            nc.forward(net, np.zeros(3), [np.ones(2), np.zeros(3)])  # head 0 takes none
+            # head 0 takes none
+            nc.forward(net, np.zeros((1, 3)), [np.ones((1, 2)), np.zeros((1, 3))])
         with pytest.raises(ValueError):
-            nc.forward(net, np.zeros(3), [None, np.zeros(4)])  # wrong extra dim
+            nc.forward(net, np.zeros((1, 3)), [None, np.zeros((1, 4))])  # wrong extra dim
+        with pytest.raises(ValueError, match="neither"):
+            nc.forward(net, np.zeros(3), [None, np.zeros(3)])  # no vector form
 
 
 class TestBackward:
@@ -186,17 +189,6 @@ class TestBackward:
         net, closure = full_size_case()
         assert nc.grad_check(net, closure, h=1e-5) < 1e-6
 
-    def test_none_head_skips_gradient(self):
-        net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(3))
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(3)
-        extra = rng.standard_normal(3)
-        outs, cache = nc.forward(net, x, [None, extra])
-        grads = nc.backward(net, cache, [2.0 * outs[0], None])
-        # head 1 parameters see no gradient when its output grad is None
-        assert np.all(grads[-2] == 0.0) and np.all(grads[-1] == 0.0)
-        assert any(np.any(g != 0.0) for g in grads[:-2])
-
     def test_batched_backward_sums_rows(self):
         spec = small_spec()
         net = nc.init_network(spec, np.random.default_rng(5))
@@ -204,11 +196,11 @@ class TestBackward:
         x = rng.standard_normal((3, 3))
         gy = rng.standard_normal((3, 2))
         _, cache = nc.forward(net, x)
-        batch_grads = nc.backward(net, cache, [gy])
+        batch_grads = nc.backward(net, cache, [gy[None]])
         acc = [np.zeros_like(p) for p in net.parameters()]
         for i in range(3):
-            _, cache_i = nc.forward(net, x[i])
-            for a, g in zip(acc, nc.backward(net, cache_i, [gy[i]])):
+            _, cache_i = nc.forward(net, x[i][None])
+            for a, g in zip(acc, nc.backward(net, cache_i, [gy[i][None, None]])):
                 a += g
         for g_batch, g_sum in zip(batch_grads, acc):
             np.testing.assert_allclose(g_batch, g_sum, atol=1e-12)
@@ -277,72 +269,71 @@ class TestLossClosure:
         x = rng.standard_normal(3)
         extra = rng.standard_normal(3)
         targets = [rng.standard_normal(2), rng.standard_normal(4)]
-        loss, _ = nc.squared_error_loss_closure(x, targets, [None, extra])(net)
-        outs, _ = nc.forward(net, x, [None, extra])
+        loss, _ = nc.squared_error_loss_closure(
+            x[None], [t[None] for t in targets], [None, extra[None]]
+        )(net)
+        assert loss.shape == (1,)
+        outs, _ = nc.forward(net, x[None], [None, extra[None]])
         manual = 0.0
         for out, target in zip(outs, targets):
-            for a, b in zip(out, target):
+            for a, b in zip(out[0, 0], target):
                 manual += (a - b) ** 2
-        assert loss == pytest.approx(manual, rel=1e-12)
+        assert float(loss[0]) == pytest.approx(manual, rel=1e-12)
 
 
-def reference_forward(net, x, extras=None, member=0):
-    """One member's forward pass, on 2-D arrays, that allocates every array
-    and applies leaky-ReLU with np.where; returns the outputs and what
-    reference_backward needs."""
+def reference_forward(net, x, extras=None):
+    """A one-member network's forward pass, on 2-D arrays, that allocates
+    every array and applies leaky-ReLU with np.where; returns the outputs
+    and what reference_backward needs."""
     spec = net.spec
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
     extras = extras or [None] * spec.n_heads
     pre, act = [], []
     a = x
     for w, b in zip(net.trunk_w, net.trunk_b):
-        z = a @ w[member].T + b[member, 0]
+        z = a @ w[0].T + b[0, 0]
         a = np.where(z > 0.0, z, spec.leaky_slope * z)
         pre.append(z)
         act.append(a)
     outputs, head_inputs = [], []
     for w, b, extra in zip(net.head_w, net.head_b, extras):
-        h_in = a if extra is None else np.concatenate([a, np.atleast_2d(extra)], axis=1)
-        out = h_in @ w[member].T + b[member, 0]
+        h_in = a if extra is None else np.concatenate([a, extra], axis=1)
+        out = h_in @ w[0].T + b[0, 0]
         head_inputs.append(h_in)
-        outputs.append(out[0] if squeeze else out)
+        outputs.append(out)
     return outputs, (x, pre, act, head_inputs)
 
 
-def reference_backward(net, ref_cache, head_output_grads, member=0):
-    """One member's gradients, shaped as that member's slice of each
-    parameter: (out, in) weights and (1, out) biases."""
+def reference_backward(net, ref_cache, head_output_grads):
+    """A one-member network's gradients, shaped as its member's slice of
+    each parameter: (out, in) weights and (1, out) biases."""
     x, pre, act, head_inputs = ref_cache
     spec = net.spec
     trunk_out = spec.hidden_dims[-1]
     head_grads = []
     d_a = np.zeros((len(x), trunk_out))
     for w, h_in, gy in zip(net.head_w, head_inputs, head_output_grads):
-        gy = np.atleast_2d(gy)
         head_grads.extend((gy.T @ h_in, gy.sum(axis=0, keepdims=True)))
-        d_a += gy @ w[member][:, :trunk_out]
+        d_a += gy @ w[0][:, :trunk_out]
     trunk_grads = []
     for layer in range(len(net.trunk_w) - 1, -1, -1):
         d_z = d_a * np.where(pre[layer] > 0.0, 1.0, spec.leaky_slope)
         layer_in = x if layer == 0 else act[layer - 1]
         trunk_grads[:0] = [d_z.T @ layer_in, d_z.sum(axis=0, keepdims=True)]
-        d_a = d_z @ net.trunk_w[layer][member]
+        d_a = d_z @ net.trunk_w[layer][0]
     return trunk_grads + head_grads
 
 
 def pass_inputs(spec, batch, rng, members=1, shared=True):
-    """Trunk input, head extras and output grads for one pass of a stack:
-    one input shared by every member, or (M, ...) rows per member; batch
-    None means vectors."""
-    lead = () if batch is None else (batch,)
+    """Trunk input, head extras and (M, B, out) output grads for one pass of
+    a stack: a (B, ...) input shared by every member, or (M, B, ...) rows
+    per member; batch None draws one (in,) vector's values as one row."""
+    lead = (batch or 1,)
     if not shared:
         lead = (members, *lead)
     x = rng.standard_normal((*lead, spec.input_dim))
     extras = [rng.standard_normal((*lead, d)) if d else None for d in spec.head_extra_input_dims]
-    out_lead = lead if not shared or members == 1 else (members, *lead)
-    gys = [rng.standard_normal((*out_lead, d)) for d in spec.output_dims]
+    gys = [rng.standard_normal((members, batch or 1, d)) for d in spec.output_dims]
     return x, extras, gys
 
 
@@ -363,10 +354,10 @@ class TestReusedBuffers:
             assert np.any((z0 == 0.0) & ~np.signbit(z0))
             assert np.any((z0 != 0.0) & (np.abs(z0) < 1e-300))
             for out, ref in zip(outs, ref_outs):
-                assert out.shape == ref.shape
-                assert np.array_equal(out, ref)
+                assert out.shape == (1, *ref.shape)
+                assert np.array_equal(out[0], ref)
             grads = nc.backward(net, cache, gys)
-            ref_grads = reference_backward(net, ref_cache, gys)
+            ref_grads = reference_backward(net, ref_cache, [g[0] for g in gys])
             assert len(grads) == len(ref_grads)
             for g, ref in zip(grads, ref_grads):
                 assert np.array_equal(g[0], ref)
@@ -398,7 +389,7 @@ class TestReusedBuffers:
         nc.forward(net.copy(), x_a, extras_a)  # and so has a copy
         grads = nc.backward(net, cache_a, gys_a)
         _, ref_cache = reference_forward(net, x_a, extras_a)
-        for g, ref in zip(grads, reference_backward(net, ref_cache, gys_a)):
+        for g, ref in zip(grads, reference_backward(net, ref_cache, [g[0] for g in gys_a])):
             assert np.array_equal(g[0], ref)
         with pytest.raises(RuntimeError, match="stale"):
             nc.backward(net, cache_a, gys_a)  # its own backward consumed it
@@ -435,7 +426,9 @@ class TestReusedBuffers:
             closure = nc.squared_error_loss_closure(x, [rng.standard_normal((3, 2))])
         else:
             net = nc.init_network(nc.NetworkSpec(3, (5,), hidden_dims=(5, 6)), rng)
-            closure = coma.actor_loss_closure(x, [0, 3, 4], rng.standard_normal(3), 0.05, 0.01)
+            closure = coma.actor_loss_closure(
+                x[None], [[0, 3, 4]], rng.standard_normal(3)[None], 0.05, 0.01
+            )
         calls = []
         backward = nc.backward
 
@@ -469,10 +462,10 @@ class TestMemberStack:
             for m, single in enumerate(singles):
                 x_m = x if shared else x[m]
                 extras_m = [e if e is None or shared else e[m] for e in extras]
-                gys_m = [g if shared and members == 1 else g[m] for g in gys]
+                gys_m = [g[m] for g in gys]
                 ref_outs, ref_cache = reference_forward(single, x_m, extras_m)
                 for out, ref in zip(outs, ref_outs):
-                    assert np.array_equal(out if shared and members == 1 else out[m], ref)
+                    assert np.array_equal(out[m], ref)
                 ref_grads = reference_backward(single, ref_cache, gys_m)
                 for g, ref in zip(grads, ref_grads):
                     assert np.array_equal(g[m], ref)
@@ -481,19 +474,6 @@ class TestMemberStack:
             for m, single in enumerate(singles):
                 for p, ref in zip(net.member(m).parameters(), single.parameters()):
                     assert np.array_equal(p, ref)
-
-    def test_shared_vector_gives_member_rows(self):
-        rng = np.random.default_rng(60)
-        net = nc.init_network(small_spec(two_headed=True), rng, members=3)
-        x, extras, gys = pass_inputs(net.spec, None, rng, members=3)
-        outs, cache = nc.forward(net, x, extras)
-        assert [out.shape for out in outs] == [(3, 2), (3, 4)]
-        for m in range(3):
-            ref_outs, _ = reference_forward(net, x, extras, member=m)
-            for out, ref in zip(outs, ref_outs):
-                assert np.array_equal(out[m], ref)
-        grads = nc.backward(net, cache, gys)
-        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
 
     def test_members_draw_in_turn_and_stay_contiguous(self):
         spec = small_spec(two_headed=True)
@@ -547,9 +527,9 @@ def one_at_a_time(net, closure, h=1e-5):
     def central_difference(flat, i):
         orig = flat[i]
         flat[i] = orig + h
-        loss_plus, _ = closure(net)
+        (loss_plus,), _ = closure(net)
         flat[i] = orig - h
-        loss_minus, _ = closure(net)
+        (loss_minus,), _ = closure(net)
         flat[i] = orig
         return (loss_plus - loss_minus) / (2.0 * h)
 
@@ -572,7 +552,7 @@ def one_at_a_time(net, closure, h=1e-5):
 def record_probes(monkeypatch, net):
     """Patch nc.forward to record, for every forward of a network other
     than net, (copies of net, indices of the parameters it owns rather than
-    views, floats it owns)."""
+    zero-stride views, floats it owns)."""
     probes = []
     forward = nc.forward
 
@@ -641,16 +621,18 @@ class TestProbeNetworks:
 
     def test_probe_networks_stay_within_probe_floats(self, monkeypatch):
         """On the 64x64 network, no probe network materializes more
-        parameter floats than PROBE_FLOATS, a probe owns exactly the tensors
-        its elements fall in (the others are zero-stride views), the
-        4,096-weight layer takes several chunks, every element is probed
-        both ways once, and the result is the one-at-a-time one."""
+        parameter floats than PROBE_FLOATS, a probe owns every tensor of
+        every copy, every chunk but the last has the one length that fits,
+        there are more chunks than tensors, every element is probed both
+        ways once, and the result is the one-at-a-time one."""
         net, closure = full_size_case()
         probes = record_probes(monkeypatch, net)
         worst = nc.grad_check(net, closure)
         sizes = [p.size for p in net.parameters()]
         assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
-        assert [owned for _, owned, _ in probes] == tensors_probed(probes, sizes)
+        assert all(owned == list(range(len(sizes))) for _, owned, _ in probes)
+        chunk = nc.PROBE_FLOATS // (2 * sum(sizes))
+        assert [copies for copies, _, _ in probes[:-1]] == [2 * chunk] * (len(probes) - 1)
         assert sum(copies for copies, _, _ in probes) == 2 * sum(sizes)
         assert len(probes) > len(sizes)
         monkeypatch.undo()
@@ -688,9 +670,9 @@ class TestProbeNetworks:
         "make_case", [nc._network_case, cur._module_case], ids=["one", "stack"]
     )
     def test_chunks_across_tensor_boundaries_equal_reference(self, make_case, monkeypatch):
-        """With a small PROBE_FLOATS the chunks of a one-member network
-        span tensor boundaries (and a stack's fall anywhere), and every
-        difference is still the one-at-a-time one, bit for bit."""
+        """With a small PROBE_FLOATS the chunks of a one-member network or
+        a stack span tensor boundaries, and every difference is still the
+        one-at-a-time one, bit for bit."""
         rng = np.random.default_rng(13)
         spans = 0
         for i in range(6):
@@ -704,9 +686,7 @@ class TestProbeNetworks:
             assert np.array_equal(got, np.concatenate(numerics))
             assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
             assert len(probes) > 1
-            if net.members == 1:
-                assert [owned for _, owned, _ in probes] == tensors_probed(probes, sizes)
-                spans += sum(len(owned) > 1 for _, owned, _ in probes)
+            spans += sum(len(tensors) > 1 for tensors in tensors_probed(probes, sizes))
             assert nc.grad_check(net, closure) == worst
             assert nc.mutation_control(net, closure) == mutant
             monkeypatch.undo()
