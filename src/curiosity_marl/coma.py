@@ -182,14 +182,18 @@ def make_critic(
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def floor_mix(logits: np.ndarray, epsilon: float) -> np.ndarray:
     """Action distribution (1 - 5*eps) * softmax(logits) + eps."""
-    return (1.0 - N_ACTIONS * epsilon) * softmax(logits) + epsilon
+    p = softmax(logits)
+    p *= 1.0 - N_ACTIONS * epsilon
+    p += epsilon
+    return p
 
 
 def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.ndarray:
@@ -198,7 +202,7 @@ def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.nda
     policies, or a batch (B, d) shared by them."""
     outputs, _ = nc.forward(network, obs)
     logits = outputs[0]
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     return floor_mix(logits, epsilon)
 
@@ -214,11 +218,12 @@ def select_actions(
     stack, agent n's member over the E rows of agent n. Each action is the
     inverse CDF of its uniform in [0, 1), given as (E, N). Returns actions
     (E, N) and probabilities (E, N, 5)."""
-    probs = policy_probs(policies.network, joint_obs.transpose(1, 0, 2), epsilon)
-    probs = probs.transpose(1, 0, 2)
+    # a contiguous (N, E, d) copy: the same bits as the strided view, faster
+    obs = np.ascontiguousarray(joint_obs.transpose(1, 0, 2))
+    probs = policy_probs(policies.network, obs, epsilon).transpose(1, 0, 2)
     # count of CDF entries <= u, as searchsorted(side="right") finds it
-    actions = np.sum(np.cumsum(probs, axis=-1) <= uniforms[..., None], axis=-1)
-    return np.minimum(actions, N_ACTIONS - 1), probs
+    actions = (probs.cumsum(axis=-1) <= uniforms[..., None]).sum(axis=-1)
+    return np.minimum(actions, N_ACTIONS - 1, out=actions), probs
 
 
 def epsilon_at(cfg: TrainConfig, episode_index: int) -> float:
@@ -258,13 +263,11 @@ def td_lambda_targets(
     q_taken = np.asarray(q_taken, float)
     if rewards.shape != q_taken.shape:
         raise ValueError("rewards and q_taken must have the same shape")
-    t_max = len(rewards)
+    bootstrap = (1.0 - td_lambda) * q_taken
     targets = np.empty_like(rewards)
     targets[-1] = rewards[-1]
-    for t in range(t_max - 2, -1, -1):
-        targets[t] = rewards[t] + gamma * (
-            (1.0 - td_lambda) * q_taken[t + 1] + td_lambda * targets[t + 1]
-        )
+    for t in range(len(rewards) - 2, -1, -1):
+        targets[t] = rewards[t] + gamma * (bootstrap[t + 1] + td_lambda * targets[t + 1])
     return targets
 
 

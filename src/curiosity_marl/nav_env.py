@@ -184,14 +184,14 @@ def observe(state: EnvState) -> np.ndarray:
     then relative positions of the other agents in ascending index order
     (self skipped)."""
     pos = state.agent_positions
-    n = pos.shape[-2]
-    rel_landmarks = state.landmark_positions - pos[..., :, None, :]  # (..., N, L, 2)
-    # [..., i, j] = position of other agent j of i, minus i's
-    rel_others = pos[..., other_agents(n), :] - pos[..., :, None, :]  # (..., N, N-1, 2)
-    batch = pos.shape[:-2]
-    return np.concatenate(
-        [rel_landmarks.reshape(*batch, n, -1), rel_others.reshape(*batch, n, -1)], axis=-1
-    )
+    *batch, n, _ = pos.shape
+    n_landmarks = len(state.landmark_positions)
+    # [..., i, j]: landmark j, then other agent j - L of i; minus i's position
+    rel = np.empty((*batch, n, n_landmarks + n - 1, 2))
+    rel[..., :n_landmarks, :] = state.landmark_positions
+    rel[..., n_landmarks:, :] = pos[..., other_agents(n), :]
+    rel -= pos[..., :, None, :]
+    return rel.reshape(*batch, n, -1)
 
 
 def move(config: WorldConfig, state: EnvState, joint_action) -> EnvState:
@@ -202,14 +202,16 @@ def move(config: WorldConfig, state: EnvState, joint_action) -> EnvState:
         raise EpisodeExhaustedError(
             f"episode already finished at t={state.timestep}"
         )
-    actions = np.asarray(joint_action, dtype=int)
+    actions = np.asarray(joint_action)
     want = state.agent_positions.shape[:-1]
-    if actions.shape != want or actions.min() < 0 or actions.max() >= N_ACTIONS:
-        raise ValueError(f"joint_action must be {want} indices in [0, 5)")
+    integers = actions.dtype.kind in "iu"  # a float or bool action is no index
+    if not integers or actions.shape != want or actions.min() < 0 or actions.max() >= N_ACTIONS:
+        raise ValueError(f"joint_action must be {want} integer indices in [0, 5)")
     h = config.half_extent
-    new_pos = np.clip(
-        state.agent_positions + config.step_size * _ACTION_DELTAS[actions], -h, h
-    )
+    # clamped in place: np.clip(new_pos, -h, h), bit for bit
+    new_pos = state.agent_positions + config.step_size * _ACTION_DELTAS[actions]
+    np.maximum(new_pos, -h, out=new_pos)
+    np.minimum(new_pos, h, out=new_pos)
     return EnvState(
         new_pos, state.landmark_positions, state.landmark_assignment, state.timestep + 1
     )
@@ -255,9 +257,11 @@ def sparse_reward(config: WorldConfig, state: EnvState) -> tuple[np.ndarray, np.
     return success.astype(float), success
 
 
-def dense_reward(config: WorldConfig, state: EnvState) -> np.ndarray:
+def _dense_reward(
+    config: WorldConfig, state: EnvState, dists: np.ndarray, success: np.ndarray
+) -> np.ndarray:
     """Distance-and-collision shaping with a success bonus on top, one value
-    per episode.
+    per episode, from the state's distances and success.
 
     Negative sum over agents of the distance to each agent's assigned
     landmark, minus a penalty per colliding agent pair (pairwise distance
@@ -267,13 +271,6 @@ def dense_reward(config: WorldConfig, state: EnvState) -> np.ndarray:
     actions by approach direction and never by the final docking step;
     the bonus separates docked from nearly-docked states by a margin the
     critic cannot smooth away."""
-    return _dense_reward(config, state, *_distances_and_success(config, state))
-
-
-def _dense_reward(
-    config: WorldConfig, state: EnvState, dists: np.ndarray, success: np.ndarray
-) -> np.ndarray:
-    """dense_reward from the state's distances and success."""
     pos = state.agent_positions
     reward = -dists.sum(axis=-1)
     reward = reward + config.c_success * success

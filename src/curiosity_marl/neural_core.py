@@ -17,7 +17,9 @@ per member, and batch reductions keep the one-member axis and layout. Each
 parameter is one C-contiguous array, updated only in place, so the
 transposed views a forward multiplies by are built once per network.
 Parameter order (used by Gradients and Adam): trunk layer 0 weight, trunk
-layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ...
+layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ... Adam's
+moments are two flat arrays over every parameter float in this order, so an
+update runs each of its operations once for the whole network.
 
 Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
@@ -171,8 +173,9 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    # first and second moments of every parameter float, flat in parameters() order
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) -> Network:
@@ -196,15 +199,8 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) 
 def init_adam(
     net: Network, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
 ) -> AdamState:
-    params = net.parameters()
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+    size = sum(p.size for p in net.parameters())
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(size), v=np.zeros(size))
 
 
 def _buffers_for(net: Network, batch: int) -> _Buffers:
@@ -363,25 +359,30 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
 
 
 def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState, Network]:
-    """Standard Adam with bias correction; mutates opt and net in place."""
+    """Standard Adam with bias correction, each operation run once over the
+    flat moments of every parameter float; mutates opt and net in place."""
     params = net.parameters()
     if len(grads) != len(params):
         raise ValueError("gradient list does not match parameter list")
     for g, p in zip(grads, params):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient; update rejected")
+    g = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite gradient; update rejected")
     opt.step_count += 1
     t = opt.step_count
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * g
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * g * g
+    step = opt.lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
+    start = 0
+    for p in params:
+        p -= step[start : start + p.size].reshape(p.shape)
+        start += p.size
     return opt, net
 
 

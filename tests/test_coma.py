@@ -106,6 +106,29 @@ def test_policy_probs_floor_and_ceiling():
     assert p.sum() == pytest.approx(1.0)
 
 
+def allocating_floor_mix(logits, epsilon):
+    """softmax and floor mix with a fresh array for every operation."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, (1.0 - 5 * epsilon) * p + epsilon
+
+
+@pytest.mark.parametrize("near", [0.0, 700.0, -700.0])
+def test_in_place_softmax_and_floor_mix_bit_for_bit(near):
+    """The in-place softmax and floor mix give the allocating expressions'
+    bits, on ordinary logits and near the exp overflow, and leave the logits
+    as they were."""
+    rng = np.random.default_rng(37)
+    logits = near + 3.0 * rng.standard_normal((3, 40, coma.N_ACTIONS))
+    logits[0, 0] = near  # a row of ties
+    kept = logits.copy()
+    p, mixed = allocating_floor_mix(logits, 0.02)
+    assert np.array_equal(coma.softmax(logits), p)
+    assert np.array_equal(coma.floor_mix(logits, 0.02), mixed)
+    assert np.array_equal(logits, kept)
+
+
 def test_policy_probs_rejects_nonfinite_logits():
     rng = np.random.default_rng(2)
     net = nc.init_network(nc.NetworkSpec(4, (5,), (8, 8)), rng)
@@ -392,6 +415,26 @@ def test_td_lambda_vectorized_matches_per_stream_loop():
         for n in range(4):
             stream = coma.td_lambda_targets(rewards[:, e, n], q[:, e, n], 0.95, 0.8)
             np.testing.assert_array_equal(targets[:, e, n], stream)
+
+
+def recurrence_td_lambda(rewards, q_taken, gamma, td_lambda):
+    """The lambda-return recursion with (1 - lam) * q taken inside each step."""
+    targets = np.empty_like(rewards)
+    targets[-1] = rewards[-1]
+    for t in range(len(rewards) - 2, -1, -1):
+        targets[t] = rewards[t] + gamma * (
+            (1.0 - td_lambda) * q_taken[t + 1] + td_lambda * targets[t + 1]
+        )
+    return targets
+
+
+@pytest.mark.parametrize("shape", [(50,), (50, 8, 4)])
+def test_td_lambda_equals_stepwise_recursion_bit_for_bit(shape):
+    """Scaling every step's bootstrap by (1 - lam) at once changes no bit."""
+    rng = np.random.default_rng(36)
+    rewards, q = rng.standard_normal(shape), rng.standard_normal(shape)
+    expected = recurrence_td_lambda(rewards, q, 0.95, 0.8)
+    assert np.array_equal(coma.td_lambda_targets(rewards, q, 0.95, 0.8), expected)
 
 
 def test_td_lambda_rejects_length_mismatch():

@@ -115,6 +115,33 @@ class TestResetAndObserve:
             np.testing.assert_allclose(recovered, state.agent_positions[i], atol=1e-15)
 
 
+def two_block_observe(state):
+    """observe as two separate subtractions, landmarks then other agents,
+    joined by one concatenate."""
+    pos = state.agent_positions
+    n = pos.shape[-2]
+    rel_landmarks = state.landmark_positions - pos[..., :, None, :]
+    rel_others = pos[..., nav_env.other_agents(n), :] - pos[..., :, None, :]
+    batch = pos.shape[:-2]
+    return np.concatenate(
+        [rel_landmarks.reshape(*batch, n, -1), rel_others.reshape(*batch, n, -1)], axis=-1
+    )
+
+
+@pytest.mark.parametrize("n_episodes", [None, 8])
+@pytest.mark.parametrize("n_agents", [2, 4])
+@pytest.mark.parametrize("scenario", ["same_landmark", "different_landmark"])
+def test_observe_equals_two_block_concatenate_bit_for_bit(scenario, n_agents, n_episodes):
+    config = WorldConfig(n_agents=n_agents, scenario=scenario)
+    rng = np.random.default_rng(43)
+    state, _ = nav_env.reset(config, rng, n_episodes)
+    batch = () if n_episodes is None else (n_episodes,)
+    state = dataclasses.replace(state, agent_positions=rng.uniform(-1, 1, (*batch, n_agents, 2)))
+    obs = nav_env.observe(state)
+    assert obs.shape == (*batch, n_agents, config.obs_dim)
+    assert np.array_equal(obs, two_block_observe(state))
+
+
 class TestStep:
     def test_action_deltas(self):
         config = WorldConfig()
@@ -155,6 +182,49 @@ class TestStep:
             nav_env.step(config, state, (0, 5))
         with pytest.raises(ValueError):
             nav_env.step(config, state, (-1, 0))
+
+    @pytest.mark.parametrize(
+        "action",
+        [[1.9, 0.2], np.array([1.0, 0.0]), np.array([True, False]), [np.nan, 0]],
+        ids=["float_list", "float_array", "bool_array", "nan"],
+    )
+    def test_non_integer_actions_rejected(self, action):
+        """A float or bool action is no index: it is rejected, not truncated
+        or cast to one."""
+        env = NavEnv(WorldConfig())
+        env.reset(np.random.default_rng(0))
+        before = env.state
+        with pytest.raises(ValueError, match=r"indices in \[0, 5\)"):
+            env.move(action)
+        with pytest.raises(ValueError, match=r"indices in \[0, 5\)"):
+            env.step(action)
+        assert env.state is before
+
+    @pytest.mark.parametrize(
+        "action",
+        [[3, 1], (3, 1), np.array([3, 1], np.int32), np.array([3, 1], np.uint8)],
+        ids=["int_list", "int_tuple", "int32", "uint8"],
+    )
+    def test_integer_actions_accepted(self, action):
+        config = WorldConfig()
+        state = make_state(config, [[0.0, 0.0], [0.0, 0.0]])
+        moved = nav_env.move(config, state, action).agent_positions
+        np.testing.assert_array_equal(moved, [[0.1, 0.0], [0.0, -0.1]])
+
+    @pytest.mark.parametrize("n_agents", [2, 4])
+    def test_move_clamps_as_clip_bit_for_bit(self, n_agents):
+        """The in-place clamp gives np.clip's bits, at the walls and inside."""
+        config = WorldConfig(n_agents=n_agents)
+        h = config.half_extent
+        rng = np.random.default_rng(41)
+        positions = rng.uniform(-h, h, (200, n_agents, 2))
+        positions[:40] = rng.choice([-h, h, -0.95 * h, 0.95 * h], (40, n_agents, 2))
+        state, _ = nav_env.reset(config, rng, n_episodes=200)
+        state = dataclasses.replace(state, agent_positions=positions)
+        actions = rng.integers(0, 5, (200, n_agents))
+        deltas = np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        expected = np.clip(positions + config.step_size * deltas[actions], -h, h)
+        assert np.array_equal(nav_env.move(config, state, actions).agent_positions, expected)
 
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
@@ -198,35 +268,35 @@ class TestRewards:
         assert total == 5.0
 
     def test_dense_reward_hand_example(self):
-        config = WorldConfig(scenario="different_landmark", c_collide=1.0)
+        config = WorldConfig(scenario="different_landmark", reward_mode="dense", c_collide=1.0)
         lm = nav_env.canonical_layout(config)[1]
         # agent 0 sits on landmark 0; agent 1 is 0.3 right of landmark 1
         state = make_state(config, [lm[0], lm[1] + np.array([0.3, 0.0])])
         expected = -(0.0 + 0.3)
-        assert nav_env.dense_reward(config, state) == pytest.approx(expected, abs=1e-12)
+        assert nav_env.score(config, state)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_dense_success_bonus_hand_example(self):
-        config = WorldConfig(scenario="same_landmark", start_jitter=0.0)
+        config = WorldConfig(scenario="same_landmark", reward_mode="dense", start_jitter=0.0)
         lm = nav_env.canonical_layout(config)[1][0]
         # both agents inside the success disc, separated by ~0.127 so the
         # collision penalty stays out of the picture
         state = make_state(config, [lm + np.array([-0.09, 0.0]), lm + np.array([0.0, -0.09])])
         expected = -(0.09 + 0.09) + config.c_success
-        assert nav_env.dense_reward(config, state) == pytest.approx(expected, abs=1e-12)
+        assert nav_env.score(config, state)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_dense_pulls_every_agent(self):
         """Moving the farther agent closer must strictly improve the reward
         even while another agent already sits on the landmark."""
-        config = WorldConfig(scenario="same_landmark")
+        config = WorldConfig(scenario="same_landmark", reward_mode="dense")
         lm = nav_env.canonical_layout(config)[1][0]
         near = make_state(config, [lm, lm + np.array([0.4, 0.0])])
         far = make_state(config, [lm, lm + np.array([0.6, 0.0])])
-        assert nav_env.dense_reward(config, near) > nav_env.dense_reward(config, far)
+        assert nav_env.score(config, near)[0] > nav_env.score(config, far)[0]
 
     def test_dense_brute_force_oracle(self):
         rng = np.random.default_rng(17)
         for scenario, n in [("same_landmark", 2), ("different_landmark", 4)]:
-            config = WorldConfig(n_agents=n, scenario=scenario)
+            config = WorldConfig(n_agents=n, scenario=scenario, reward_mode="dense")
             assignment = nav_env.landmark_assignment(scenario, n)
             for _ in range(50):
                 state = make_state(config, rng.uniform(-1, 1, (n, 2)))
@@ -246,23 +316,25 @@ class TestRewards:
                         sep = state.agent_positions[i] - state.agent_positions[k]
                         if (sep[0] ** 2 + sep[1] ** 2) ** 0.5 < 2 * config.collision_radius:
                             expected -= config.c_collide
-                assert nav_env.dense_reward(config, state) == pytest.approx(
+                assert nav_env.score(config, state)[0] == pytest.approx(
                     expected, abs=1e-12
                 )
 
     def test_dense_collision_penalty(self):
-        config = WorldConfig(scenario="same_landmark", c_collide=1.0, collision_radius=0.05)
+        config = WorldConfig(
+            scenario="same_landmark", reward_mode="dense", c_collide=1.0, collision_radius=0.05
+        )
         lm = nav_env.canonical_layout(config)[1][0]
         # same agent-1 distance in both states; only the pairwise collision
         # penalty differs
         apart = make_state(config, [lm, lm + np.array([0.11, 0.0])])
         together = make_state(config, [lm + np.array([0.02, 0.0]), lm + np.array([0.11, 0.0])])
-        assert nav_env.dense_reward(config, together) == pytest.approx(
-            nav_env.dense_reward(config, apart) - 1.0 - 0.02, abs=1e-12
+        assert nav_env.score(config, together)[0] == pytest.approx(
+            nav_env.score(config, apart)[0] - 1.0 - 0.02, abs=1e-12
         )
 
     def test_dense_translation_invariance(self):
-        config = WorldConfig(scenario="different_landmark")
+        config = WorldConfig(scenario="different_landmark", reward_mode="dense")
         rng = np.random.default_rng(23)
         positions = rng.uniform(-0.5, 0.5, (2, 2))
         state = make_state(config, positions)
@@ -273,8 +345,8 @@ class TestRewards:
             landmark_assignment=state.landmark_assignment,
             timestep=0,
         )
-        assert nav_env.dense_reward(config, shifted) == pytest.approx(
-            nav_env.dense_reward(config, state), abs=1e-12
+        assert nav_env.score(config, shifted)[0] == pytest.approx(
+            nav_env.score(config, state)[0], abs=1e-12
         )
 
     def test_dense_mode_still_reports_success(self):

@@ -228,6 +228,32 @@ class TestAdam:
         for p, s in zip(net.parameters(), shadow):
             np.testing.assert_allclose(p, s, rtol=1e-12, atol=1e-15)
 
+    def test_flat_update_equals_per_tensor_update_bit_for_bit(self):
+        """Three steps on a 3-member two-headed stack: the update over flat
+        moments gives the bits of the update run tensor by tensor, in every
+        parameter and both moments."""
+        rng = np.random.default_rng(9)
+        net = nc.init_network(small_spec(two_headed=True), rng, members=3)
+        ref = net.copy()
+        opt = nc.init_adam(net, lr=0.01)
+        m = [np.zeros_like(p) for p in ref.parameters()]
+        v = [np.zeros_like(p) for p in ref.parameters()]
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+        for t in range(1, 4):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-3, 1) for p in m]
+            nc.adam_step(opt, net, grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, m_j, v_j in zip(ref.parameters(), grads, m, v):
+                m_j *= b1
+                m_j += (1.0 - b1) * g
+                v_j *= b2
+                v_j += (1.0 - b2) * g * g
+                p -= lr * (m_j / bc1) / (np.sqrt(v_j / bc2) + eps)
+            for p, r in zip(net.parameters(), ref.parameters()):
+                assert np.array_equal(p, r)
+            assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in m]))
+            assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in v]))
+
     def test_rejects_bad_gradients(self):
         net = nc.init_network(small_spec(), np.random.default_rng(0))
         opt = nc.init_adam(net)
