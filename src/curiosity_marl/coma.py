@@ -218,9 +218,8 @@ def select_actions(
     stack, agent n's member over the E rows of agent n. Each action is the
     inverse CDF of its uniform in [0, 1), given as (E, N). Returns actions
     (E, N) and probabilities (E, N, 5)."""
-    # a contiguous (N, E, d) copy: the same bits as the strided view, faster
-    obs = np.ascontiguousarray(joint_obs.transpose(1, 0, 2))
-    probs = policy_probs(policies.network, obs, epsilon).transpose(1, 0, 2)
+    probs = policy_probs(policies.network, joint_obs.transpose(1, 0, 2), epsilon)
+    probs = probs.transpose(1, 0, 2)
     # count of CDF entries <= u, as searchsorted(side="right") finds it
     actions = (probs.cumsum(axis=-1) <= uniforms[..., None]).sum(axis=-1)
     return np.minimum(actions, N_ACTIONS - 1, out=actions), probs

@@ -428,7 +428,7 @@ def recurrence_td_lambda(rewards, q_taken, gamma, td_lambda):
     return targets
 
 
-@pytest.mark.parametrize("shape", [(50,), (50, 8, 4)])
+@pytest.mark.parametrize("shape", [(50,), (50, 8, 4)], ids=["T", "T_E_N"])
 def test_td_lambda_equals_stepwise_recursion_bit_for_bit(shape):
     """Scaling every step's bootstrap by (1 - lam) at once changes no bit."""
     rng = np.random.default_rng(36)
