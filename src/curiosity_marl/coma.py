@@ -75,22 +75,6 @@ class TrainConfig:
 
 
 @dataclass
-class PolicySet:
-    network: nc.Network  # member n is agent n's policy
-    opt: nc.AdamState
-
-    @property
-    def n_agents(self) -> int:
-        return self.network.members
-
-
-@dataclass
-class CentralCritic:
-    network: nc.Network
-    opt: nc.AdamState
-
-
-@dataclass
 class RolloutBuffer:
     """One round's episodes, played in lockstep, as arrays with a leading
     episode axis E. obs[:, t + 1] is the joint observation after the joint
@@ -141,6 +125,16 @@ class RoundStats:
     actor_loss: float = 0.0
 
 
+def _action_spec(input_dim: int, hidden_dims, leaky_slope: float) -> nc.NetworkSpec:
+    """One output per action: a policy's logits, or the critic's Q values."""
+    return nc.NetworkSpec(
+        input_dim=input_dim,
+        output_dims=(N_ACTIONS,),
+        hidden_dims=tuple(hidden_dims),
+        leaky_slope=leaky_slope,
+    )
+
+
 def make_policy_set(
     n_agents: int,
     obs_dim: int,
@@ -148,15 +142,9 @@ def make_policy_set(
     hidden_dims=(64, 64),
     leaky_slope: float = 0.01,
     lr: float = 1e-3,
-) -> PolicySet:
-    spec = nc.NetworkSpec(
-        input_dim=obs_dim,
-        output_dims=(N_ACTIONS,),
-        hidden_dims=tuple(hidden_dims),
-        leaky_slope=leaky_slope,
-    )
-    network = nc.init_network(spec, rng, members=n_agents)
-    return PolicySet(network, nc.init_adam(network, lr=lr))
+) -> nc.Learner:
+    """The agents' policies: member n of the stack is agent n's."""
+    return nc.init_learner(_action_spec(obs_dim, hidden_dims, leaky_slope), rng, n_agents, lr)
 
 
 def critic_input_dim(n_agents: int, obs_dim: int) -> int:
@@ -170,15 +158,10 @@ def make_critic(
     hidden_dims=(64, 64),
     leaky_slope: float = 0.01,
     lr: float = 1e-3,
-) -> CentralCritic:
-    spec = nc.NetworkSpec(
-        input_dim=critic_input_dim(n_agents, obs_dim),
-        output_dims=(N_ACTIONS,),
-        hidden_dims=tuple(hidden_dims),
-        leaky_slope=leaky_slope,
-    )
-    network = nc.init_network(spec, rng)
-    return CentralCritic(network, nc.init_adam(network, lr=lr))
+) -> nc.Learner:
+    """The shared critic, a stack of one."""
+    spec = _action_spec(critic_input_dim(n_agents, obs_dim), hidden_dims, leaky_slope)
+    return nc.init_learner(spec, rng, 1, lr)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -208,7 +191,7 @@ def policy_probs(network: nc.Network, obs: np.ndarray, epsilon: float) -> np.nda
 
 
 def select_actions(
-    policies: PolicySet,
+    policies: nc.Learner,
     joint_obs: np.ndarray,
     epsilon: float,
     uniforms: np.ndarray,
@@ -272,7 +255,7 @@ def td_lambda_targets(
 
 def rollout_episode(
     env: NavEnv,
-    policies: PolicySet,
+    policies: nc.Learner,
     bank: cur.CuriosityBank,
     cfg: TrainConfig,
     epsilon: float,
@@ -299,7 +282,7 @@ def rollout_episode(
     each step online would."""
     e = cfg.episodes_per_update
     t_max = env.config.episode_length
-    n = policies.n_agents
+    n = policies.network.members
     first_obs = env.reset(env_rng, e)
     uniforms = action_rng.random((e, t_max, n))
     obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
@@ -324,7 +307,7 @@ def rollout_episode(
     )
 
 
-def _critic_batch(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig):
+def _critic_batch(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig):
     """Critic inputs, taken-action indices and lambda-return targets for
     every (episode, agent, step) triple, in that row order, plus the
     pre-update critic's forward over those inputs, from which the targets'
@@ -370,7 +353,7 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     return loss_and_grads
 
 
-def critic_update(critic: CentralCritic, buf: RolloutBuffer, cfg: TrainConfig) -> float:
+def critic_update(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig) -> float:
     """Regress the critic's taken-action Q toward frozen lambda-return targets
     for critic_epochs Adam steps; returns the pre-update mean squared error.
     The first epoch trains on the forward that gave the targets."""
@@ -484,8 +467,8 @@ def _actor_case(rng: np.random.Generator, i: int):
 
 
 def actor_update(
-    policies: PolicySet,
-    critic: CentralCritic,
+    policies: nc.Learner,
+    critic: nc.Learner,
     buf: RolloutBuffer,
     cfg: TrainConfig,
     epsilon: float,
@@ -499,7 +482,7 @@ def actor_update(
     magnitude once agents are near their landmarks, and without the rescaling
     the logit drift during the long approach phase saturates the policies
     before the fine docking signal can be expressed."""
-    n = policies.n_agents
+    n = policies.network.members
     joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
     b = actions.shape[0]
     probs = buf.probs.reshape(b, n, N_ACTIONS)
@@ -523,8 +506,8 @@ def actor_update(
 
 
 def train_round(
-    policies: PolicySet,
-    critic: CentralCritic,
+    policies: nc.Learner,
+    critic: nc.Learner,
     env: NavEnv,
     bank: cur.CuriosityBank,
     cfg: TrainConfig,

@@ -1,13 +1,11 @@
 """Forward-model curiosity: module banks, training losses, intrinsic rewards.
 
-Eight method variants are supported. The icm_* kinds use one-headed forward
-models; the mcm family uses a two-headed model whose first head predicts the
-owning agent's next observation from (o^n, u^n) and whose second head predicts
-the full next joint observation, with the other agents' observations and
-actions concatenated after the shared trunk (second head only). Joint vectors
-always concatenate agents in ascending index order: all observations first,
-then all one-hot actions.
-"""
+Each of the eight methods is a row of METHODS: its modules and the error
+terms each agent's reward sums. A per-agent module predicts its owner's next
+observation from (o^n, u^n); in the mcm family a second head predicts the
+full next joint observation, with the other agents' observations and actions
+concatenated after the shared trunk. Joint vectors always concatenate agents
+in ascending index order: all observations first, then all one-hot actions."""
 
 from __future__ import annotations
 
@@ -31,9 +29,22 @@ class CuriosityKind(str, Enum):
     MCM_SEP = "mcm_sep"
 
 
-TWO_HEADED_KINDS = (CuriosityKind.MCM, CuriosityKind.MCM_INDIV, CuriosityKind.MCM_JOINT)
-ONE_HEADED_AGENT_KINDS = (CuriosityKind.ICM_INDIV, CuriosityKind.ICM_MIN, CuriosityKind.MCM_SEP)
-JOINT_KINDS = (CuriosityKind.ICM_JOINT, CuriosityKind.MCM_SEP)
+# Each method's row: the heads of its per-agent stack (0 for none, 1 for
+# the agent's own next observation, 2 for that and the next joint
+# observation), whether it trains one joint module, and the (role, head)
+# error terms each agent's reward sums, roles being the bank's modules in
+# order, the per-agent stack first. icm_min's reward is no sum of terms:
+# it is the least of the agents' modules' errors on its own transition.
+METHODS: dict[CuriosityKind, tuple[int, bool, tuple[tuple[int, int], ...] | None]] = {
+    CuriosityKind.NONE: (0, False, ()),
+    CuriosityKind.ICM_INDIV: (1, False, ((0, 0),)),
+    CuriosityKind.ICM_JOINT: (0, True, ((0, 0),)),
+    CuriosityKind.ICM_MIN: (1, False, None),
+    CuriosityKind.MCM: (2, False, ((0, 0), (0, 1))),
+    CuriosityKind.MCM_INDIV: (2, False, ((0, 0),)),
+    CuriosityKind.MCM_JOINT: (2, False, ((0, 1),)),
+    CuriosityKind.MCM_SEP: (1, True, ((0, 0), (1, 0))),
+}
 
 
 @dataclass
@@ -43,11 +54,8 @@ class CuriosityBank:
 
     kind: CuriosityKind
     n_agents: int
-    obs_dim: int
-    agents: nc.Network | None  # member n is agent n's module
-    joint: nc.Network | None  # one module over the joint transition
-    agents_opt: nc.AdamState | None
-    joint_opt: nc.AdamState | None
+    agents: nc.Learner | None  # member n is agent n's module
+    joint: nc.Learner | None  # one module over the joint transition
 
 
 def one_hot_action(action) -> np.ndarray:
@@ -55,12 +63,19 @@ def one_hot_action(action) -> np.ndarray:
     return np.eye(N_ACTIONS)[action]
 
 
-def _indiv_spec(obs_dim: int, hidden_dims, leaky_slope) -> nc.NetworkSpec:
+def _agent_spec(
+    heads: int, n_agents: int, obs_dim: int, hidden_dims, leaky_slope
+) -> nc.NetworkSpec:
+    """An agent's module with its first `heads` heads of two: its own next
+    observation from (o^n, u^n), and the next joint observation, whose head
+    takes the other agents' observations and one-hot actions as extra
+    input."""
     return nc.NetworkSpec(
         input_dim=obs_dim + N_ACTIONS,
-        output_dims=(obs_dim,),
+        output_dims=(obs_dim, n_agents * obs_dim)[:heads],
         hidden_dims=tuple(hidden_dims),
         leaky_slope=leaky_slope,
+        head_extra_input_dims=(0, (n_agents - 1) * (obs_dim + N_ACTIONS))[:heads],
     )
 
 
@@ -73,16 +88,6 @@ def _joint_spec(n_agents: int, obs_dim: int, hidden_dims, leaky_slope) -> nc.Net
     )
 
 
-def _two_headed_spec(n_agents: int, obs_dim: int, hidden_dims, leaky_slope) -> nc.NetworkSpec:
-    return nc.NetworkSpec(
-        input_dim=obs_dim + N_ACTIONS,
-        output_dims=(obs_dim, n_agents * obs_dim),
-        hidden_dims=tuple(hidden_dims),
-        leaky_slope=leaky_slope,
-        head_extra_input_dims=(0, (n_agents - 1) * (obs_dim + N_ACTIONS)),
-    )
-
-
 def make_bank(
     kind: CuriosityKind | str,
     n_agents: int,
@@ -92,36 +97,33 @@ def make_bank(
     leaky_slope: float = 0.01,
     lr: float = 1e-3,
 ) -> CuriosityBank:
-    """Build the module roster for a method: N two-headed modules for the mcm
-    family, N one-headed for icm_indiv/icm_min, 1 for icm_joint, N individual
-    plus 1 joint for mcm_sep, none for the plain baseline. The per-agent
-    modules draw from rng first, agent by agent, then the joint one."""
+    """Build the module roster of a method's METHODS row: a stack of N
+    per-agent modules with that row's heads, and one joint module if it has
+    one. The per-agent modules draw from rng first, agent by agent, then the
+    joint one."""
     kind = CuriosityKind(kind)
+    heads, has_joint, _ = METHODS[kind]
     agents = joint = None
-    if kind in TWO_HEADED_KINDS:
-        spec = _two_headed_spec(n_agents, obs_dim, hidden_dims, leaky_slope)
-        agents = nc.init_network(spec, rng, members=n_agents)
-    elif kind in ONE_HEADED_AGENT_KINDS:
-        agents = nc.init_network(_indiv_spec(obs_dim, hidden_dims, leaky_slope), rng, n_agents)
-    if kind in JOINT_KINDS:
-        joint = nc.init_network(_joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope), rng)
-    return CuriosityBank(
-        kind, n_agents, obs_dim, agents, joint,
-        *(None if net is None else nc.init_adam(net, lr=lr) for net in (agents, joint)),
-    )
+    if heads:
+        spec = _agent_spec(heads, n_agents, obs_dim, hidden_dims, leaky_slope)
+        agents = nc.init_learner(spec, rng, n_agents, lr)
+    if has_joint:
+        spec = _joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope)
+        joint = nc.init_learner(spec, rng, 1, lr)
+    return CuriosityBank(kind, n_agents, agents, joint)
 
 
 def _module_batches(
     bank: CuriosityBank, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray
 ):
-    """(network, optimizer, inputs (M, B, in), extras, targets per head) for
-    each role of the bank, the per-agent stack first, from stacked
-    transitions: obs and next_obs are (B, N, d), actions (B, N).
+    """(learner, inputs (M, B, in), extras, targets per head) for each role
+    of the bank, the per-agent stack first, from stacked transitions: obs
+    and next_obs are (B, N, d), actions (B, N).
 
-    Member n of the per-agent stack predicts agent n's next observation;
-    joint modules predict the concatenated next joint observation;
-    two-headed modules predict both, their second head taking the other
-    agents' observations and one-hot actions as extra input.
+    Member n of the per-agent stack predicts agent n's next observation,
+    and with a second head the next joint observation, taking the other
+    agents' observations and one-hot actions as extra input; the joint
+    module predicts the next joint observation.
     """
     b, n_agents, _ = obs.shape
     one_hot = one_hot_action(actions)  # (B, N, 5)
@@ -132,7 +134,7 @@ def _module_batches(
         # one-agent batch's
         x = np.ascontiguousarray(np.concatenate([obs, one_hot], axis=2).transpose(1, 0, 2))
         own = np.ascontiguousarray(next_obs.transpose(1, 0, 2))
-        if bank.kind in TWO_HEADED_KINDS:
+        if METHODS[bank.kind][0] == 2:
             others = other_agents(n_agents)
             extra = np.concatenate(
                 [
@@ -141,12 +143,12 @@ def _module_batches(
                 ],
                 axis=2,
             ).transpose(1, 0, 2)
-            jobs.append((bank.agents, bank.agents_opt, x, [None, extra], [own, joint_target]))
+            jobs.append((bank.agents, x, [None, extra], [own, joint_target]))
         else:
-            jobs.append((bank.agents, bank.agents_opt, x, None, [own]))
+            jobs.append((bank.agents, x, None, [own]))
     if bank.joint is not None:
         x = np.concatenate([obs.reshape(b, -1), one_hot.reshape(b, -1)], axis=1)
-        jobs.append((bank.joint, bank.joint_opt, x[None], None, [joint_target[None]]))
+        jobs.append((bank.joint, x[None], None, [joint_target[None]]))
     return jobs
 
 
@@ -154,7 +156,6 @@ def module_loss_closure(
     inputs: np.ndarray,
     extras: list[np.ndarray | None] | None,
     targets: list[np.ndarray],
-    two_headed: bool,
 ):
     """(losses, errors, grads_fn) closure for the batch-mean forward loss of
     every member of a module stack: ||prediction - target||^2 for one-headed
@@ -184,7 +185,7 @@ def module_loss_closure(
         for sq in squares:
             losses = losses + np.sum(sq, axis=(1, 2))
         errors = [np.sum(sq, axis=-1) for sq in squares]
-        if two_headed:
+        if module.spec.n_heads == 2:
             # d(mean loss)/d(out): the 1/2 cancels the 2 of the squared norm
             return (
                 0.5 * losses / b,
@@ -214,22 +215,20 @@ def curiosity_update(
     """
     if len(obs) == 0:
         raise ValueError("curiosity_update requires a non-empty batch")
-    kind = bank.kind
-    if kind is CuriosityKind.NONE:
-        return np.zeros(actions.shape), []
+    terms = METHODS[bank.kind][2]
     jobs = _module_batches(bank, obs, actions, next_obs)
-    if kind is CuriosityKind.ICM_MIN:
+    if terms is None:
         rewards = _min_rewards(jobs[0])
     errors, losses = [], []
-    for module, opt, x, extras, targets in jobs:
-        member_losses, role_errors, grads_fn = module_loss_closure(
-            x, extras, targets, kind in TWO_HEADED_KINDS
-        )(module)
-        nc.adam_step(opt, module, grads_fn())
+    for learner, x, extras, targets in jobs:
+        member_losses, role_errors, grads_fn = module_loss_closure(x, extras, targets)(
+            learner.network
+        )
+        nc.adam_step(learner.opt, learner.network, grads_fn())
         errors.append(role_errors)
         losses.extend(member_losses.tolist())
-    if kind is not CuriosityKind.ICM_MIN:
-        rewards = _combine_errors(kind, errors, bank.n_agents)
+    if terms is not None:
+        rewards = _combine_errors(terms, errors, actions.shape)
     return rewards, losses
 
 
@@ -246,13 +245,9 @@ def curiosity_gradient_suite(
 
 
 def _module_case(rng: np.random.Generator, i: int):
-    two_headed = i % 2 == 1
     n_agents, obs_dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     hidden = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-    if two_headed:
-        spec = _two_headed_spec(n_agents, obs_dim, hidden, 0.01)
-    else:
-        spec = _indiv_spec(obs_dim, hidden, 0.01)
+    spec = _agent_spec(1 + i % 2, n_agents, obs_dim, hidden, 0.01)
     members, batch = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     module = nc.init_network(spec, rng, members)
 
@@ -265,7 +260,7 @@ def _module_case(rng: np.random.Generator, i: int):
 
     x, extras = nc.kink_free_draw(module, draw)
     targets = [rng.standard_normal((members, batch, d)) for d in spec.output_dims]
-    member_closure = module_loss_closure(x, extras, targets, two_headed)
+    member_closure = module_loss_closure(x, extras, targets)
 
     def closure(net: nc.Network):
         losses, _, grads_fn = member_closure(net)
@@ -282,51 +277,40 @@ def intrinsic_rewards(
     module_loss_closure, whose errors curiosity_update also takes its
     rewards from, using the bank's current parameters and changing none.
     Always non-negative."""
-    kind = bank.kind
-    if kind is CuriosityKind.NONE:
-        return np.zeros(actions.shape)
+    terms = METHODS[bank.kind][2]
     jobs = _module_batches(bank, obs, actions, next_obs)
-    if kind is CuriosityKind.ICM_MIN:
+    if terms is None:
         return _min_rewards(jobs[0])
-    two_headed = kind in TWO_HEADED_KINDS
-    return _combine_errors(
-        kind,
-        [
-            module_loss_closure(x, extras, targets, two_headed)(net)[1]
-            for net, _, x, extras, targets in jobs
-        ],
-        bank.n_agents,
-    )
+    errors = [
+        module_loss_closure(x, extras, targets)(learner.network)[1]
+        for learner, x, extras, targets in jobs
+    ]
+    return _combine_errors(terms, errors, actions.shape)
 
 
 def _min_rewards(job) -> np.ndarray:
     """icm_min's (B, N) rewards: every agent m's model is scored on every
     agent n's own transition, in one forward over agent-major rows, and
     agent n receives the smallest of those errors."""
-    module, _, x, _, (own,) = job
+    learner, x, _, (own,) = job
     n_agents, b, _ = x.shape
     rows, targets = x.reshape(n_agents * b, -1), [own.reshape(n_agents * b, -1)]
-    errors = module_loss_closure(rows, None, targets, False)(module)[1][0]  # (N models, N*B)
+    errors = module_loss_closure(rows, None, targets)(learner.network)[1][0]  # (N models, N*B)
     return np.ascontiguousarray(errors.min(axis=0).reshape(n_agents, b).T)
 
 
 def _combine_errors(
-    kind: CuriosityKind, errors: list[list[np.ndarray]], n_agents: int
+    terms: tuple[tuple[int, int], ...], errors: list[list[np.ndarray]], shape: tuple[int, int]
 ) -> np.ndarray:
-    """(B, N) rewards of every kind but icm_min from errors[role][head], the
-    (M, B) squared errors of every member's head, the per-agent role first."""
-    if kind is CuriosityKind.MCM:
-        per_agent = errors[0][0] + errors[0][1]
-    elif kind in (CuriosityKind.MCM_INDIV, CuriosityKind.ICM_INDIV):
-        per_agent = errors[0][0]
-    elif kind is CuriosityKind.MCM_JOINT:
-        per_agent = errors[0][1]
-    elif kind is CuriosityKind.ICM_JOINT:
-        per_agent = np.repeat(errors[0][0], n_agents, axis=0)
-    elif kind is CuriosityKind.MCM_SEP:
-        per_agent = errors[0][0] + errors[1][0]
-    else:
-        raise AssertionError(f"unhandled kind {kind}")
+    """The (B, N) = shape rewards that sum a METHODS row's (role, head)
+    terms in table order, errors[role][head] being the (M, B) squared
+    errors of every member's head; a joint module's one row goes to every
+    agent. No terms give zeros, and starting from zeros changes no bit of a
+    sum (0 + x is x)."""
+    b, n_agents = shape
+    per_agent = np.zeros((n_agents, b))
+    for role, head in terms:
+        per_agent += errors[role][head]
     return np.ascontiguousarray(per_agent.T)
 
 

@@ -73,18 +73,6 @@ _SECTIONS = {"world": nav_env.WorldConfig, "train": coma.TrainConfig}
 _FIELD_TO_KEY = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
-
-
-def _parse_str(raw: str) -> str:
-    return raw.strip()
-
-
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -94,9 +82,9 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
 
 # Field annotations are strings (postponed evaluation); map them to parsers.
 _CONVERTERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": _parse_str,
+    "int": int,
+    "float": float,
+    "str": str.strip,
     "tuple[int, ...]": _parse_int_tuple,
 }
 
@@ -197,7 +185,8 @@ def _g17(x: float) -> str:
 
 def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     """Train one configuration end to end; write one CSV of per-interval
-    means plus a sidecar echoing the fully resolved config."""
+    means, a sidecar echoing the fully resolved config, and, once the CSV
+    is closed, a summary file of the final score and episode count."""
     cfg.validate()
     cfg = replace(cfg, train=replace(cfg.train, total_episodes=cfg.resolved_total_episodes))
     out_dir = resolve_results_dir(results_dir)
@@ -300,6 +289,11 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
             emit_row(total, next_mark - cfg.eval_interval)
 
     score = final_score_of(normalized)
+    # written last, and whole or not at all: a run without one never finished
+    summary_path = os.path.join(out_dir, rid + ".summary")
+    with open(summary_path + ".tmp", "w") as f:
+        f.write(f"final_score = {_g17(score)}\nepisodes = {total}\n")
+    os.replace(summary_path + ".tmp", summary_path)
     logger.info("run %s: finished, final score %.4f", rid, score)
     return RunResult(
         cfg, normalized, extrinsic, mean_intrinsic, curiosity_loss, success_any, score
@@ -381,9 +375,10 @@ def parse_csv_rows(text: str) -> list[dict]:
 
 
 def load_run(results_dir: str, rid: str) -> RunSummary:
-    """Rebuild a finished run's final score from its CSV, weighting each
-    interval row by its overlap with the last 10% of episodes. Raises
-    IncompleteRunError unless the last row reaches the episode budget."""
+    """A finished run's config and the exact final score its summary file
+    records. Raises IncompleteRunError unless the CSV's last row reaches
+    the episode budget and the summary file exists, and ValueError when
+    the summary does not parse or counts other episodes."""
     with open(os.path.join(results_dir, rid + ".config")) as f:
         cfg = parse_config(f.read())
     with open(os.path.join(results_dir, rid + ".csv")) as f:
@@ -392,18 +387,18 @@ def load_run(results_dir: str, rid: str) -> RunSummary:
     last = rows[-1]["episode"] if rows else 0
     if last != total:
         raise IncompleteRunError(f"CSV ends at episode {last} of {total}")
-    threshold = 0.9 * total
-    weighted = 0.0
-    weight = 0.0
-    prev = 0
-    for row in rows:
-        end = row["episode"]
-        overlap = min(end, total) - max(prev, threshold)
-        if overlap > 0:
-            weighted += overlap * row["normalized_reward"]
-            weight += overlap
-        prev = end
-    return RunSummary(cfg, weighted / weight)
+    try:
+        with open(os.path.join(results_dir, rid + ".summary")) as f:
+            summary = parse_pairs(f.read())
+    except FileNotFoundError:
+        raise IncompleteRunError("no .summary file: unfinished, or older than summaries") from None
+    try:
+        score, episodes = float(summary["final_score"]), int(summary["episodes"])
+    except (KeyError, ValueError):
+        raise ValueError(f"malformed .summary file {summary!r}") from None
+    if episodes != total:
+        raise ValueError(f".summary counts {episodes} episodes of {total}")
+    return RunSummary(cfg, score)
 
 
 def load_results(results_dir: str) -> list[RunSummary]:
@@ -419,7 +414,7 @@ def load_results(results_dir: str) -> list[RunSummary]:
             continue
         try:
             out.append(load_run(results_dir, rid))
-        except ValueError as e:  # incomplete, or a sidecar or CSV that does not parse
+        except ValueError as e:  # incomplete, or a sidecar, CSV or summary that does not parse
             logger.warning("run %s: %s, skipping", rid, e)
     return out
 

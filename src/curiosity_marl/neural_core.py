@@ -203,6 +203,22 @@ def init_adam(
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(size), v=np.zeros(size))
 
 
+@dataclass
+class Learner:
+    """A trained network and the Adam state of its updates."""
+
+    network: Network
+    opt: AdamState
+
+
+def init_learner(
+    spec: NetworkSpec, rng: np.random.Generator, members: int = 1, lr: float = 1e-3
+) -> Learner:
+    """init_network's stack of members with a fresh Adam state at rate lr."""
+    network = init_network(spec, rng, members)
+    return Learner(network, init_adam(network, lr=lr))
+
+
 def _buffers_for(net: Network, batch: int) -> _Buffers:
     bufs = net._buffers.get(batch)
     if bufs is None:

@@ -147,12 +147,11 @@ def test_select_actions_matches_probabilities():
         [coma.policy_probs(policies.network.member(i), obs[i][None], eps)[0, 0] for i in range(2)]
     )
     n_draws = 100_000
-    counts = np.zeros((2, 5))
-    for _ in range(n_draws):
-        acts, probs = coma.select_actions(policies, obs[None], eps, rng.random((1, 2)))
-        np.testing.assert_array_equal(probs[0], expected)
-        for i in range(2):
-            counts[i, acts[0, i]] += 1
+    acts, probs = coma.select_actions(
+        policies, np.broadcast_to(obs, (n_draws, 2, 8)), eps, rng.random((n_draws, 2))
+    )
+    np.testing.assert_array_equal(probs, np.broadcast_to(expected, probs.shape))
+    counts = np.stack([np.bincount(acts[:, i], minlength=5) for i in range(2)])
     freq = counts / n_draws
     sigma = np.sqrt(expected * (1 - expected) / n_draws)
     assert np.all(np.abs(freq - expected) < 3.5 * sigma + 1e-12)
@@ -204,7 +203,9 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     bank = curiosity.make_bank("mcm", n_agents, world.obs_dim, rng)
     cfg = coma.TrainConfig(episodes_per_update=5)
     eps = 0.1
-    scorer = dataclasses.replace(bank, agents=bank.agents.copy())  # the rollout trains bank
+    scorer = dataclasses.replace(  # the rollout trains bank
+        bank, agents=dataclasses.replace(bank.agents, network=bank.agents.network.copy())
+    )
     buf = coma.rollout_episode(
         nav_env.NavEnv(world), policies, bank, cfg, eps,
         np.random.default_rng(32), np.random.default_rng(33),
@@ -265,7 +266,7 @@ def test_one_network_pass_per_role(n_agents, monkeypatch):
         "forward": epochs + 1, "backward": epochs, "adam_step": epochs
     }
     for role in (bank.agents, bank.joint):
-        assert passes_of(role) == {"forward": 1, "backward": 1, "adam_step": 1}
+        assert passes_of(role.network) == {"forward": 1, "backward": 1, "adam_step": 1}
     assert len(calls["forward"]) == t_max + 1 + epochs + 1 + 2
     assert len(calls["backward"]) == len(calls["adam_step"]) == 1 + epochs + 2
 
@@ -659,7 +660,7 @@ def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, ac
     updates, the critic's targets from a forward of their own in (episode,
     step, agent) row order, and the bank's update on a fresh forward last."""
     epsilon = coma.epsilon_at(cfg, episode_index)
-    e, t_max, n = cfg.episodes_per_update, env.config.episode_length, policies.n_agents
+    e, t_max, n = cfg.episodes_per_update, env.config.episode_length, policies.network.members
     first_obs = env.reset(env_rng, e)
     uniforms = action_rng.random((e, t_max, n))
     obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
@@ -706,12 +707,11 @@ def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, ac
     actor_loss = coma.actor_update(policies, critic, buf, cfg, epsilon)
 
     curiosity_losses = []
-    two_headed = bank.kind in curiosity.TWO_HEADED_KINDS
-    for module, opt, xs, extras, heads in curiosity._module_batches(bank, *steps):
-        member_losses, _, grads_fn = curiosity.module_loss_closure(xs, extras, heads, two_headed)(
-            module
+    for learner, xs, extras, heads in curiosity._module_batches(bank, *steps):
+        member_losses, _, grads_fn = curiosity.module_loss_closure(xs, extras, heads)(
+            learner.network
         )
-        nc.adam_step(opt, module, grads_fn())
+        nc.adam_step(learner.opt, learner.network, grads_fn())
         curiosity_losses.extend(member_losses.tolist())
     return coma.RoundStats(
         extrinsic_returns=extrinsic.sum(axis=1).tolist(),
@@ -727,12 +727,10 @@ def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, ac
 def trained_state(policies, critic, bank):
     """Every parameter and Adam moment of every network, with step counts."""
     arrays, steps = [], []
-    pairs = [(policies.network, policies.opt), (critic.network, critic.opt)]
-    pairs += [(bank.agents, bank.agents_opt), (bank.joint, bank.joint_opt)]
-    for net, opt in pairs:
-        if net is not None:
-            arrays += [*net.parameters(), *opt.m, *opt.v]
-            steps.append(opt.step_count)
+    for learner in (policies, critic, bank.agents, bank.joint):
+        if learner is not None:
+            arrays += [*learner.network.parameters(), *learner.opt.m, *learner.opt.v]
+            steps.append(learner.opt.step_count)
     return arrays, steps
 
 
@@ -800,7 +798,7 @@ def test_train_round_reports_per_episode_scalars():
     assert len(stats.success_steps) == cfg.episodes_per_update
     assert len(stats.mean_intrinsic) == cfg.episodes_per_update
     assert all(m > 0 for m in stats.mean_intrinsic)
-    assert len(stats.curiosity_losses) == policies.n_agents
+    assert len(stats.curiosity_losses) == policies.network.members
     assert np.isfinite(stats.critic_loss)
     assert np.isfinite(stats.actor_loss)
 

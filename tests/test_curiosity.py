@@ -36,8 +36,9 @@ def bank_of(kind, seed, n_agents=2, obs_dim=4, lr=1e-3):
 def modules(bank):
     """Every module of the bank as a one-member network, in roster order:
     member slices of the per-agent stack by agent, then the joint module."""
-    agents = [] if bank.agents is None else [bank.agents.member(a) for a in range(bank.n_agents)]
-    return agents + ([] if bank.joint is None else [bank.joint])
+    stack = bank.agents
+    agents = [] if stack is None else [stack.network.member(a) for a in range(bank.n_agents)]
+    return agents + ([] if bank.joint is None else [bank.joint.network])
 
 
 def scalar_sq_err(pred, target):
@@ -68,7 +69,7 @@ def two_headed_oracle(bank, obs, actions, next_obs, agent):
     trunk_in = np.concatenate([o_n, u_n])
     extra = np.concatenate([o_others, u_others])
     pred_own, pred_joint = nc.forward(
-        bank.agents.member(agent), trunk_in[None], [None, extra[None]]
+        bank.agents.network.member(agent), trunk_in[None], [None, extra[None]]
     )[0]
     own_err = scalar_sq_err(pred_own, next_obs[agent])
     joint_err = scalar_sq_err(pred_joint, next_obs.ravel())
@@ -87,7 +88,7 @@ def per_row_oracle(bank, obs, actions, next_obs):
         pred = nc.forward(module, indiv_oracle_input(obs, actions, agent))[0][0]
         return scalar_sq_err(pred, next_obs[agent])
 
-    if kind in cur.TWO_HEADED_KINDS:
+    if cur.METHODS[kind][0] == 2:
         errs = [two_headed_oracle(bank, obs, actions, next_obs, a) for a in range(n)]
         pick = {
             CuriosityKind.MCM: lambda own, joint: own + joint,
@@ -96,14 +97,14 @@ def per_row_oracle(bank, obs, actions, next_obs):
         }[kind]
         return np.array([pick(own, joint) for own, joint in errs])
     if kind is CuriosityKind.ICM_INDIV:
-        return np.array([indiv_err(bank.agents.member(a), a) for a in range(n)])
+        return np.array([indiv_err(bank.agents.network.member(a), a) for a in range(n)])
     if kind is CuriosityKind.ICM_MIN:
         return np.array([min(indiv_err(m, a) for m in modules(bank)) for a in range(n)])
-    joint_pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
+    joint_pred = nc.forward(bank.joint.network, joint_oracle_input(obs, actions))[0][0]
     joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
     if kind is CuriosityKind.ICM_JOINT:
         return np.full(n, joint_err)
-    return np.array([indiv_err(bank.agents.member(a), a) + joint_err for a in range(n)])
+    return np.array([indiv_err(bank.agents.network.member(a), a) + joint_err for a in range(n)])
 
 
 class TestRoster:
@@ -133,8 +134,8 @@ class TestRoster:
     def test_two_headed_wiring(self):
         """Other agents' inputs feed only the joint head, after the trunk."""
         bank = bank_of("mcm", 1)
-        spec = bank.agents.spec
-        obs_dim, n = bank.obs_dim, bank.n_agents
+        spec = bank.agents.network.spec
+        obs_dim, n = 4, bank.n_agents
         assert spec.input_dim == obs_dim + N_ACTIONS
         assert spec.output_dims == (obs_dim, n * obs_dim)
         assert spec.head_extra_input_dims == (0, (n - 1) * (obs_dim + N_ACTIONS))
@@ -142,7 +143,7 @@ class TestRoster:
     def test_four_agent_bank(self):
         bank = bank_of("mcm_sep", 0, n_agents=4, obs_dim=8)
         assert len(modules(bank)) == 5
-        joint = bank.joint
+        joint = bank.joint.network
         assert joint.spec.input_dim == 4 * (8 + N_ACTIONS)
         assert joint.spec.output_dims == (4 * 8,)
 
@@ -176,7 +177,7 @@ class TestIntrinsicOracles:
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
-                pred = nc.forward(bank.agents.member(agent), x)[0][0]
+                pred = nc.forward(bank.agents.network.member(agent), x)[0][0]
                 assert reward[agent] == pytest.approx(
                     scalar_sq_err(pred, next_obs[agent]), abs=1e-12
                 )
@@ -188,7 +189,7 @@ class TestIntrinsicOracles:
         rewards = cur.intrinsic_rewards(bank, *batch)
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             assert np.all(reward == reward[0])
-            pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
+            pred = nc.forward(bank.joint.network, joint_oracle_input(obs, actions))[0][0]
             assert reward[0] == pytest.approx(
                 scalar_sq_err(pred, next_obs.ravel()), abs=1e-12
             )
@@ -215,12 +216,12 @@ class TestIntrinsicOracles:
         batch = random_batch(rng, 10)
         rewards = cur.intrinsic_rewards(bank, *batch)
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
-            joint_pred = nc.forward(bank.joint, joint_oracle_input(obs, actions))[0][0]
+            joint_pred = nc.forward(bank.joint.network, joint_oracle_input(obs, actions))[0][0]
             joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
                 own_err = scalar_sq_err(
-                    nc.forward(bank.agents.member(agent), x)[0][0], next_obs[agent]
+                    nc.forward(bank.agents.network.member(agent), x)[0][0], next_obs[agent]
                 )
                 assert reward[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
 
@@ -241,7 +242,7 @@ class TestIntrinsicOracles:
         monkeypatch.setattr(nc, "forward", counted)
         batch = random_batch(np.random.default_rng(53), 6, n_agents=4)
         cur.intrinsic_rewards(bank, *batch)
-        roles = [role for role in (bank.agents, bank.joint) if role is not None]
+        roles = [role.network for role in (bank.agents, bank.joint) if role is not None]
         assert list(map(id, nets)) == list(map(id, roles))
         nets.clear()
         cur.curiosity_update(bank, *batch)

@@ -303,9 +303,61 @@ def test_load_run_reconstructs_final_score(tmp_path):
     )
     result = harness.run_experiment(cfg, str(tmp_path))
     summary = harness.load_run(str(tmp_path), harness.run_id(cfg))
-    # interval boundary lines up with the last-10% window, so this is exact
-    assert summary.final_score == pytest.approx(result.final_score, abs=1e-15)
+    # the summary file records the run's own final score, bit for bit
+    assert summary.final_score == result.final_score
     assert summary.config == result.config
+
+
+def test_load_run_scores_unaligned_tail_as_the_run_did(tmp_path, monkeypatch):
+    """The last-10% window (episodes 36-39 of 40) starts inside the second
+    20-episode CSV row, so no mean of whole rows gives the run's own score:
+    34 failed episodes and then 6 docked ones score 1.0 at the run and 0.3
+    from the CSV's overlap weighting."""
+    cfg = harness.parse_config("method = none\ntotal_episodes = 40\neval_interval = 20\n")
+    length = cfg.world.episode_length
+
+    def fake_round(policies, critic, env, bank, round_cfg, done, env_rng, action_rng):
+        n = round_cfg.episodes_per_update
+        steps = [length if done + i >= 34 else 0 for i in range(n)]
+        return coma.RoundStats(
+            extrinsic_returns=[0.0] * n,
+            success_steps=steps,
+            success_any=[s > 0 for s in steps],
+            mean_intrinsic=[0.0] * n,
+        )
+
+    monkeypatch.setattr(coma, "train_round", fake_round)
+    result = harness.run_experiment(cfg, str(tmp_path))
+    assert result.final_score == 1.0
+    assert harness.load_run(str(tmp_path), harness.run_id(cfg)).final_score == 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        harness.run_id(cfg) + ext for ext in (".config", ".csv", ".summary")
+    ]
+
+
+@pytest.mark.parametrize("damage", ["missing", "garbled", "other_budget"])
+def test_run_without_a_good_summary_is_not_reported(damage, tmp_path, caplog):
+    """A run whose summary file is missing (it never finished, or was
+    written before summaries existed), does not parse, or counts another
+    budget is skipped with a warning that names it."""
+    for seed in (0, 1):
+        cfg = harness.parse_config(f"method = none\ntotal_episodes = 16\nseed = {seed}\n")
+        harness.run_experiment(cfg, str(tmp_path))
+    rid = harness.run_id(cfg)
+    path = tmp_path / (rid + ".summary")
+    if damage == "missing":
+        path.unlink()
+        error = harness.IncompleteRunError
+    else:
+        garbled = "final_score\n"
+        path.write_text(garbled if damage == "garbled" else "final_score = 0.5\nepisodes = 8\n")
+        error = ValueError
+    with pytest.raises(error):
+        harness.load_run(str(tmp_path), rid)
+    with caplog.at_level("WARNING", logger="curiosity_marl.harness"):
+        loaded = harness.load_results(str(tmp_path))
+    assert [harness.run_id(r.config) for r in loaded] == [rid.replace("_s1", "_s0")]
+    assert any(rid in record.getMessage() for record in caplog.records)
 
 
 def test_truncated_run_is_not_reported(tmp_path):
@@ -455,7 +507,8 @@ def test_sweep_serial_produces_all_files(tmp_path):
     for cell in cells:
         assert (tmp_path / (cell.run_id + ".csv")).exists()
         assert (tmp_path / (cell.run_id + ".config")).exists()
-    assert len(list(tmp_path.iterdir())) == 8
+        assert (tmp_path / (cell.run_id + ".summary")).exists()
+    assert len(list(tmp_path.iterdir())) == 12
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
