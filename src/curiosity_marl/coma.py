@@ -362,7 +362,7 @@ def critic_update(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig) -> f
     losses = []
     for _ in range(cfg.critic_epochs):
         loss, grads_fn = closure(critic.network, forwarded)
-        nc.adam_step(critic.opt, critic.network, grads_fn())
+        nc.adam_step(critic, grads_fn())
         losses.append(loss)
         forwarded = None
     return float(losses[0][0])
@@ -501,7 +501,7 @@ def actor_update(
         joint_obs.transpose(1, 0, 2), u, advantages, epsilon, cfg.entropy_coeff
     )
     loss, grads_fn = closure(policies.network)
-    nc.adam_step(policies.opt, policies.network, grads_fn())
+    nc.adam_step(policies, grads_fn())
     return float(loss[0])
 
 

@@ -224,7 +224,7 @@ def curiosity_update(
         member_losses, role_errors, grads_fn = module_loss_closure(x, extras, targets)(
             learner.network
         )
-        nc.adam_step(learner.opt, learner.network, grads_fn())
+        nc.adam_step(learner, grads_fn())
         errors.append(role_errors)
         losses.extend(member_losses.tolist())
     if terms is not None:

@@ -10,6 +10,7 @@ random state and parallel execution order cannot change any run's output.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import os
@@ -192,6 +193,10 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     out_dir = resolve_results_dir(results_dir)
     os.makedirs(out_dir, exist_ok=True)
     rid = run_id(cfg)
+    # an earlier run's summary would pass for this run's until it finishes
+    summary_path = os.path.join(out_dir, rid + ".summary")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
     with open(os.path.join(out_dir, rid + ".config"), "w") as f:
         f.write(render_config(cfg))
 
@@ -290,7 +295,6 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
 
     score = final_score_of(normalized)
     # written last, and whole or not at all: a run without one never finished
-    summary_path = os.path.join(out_dir, rid + ".summary")
     with open(summary_path + ".tmp", "w") as f:
         f.write(f"final_score = {_g17(score)}\nepisodes = {total}\n")
     os.replace(summary_path + ".tmp", summary_path)

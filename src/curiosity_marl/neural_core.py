@@ -14,12 +14,14 @@ its own rows, and a (B, in) matrix is shared by all; outputs, and the output
 gradients backward takes, are always (M, B, out). Each member's arithmetic is
 a one-member network's, bit for bit: stacked products run one 2-D BLAS call
 per member, and batch reductions keep the one-member axis and layout. Each
-parameter is one C-contiguous array, updated only in place, so the
-transposed views a forward multiplies by are built once per network.
+parameter is one C-contiguous array, updated only in place; a forward
+multiplies by each weight's transposed view, built as it runs.
 Parameter order (used by Gradients and Adam): trunk layer 0 weight, trunk
-layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ... Adam's
-moments are two flat arrays over every parameter float in this order, so an
-update runs each of its operations once for the whole network.
+layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ... A
+Learner holds a trained network with its Adam state: the learning rate, the
+step count, and the moments as two flat arrays over every parameter float in
+this order, so an update runs each of its operations once for the whole
+network. Adam's beta1, beta2 and eps are module constants.
 
 Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
@@ -52,6 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Gradients = list[np.ndarray]
+
+# Kingma & Ba's values (arXiv 1412.6980); no caller has needed others
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,16 +104,13 @@ class _Buffers:
 
 @dataclass(frozen=True)
 class Network:
-    """Parameters are tuples of arrays that are only ever updated in place,
-    so the transposed views a forward pass multiplies by are built once."""
+    """Parameters are tuples of arrays that are only ever updated in place."""
 
     spec: NetworkSpec
     trunk_w: tuple[np.ndarray, ...]  # (M, out, in) per layer
     trunk_b: tuple[np.ndarray, ...]  # (M, 1, out) per layer
     head_w: tuple[np.ndarray, ...]
     head_b: tuple[np.ndarray, ...]
-    _trunk_wt: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _head_wt: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _buffers: dict[int, _Buffers] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -114,9 +118,6 @@ class Network:
     def __post_init__(self):
         for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        # each member's weight transposed, (M, in, out)
-        object.__setattr__(self, "_trunk_wt", tuple(w.swapaxes(1, 2) for w in self.trunk_w))
-        object.__setattr__(self, "_head_wt", tuple(w.swapaxes(1, 2) for w in self.head_w))
 
     @property
     def members(self) -> int:
@@ -166,18 +167,6 @@ class ForwardCache:
             )
 
 
-@dataclass
-class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    # first and second moments of every parameter float, flat in parameters() order
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) -> Network:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases.
 
@@ -196,27 +185,29 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) 
     return Network(spec, weights[:n_trunk], biases[:n_trunk], weights[n_trunk:], biases[n_trunk:])
 
 
-def init_adam(
-    net: Network, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> AdamState:
-    size = sum(p.size for p in net.parameters())
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(size), v=np.zeros(size))
-
-
 @dataclass
 class Learner:
-    """A trained network and the Adam state of its updates."""
+    """A trained network and the Adam state of its updates, which start at
+    step 0 with zero moments."""
 
     network: Network
-    opt: AdamState
+    lr: float = 1e-3
+    step_count: int = field(default=0, init=False)
+    # first and second moments of every parameter float, flat in parameters() order
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = sum(p.size for p in self.network.parameters())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
 def init_learner(
     spec: NetworkSpec, rng: np.random.Generator, members: int = 1, lr: float = 1e-3
 ) -> Learner:
     """init_network's stack of members with a fresh Adam state at rate lr."""
-    network = init_network(spec, rng, members)
-    return Learner(network, init_adam(network, lr=lr))
+    return Learner(init_network(spec, rng, members), lr)
 
 
 def _buffers_for(net: Network, batch: int) -> _Buffers:
@@ -287,13 +278,13 @@ def forward(
     bufs = _buffers_for(net, x.shape[-2])
     bufs.generation += 1
     a = x
-    for wt, b, z, act in zip(net._trunk_wt, net.trunk_b, bufs.z, bufs.a):
-        np.matmul(a, wt, out=z)
+    for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
+        np.matmul(a, w.swapaxes(1, 2), out=z)
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
     outputs, head_inputs = [], []
-    for k, (wt, b) in enumerate(zip(net._head_wt, net.head_b)):
+    for k, (w, b) in enumerate(zip(net.head_w, net.head_b)):
         extra_dim = spec.head_extra_input_dims[k]
         if extra_dim == 0:
             h_in = a
@@ -312,7 +303,7 @@ def forward(
             h_in[..., : a.shape[-1]] = a
             h_in[..., a.shape[-1] :] = extra
         head_inputs.append(h_in)
-        out = np.matmul(h_in, wt)
+        out = np.matmul(h_in, w.swapaxes(1, 2))
         out += b
         outputs.append(out)
 
@@ -344,13 +335,12 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
         gys.append(gy)
     bufs.generation += 1  # the work arrays are overwritten below
 
-    # The heads have read the trunk output, so its buffer now sums
-    # d(loss)/d(trunk output) head by head; each activation buffer then takes
+    # The heads have read the trunk output, so its buffer now takes
+    # d(loss)/d(trunk output), head by head; each activation buffer then takes
     # the gradient flowing into it, and each pre-activation buffer its d_z.
     last = len(net.trunk_w) - 1
-    d_a = bufs.a[last]
-    d_a.fill(0.0)
-    for w, gy in zip(net.head_w, gys):
+    d_a = np.matmul(gys[0], net.head_w[0][:, :, :trunk_out_dim], out=bufs.a[last])
+    for w, gy in zip(net.head_w[1:], gys[1:]):
         d_a += np.matmul(gy, w[:, :, :trunk_out_dim], out=_scratch(bufs, d_a))
 
     trunk_w_grads, trunk_b_grads = [], []
@@ -374,10 +364,11 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
     return grads
 
 
-def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState, Network]:
+def adam_step(learner: Learner, grads: Gradients) -> None:
     """Standard Adam with bias correction, each operation run once over the
-    flat moments of every parameter float; mutates opt and net in place."""
-    params = net.parameters()
+    flat moments of every parameter float; updates the learner in place. A
+    non-finite gradient is rejected before anything changes."""
+    params = learner.network.parameters()
     if len(grads) != len(params):
         raise ValueError("gradient list does not match parameter list")
     for g, p in zip(grads, params):
@@ -386,20 +377,20 @@ def adam_step(opt: AdamState, net: Network, grads: Gradients) -> tuple[AdamState
     g = np.concatenate([g.ravel() for g in grads])
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient; update rejected")
-    opt.step_count += 1
-    t = opt.step_count
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
-    opt.m *= opt.beta1
-    opt.m += (1.0 - opt.beta1) * g
-    opt.v *= opt.beta2
-    opt.v += (1.0 - opt.beta2) * g * g
-    step = opt.lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
+    learner.step_count += 1
+    t = learner.step_count
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m, v = learner.m, learner.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = learner.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     start = 0
     for p in params:
         p -= step[start : start + p.size].reshape(p.shape)
         start += p.size
-    return opt, net
 
 
 # Largest number of parameter floats a probe network of grad_check or

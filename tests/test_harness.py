@@ -377,6 +377,29 @@ def test_truncated_run_is_not_reported(tmp_path):
     assert harness.load_results(str(tmp_path)) == []
 
 
+def test_rerun_killed_before_its_summary_does_not_keep_the_old_one(tmp_path, monkeypatch):
+    """A run id rerun into the same directory with another setting, and
+    killed after its last CSV row but before its summary lands, must not
+    pass with the earlier run's score."""
+    cfg = harness.parse_config("method = none\ntotal_episodes = 16\n")
+    harness.run_experiment(cfg, str(tmp_path))
+    rid = harness.run_id(cfg)
+    (tmp_path / (rid + ".summary")).write_text("final_score = 0.123456789\nepisodes = 16\n")
+
+    class Killed(Exception):
+        pass
+
+    def killed(src, dst):
+        raise Killed
+
+    monkeypatch.setattr(harness.os, "replace", killed)
+    rerun = harness.parse_config("method = none\ntotal_episodes = 16\nentropy_coeff = 0.02\n")
+    with pytest.raises(Killed):
+        harness.run_experiment(rerun, str(tmp_path))
+    with pytest.raises(harness.IncompleteRunError):
+        harness.load_run(str(tmp_path), rid)
+
+
 @pytest.mark.parametrize("damage", ["bad_sidecar", "unknown_header", "short_row"])
 def test_load_results_skips_unreadable_run(damage, tmp_path, caplog):
     """A run whose sidecar or CSV does not parse, such as a CSV whose last

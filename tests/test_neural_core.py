@@ -207,18 +207,27 @@ class TestBackward:
 
 
 class TestAdam:
+    def test_learner_starts_at_step_0_with_zero_moments(self):
+        net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(6), members=3)
+        learner = nc.Learner(net, lr=0.01)
+        size = sum(p.size for p in net.parameters())
+        assert learner.network is net and learner.lr == 0.01 and learner.step_count == 0
+        for moment in (learner.m, learner.v):
+            assert moment.shape == (size,) and not moment.any()
+        assert nc.Learner(net).lr == 1e-3
+
     def test_matches_reference_recurrence(self):
         """Ten steps versus a scalar-loop Adam with bias correction."""
         spec = nc.NetworkSpec(2, (1,), hidden_dims=(2,))
         net = nc.init_network(spec, np.random.default_rng(7))
-        opt = nc.init_adam(net, lr=0.01)
+        learner = nc.Learner(net, lr=0.01)
         shadow = [p.copy() for p in net.parameters()]
         m = [np.zeros_like(p) for p in shadow]
         v = [np.zeros_like(p) for p in shadow]
         rng = np.random.default_rng(8)
         all_grads = [[rng.standard_normal(p.shape) for p in shadow] for _ in range(10)]
         for t, grads in enumerate(all_grads, start=1):
-            nc.adam_step(opt, net, [g.copy() for g in grads])
+            nc.adam_step(learner, [g.copy() for g in grads])
             for j, g in enumerate(grads):
                 m[j] = 0.9 * m[j] + 0.1 * g
                 v[j] = 0.999 * v[j] + 0.001 * g * g
@@ -235,13 +244,13 @@ class TestAdam:
         rng = np.random.default_rng(9)
         net = nc.init_network(small_spec(two_headed=True), rng, members=3)
         ref = net.copy()
-        opt = nc.init_adam(net, lr=0.01)
+        learner = nc.Learner(net, lr=0.01)
         m = [np.zeros_like(p) for p in ref.parameters()]
         v = [np.zeros_like(p) for p in ref.parameters()]
-        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+        b1, b2, lr, eps = nc.ADAM_BETA1, nc.ADAM_BETA2, learner.lr, nc.ADAM_EPS
         for t in range(1, 4):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-3, 1) for p in m]
-            nc.adam_step(opt, net, grads)
+            nc.adam_step(learner, grads)
             bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
             for p, g, m_j, v_j in zip(ref.parameters(), grads, m, v):
                 m_j *= b1
@@ -251,37 +260,37 @@ class TestAdam:
                 p -= lr * (m_j / bc1) / (np.sqrt(v_j / bc2) + eps)
             for p, r in zip(net.parameters(), ref.parameters()):
                 assert np.array_equal(p, r)
-            assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in m]))
-            assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in v]))
+            assert np.array_equal(learner.m, np.concatenate([a.ravel() for a in m]))
+            assert np.array_equal(learner.v, np.concatenate([a.ravel() for a in v]))
 
     def test_rejects_bad_gradients(self):
         net = nc.init_network(small_spec(), np.random.default_rng(0))
-        opt = nc.init_adam(net)
+        learner = nc.Learner(net)
         grads = [np.zeros_like(p) for p in net.parameters()]
         grads[0] = grads[0][:, :2]
         with pytest.raises(ValueError):
-            nc.adam_step(opt, net, grads)
+            nc.adam_step(learner, grads)
         grads = [np.zeros_like(p) for p in net.parameters()]
         grads[1][0] = np.nan
         before = [p.copy() for p in net.parameters()]
         with pytest.raises(FloatingPointError):
-            nc.adam_step(opt, net, grads)
+            nc.adam_step(learner, grads)
         # rejected update must not touch parameters or the step counter
         for p, b in zip(net.parameters(), before):
             np.testing.assert_array_equal(p, b)
-        assert opt.step_count == 0
+        assert learner.step_count == 0
 
     def test_descends_on_quadratic(self):
         rng = np.random.default_rng(10)
         net = nc.init_network(small_spec(), rng)
-        opt = nc.init_adam(net, lr=1e-2)
+        learner = nc.Learner(net, lr=1e-2)
         x = rng.standard_normal((8, 3))
         targets = [rng.standard_normal((8, 2))]
         closure = nc.squared_error_loss_closure(x, targets)
         first, _ = closure(net)
         for _ in range(300):
             _, grads_fn = closure(net)
-            nc.adam_step(opt, net, grads_fn())
+            nc.adam_step(learner, grads_fn())
         last, _ = closure(net)
         assert last < 0.05 * first
 
@@ -478,9 +487,9 @@ class TestMemberStack:
     def test_stacked_passes_equal_per_member_loop(self, members, batch, two_headed, shared):
         rng = np.random.default_rng(50 + members + batch)
         net = nc.init_network(small_spec(two_headed), rng, members)
-        opt = nc.init_adam(net, lr=0.01)
+        learner = nc.Learner(net, lr=0.01)
         singles = [net.member(m).copy() for m in range(members)]
-        single_opts = [nc.init_adam(single, lr=0.01) for single in singles]
+        single_learners = [nc.Learner(single, lr=0.01) for single in singles]
         for _ in range(2):  # the second step runs on updated parameters and moments
             x, extras, gys = pass_inputs(net.spec, batch, rng, members, shared)
             outs, cache = nc.forward(net, x, extras)
@@ -495,8 +504,8 @@ class TestMemberStack:
                 ref_grads = reference_backward(single, ref_cache, gys_m)
                 for g, ref in zip(grads, ref_grads):
                     assert np.array_equal(g[m], ref)
-                nc.adam_step(single_opts[m], single, [g[None] for g in ref_grads])
-            nc.adam_step(opt, net, grads)
+                nc.adam_step(single_learners[m], [g[None] for g in ref_grads])
+            nc.adam_step(learner, grads)
             for m, single in enumerate(singles):
                 for p, ref in zip(net.member(m).parameters(), single.parameters()):
                     assert np.array_equal(p, ref)
