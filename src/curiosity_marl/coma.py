@@ -6,18 +6,25 @@ policy), while a single shared critic scores the joint
 observation against every candidate action of one agent at a time. Policies
 are trained on counterfactual advantages of their own mixed-reward stream;
 the critic regresses lambda-returns of those streams.
+
+One run's whole training state is one TrainState: init_state builds it from
+a run config, and each train_round advances it by one round of episodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import curiosity as cur
 from . import neural_core as nc
 from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, other_agents
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 
 @dataclass(frozen=True)
@@ -114,15 +121,11 @@ def _flat_transitions(obs: np.ndarray, actions: np.ndarray):
 
 @dataclass
 class RoundStats:
-    """Per-episode scalars from one train_round, plus update diagnostics."""
+    """Update diagnostics of one train_round; its per-episode values go into
+    the TrainState's arrays."""
 
-    extrinsic_returns: list[float] = field(default_factory=list)
-    success_steps: list[int] = field(default_factory=list)
-    success_any: list[bool] = field(default_factory=list)
-    mean_intrinsic: list[float] = field(default_factory=list)
-    curiosity_losses: list[float] = field(default_factory=list)
-    critic_loss: float = 0.0
-    actor_loss: float = 0.0
+    critic_loss: float
+    actor_loss: float
 
 
 def _action_spec(input_dim: int, hidden_dims, leaky_slope: float) -> nc.NetworkSpec:
@@ -162,6 +165,56 @@ def make_critic(
     """The shared critic, a stack of one."""
     spec = _action_spec(critic_input_dim(n_agents, obs_dim), hidden_dims, leaky_slope)
     return nc.init_learner(spec, rng, 1, lr)
+
+
+@dataclass
+class TrainState:
+    """Everything one run's training changes: the learners (their Adam
+    moments included), the environment, the two streams every round draws
+    from, the number of episodes played, and one slot per episode of the
+    run's budget for each per-episode value its CSV is made from."""
+
+    policies: nc.Learner
+    critic: nc.Learner
+    bank: cur.CuriosityBank
+    env: NavEnv
+    env_rng: np.random.Generator  # start jitter
+    action_rng: np.random.Generator  # action uniforms
+    normalized: np.ndarray  # (total_episodes,) share of steps at success
+    extrinsic: np.ndarray  # (total_episodes,) extrinsic return
+    mean_intrinsic: np.ndarray  # (total_episodes,) over steps and agents
+    curiosity_loss: np.ndarray  # (total_episodes,) its round's mean module loss
+    success_any: np.ndarray  # (total_episodes,) bool
+    episodes: int = 0
+
+
+def init_state(run: RunConfig) -> TrainState:
+    """A fresh state for a run config. The run's seed is split into four
+    independent streams: the environment's and the actions', which the state
+    keeps, the networks' (the policies draw first, then the critic) and the
+    bank's. So runs never share random state, and running them in parallel
+    cannot change any run's output."""
+    env_ss, action_ss, net_ss, bank_ss = np.random.SeedSequence(run.seed).spawn(4)
+    net_rng = np.random.default_rng(net_ss)
+    world, cfg = run.world, run.train
+    arch = (cfg.hidden_dims, cfg.leaky_slope)
+    total = run.resolved_total_episodes
+    return TrainState(
+        policies=make_policy_set(world.n_agents, world.obs_dim, net_rng, *arch, cfg.actor_lr),
+        critic=make_critic(world.n_agents, world.obs_dim, net_rng, *arch, cfg.critic_lr),
+        bank=cur.make_bank(
+            run.method, world.n_agents, world.obs_dim, np.random.default_rng(bank_ss),
+            *arch, cfg.curiosity_lr,
+        ),
+        env=NavEnv(world),
+        env_rng=np.random.default_rng(env_ss),
+        action_rng=np.random.default_rng(action_ss),
+        normalized=np.zeros(total),
+        extrinsic=np.zeros(total),
+        mean_intrinsic=np.zeros(total),
+        curiosity_loss=np.zeros(total),
+        success_any=np.zeros(total, dtype=bool),
+    )
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -253,17 +306,10 @@ def td_lambda_targets(
     return targets
 
 
-def rollout_episode(
-    env: NavEnv,
-    policies: nc.Learner,
-    bank: cur.CuriosityBank,
-    cfg: TrainConfig,
-    epsilon: float,
-    env_rng: np.random.Generator,
-    action_rng: np.random.Generator,
-) -> RolloutBuffer:
-    """Play the round's cfg.episodes_per_update episodes in lockstep with the
-    current policies, then score them, in this order:
+def rollout_episode(state: TrainState, cfg: TrainConfig, epsilon: float) -> RolloutBuffer:
+    """Play the round's episodes, cfg.episodes_per_update or the fewer left
+    of the state's budget, in lockstep with the current policies, then score
+    them, in this order:
 
     1. the loop only samples actions, moves the agents and observes;
     2. env.score gives every step's extrinsic reward and success at once,
@@ -274,17 +320,20 @@ def rollout_episode(
        step, so the bank trains here;
     4. the mixed rewards combine the two.
 
-    Every episode's start jitter is drawn from env_rng at reset, and every
-    action uniform from action_rng in one (E, T, N) block: the values each
-    stream would give with the episodes played one after another, step by
-    step and agent by agent. Neither the scoring nor the bank changes during
-    the loop, so scoring after the last step gives the rewards that scoring
-    each step online would."""
-    e = cfg.episodes_per_update
+    Every episode's start jitter is drawn from the state's env_rng at reset,
+    and every action uniform from its action_rng in one (E, T, N) block: the
+    values each stream would give with the episodes played one after
+    another, step by step and agent by agent. Neither the scoring nor the
+    bank changes during the loop, so scoring after the last step gives the
+    rewards that scoring each step online would."""
+    env, policies = state.env, state.policies
+    e = min(cfg.episodes_per_update, len(state.normalized) - state.episodes)
+    if e < 1:
+        raise ValueError(f"the state has played all {state.episodes} episodes of its budget")
     t_max = env.config.episode_length
     n = policies.network.members
-    first_obs = env.reset(env_rng, e)
-    uniforms = action_rng.random((e, t_max, n))
+    first_obs = env.reset(state.env_rng, e)
+    uniforms = state.action_rng.random((e, t_max, n))
     obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
     obs[:, 0] = first_obs
     actions = np.empty((e, t_max, n), dtype=int)
@@ -297,7 +346,9 @@ def rollout_episode(
         obs[:, t + 1] = env.move(actions[:, t])
         positions[:, t] = env.state.agent_positions
     extrinsic, success = env.score(positions)
-    intrinsic, curiosity_losses = cur.curiosity_update(bank, *_flat_transitions(obs, actions))
+    intrinsic, curiosity_losses = cur.curiosity_update(
+        state.bank, *_flat_transitions(obs, actions)
+    )
     intrinsic = intrinsic.reshape(e, t_max, n)
     mixed = cur.mix_rewards(
         extrinsic[..., None], intrinsic, cfg.intrinsic_lambda, cfg.intrinsic_clip
@@ -505,31 +556,26 @@ def actor_update(
     return float(loss[0])
 
 
-def train_round(
-    policies: nc.Learner,
-    critic: nc.Learner,
-    env: NavEnv,
-    bank: cur.CuriosityBank,
-    cfg: TrainConfig,
-    episode_index: int,
-    env_rng: np.random.Generator,
-    action_rng: np.random.Generator,
-) -> RoundStats:
+def train_round(state: TrainState, cfg: TrainConfig) -> RoundStats:
     """One round, in this order: rollout_episode plays a batch of episodes
     in lockstep, scores their rewards and trains the curiosity bank on the
-    same pass that scored them; then the critic and the actors update.
+    same pass that scored them; then the critic and the actors update, and
+    the episodes' values fill their slots of the state's arrays.
     Each network's pre-update forward over the round runs once: the
     critic's gives both its targets and its first epoch, and the bank's
-    gives both the intrinsic rewards and its Adam step."""
-    epsilon = epsilon_at(cfg, episode_index)
-    buf = rollout_episode(env, policies, bank, cfg, epsilon, env_rng, action_rng)
+    gives both the intrinsic rewards and its Adam step. A round that raises
+    leaves the episode count where it was."""
+    epsilon = epsilon_at(cfg, state.episodes)
+    buf = rollout_episode(state, cfg, epsilon)
     stats = RoundStats(
-        extrinsic_returns=buf.extrinsic.sum(axis=1).tolist(),
-        success_steps=buf.success.sum(axis=1).tolist(),
-        success_any=buf.success.any(axis=1).tolist(),
-        mean_intrinsic=buf.intrinsic.mean(axis=(1, 2)).tolist(),
-        curiosity_losses=buf.curiosity_losses,
+        critic_update(state.critic, buf, cfg),
+        actor_update(state.policies, state.critic, buf, cfg, epsilon),
     )
-    stats.critic_loss = critic_update(critic, buf, cfg)
-    stats.actor_loss = actor_update(policies, critic, buf, cfg, epsilon)
+    played = slice(state.episodes, state.episodes + len(buf.actions))
+    state.normalized[played] = buf.success.sum(axis=1) / state.env.config.episode_length
+    state.extrinsic[played] = buf.extrinsic.sum(axis=1)
+    state.mean_intrinsic[played] = buf.intrinsic.mean(axis=(1, 2))
+    state.curiosity_loss[played] = np.mean(buf.curiosity_losses) if buf.curiosity_losses else 0.0
+    state.success_any[played] = buf.success.any(axis=1)
+    state.episodes = played.stop
     return stats

@@ -1,11 +1,12 @@
 """Experiment orchestration: flat-file configs, seeded runs, CSV metrics,
 sweeps over methods x seeds, and Table-style aggregation.
 
-Config files are flat `key = value` lines with `#` comments. Every run is a
-pure function of its resolved config: the master seed is split into
-independent streams for the environment, action sampling, network
-initialization, and curiosity-bank initialization, so runs never share
-random state and parallel execution order cannot change any run's output.
+Config files are flat `key = value` lines with `#` comments; a key may
+appear once per file. Every run is a pure function of its resolved config:
+run_experiment builds the run's coma.TrainState, which splits the master
+seed into independent streams, advances it one coma.train_round at a time,
+writes a CSV row whenever an interval of episodes is complete, and writes
+the summary file last.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ _SECTIONS = {"world": nav_env.WorldConfig, "train": coma.TrainConfig}
 _FIELD_TO_KEY = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def _split_items(raw: str) -> list[str]:
+    """The items of a comma list; an empty one is an error, not skipped."""
+    items = [p.strip() for p in raw.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in {raw!r}")
+    return items
 
 
 # Field annotations are strings (postponed evaluation); map them to parsers.
@@ -86,7 +88,7 @@ _CONVERTERS = {
     "int": int,
     "float": float,
     "str": str.strip,
-    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, ...]": lambda raw: tuple(int(p) for p in _split_items(raw)),
 }
 
 
@@ -107,16 +109,21 @@ def _field_converters() -> dict[str, tuple[str | None, str, object]]:
 
 
 def parse_pairs(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment; blank lines ignored."""
+    """Flat `key = value` lines; `#` starts a comment; blank lines ignored.
+    A key given on two lines is rejected with both line numbers."""
     pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected `key = value`, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        pairs[key.strip()] = raw.strip()
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in lines:
+            raise ConfigurationError(f"{key}: given twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        pairs[key] = raw
     return pairs
 
 
@@ -184,6 +191,17 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_row(cfg: RunConfig, state: coma.TrainState, end: int) -> str:
+    """The CSV row that ends at episode `end`: the mean of each value over
+    the episodes since the last multiple of eval_interval before it."""
+    world, sl = cfg.world, slice((end - 1) // cfg.eval_interval * cfg.eval_interval, end)
+    means = (state.normalized, state.extrinsic, state.mean_intrinsic, state.curiosity_loss)
+    return ",".join(
+        [run_id(cfg), cfg.method, world.scenario, str(world.n_agents), str(cfg.seed), str(end)]
+        + [_g17(a[sl].mean()) for a in means]
+    )
+
+
 def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     """Train one configuration end to end; write one CSV of per-interval
     means, a sidecar echoing the fully resolved config, and, once the CSV
@@ -200,107 +218,42 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     with open(os.path.join(out_dir, rid + ".config"), "w") as f:
         f.write(render_config(cfg))
 
-    env_ss, action_ss, net_ss, bank_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-    env_rng = np.random.default_rng(env_ss)
-    action_rng = np.random.default_rng(action_ss)
-    net_rng = np.random.default_rng(net_ss)
-    bank_rng = np.random.default_rng(bank_ss)
-
-    world, train_cfg = cfg.world, cfg.train
-    env = nav_env.NavEnv(world)
-    policies = coma.make_policy_set(
-        world.n_agents, world.obs_dim, net_rng,
-        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.actor_lr,
-    )
-    critic = coma.make_critic(
-        world.n_agents, world.obs_dim, net_rng,
-        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.critic_lr,
-    )
-    bank = curiosity.make_bank(
-        cfg.method, world.n_agents, world.obs_dim, bank_rng,
-        train_cfg.hidden_dims, train_cfg.leaky_slope, train_cfg.curiosity_lr,
-    )
-
-    total = train_cfg.total_episodes
-    normalized = np.zeros(total)
-    extrinsic = np.zeros(total)
-    mean_intrinsic = np.zeros(total)
-    curiosity_loss = np.zeros(total)
-    success_any = np.zeros(total, dtype=bool)
-
-    logger.info("run %s: starting %d episodes", rid, total)
-    csv_path = os.path.join(out_dir, rid + ".csv")
-    done = 0
-    next_mark = cfg.eval_interval
+    state = coma.init_state(cfg)
+    total = cfg.train.total_episodes
+    # each row ends at a multiple of eval_interval, and the last at total
+    row_ends = [*range(cfg.eval_interval, total, cfg.eval_interval), total]
     next_log = PROGRESS_LOG_EVERY
-    with open(csv_path, "w") as csv_file:
+    logger.info("run %s: starting %d episodes", rid, total)
+    with open(os.path.join(out_dir, rid + ".csv"), "w") as csv_file:
         csv_file.write(CSV_HEADER + "\n")
         csv_file.flush()
-
-        def emit_row(end: int, start: int) -> None:
-            sl = slice(start, end)
-            row = ",".join(
-                [
-                    rid,
-                    cfg.method,
-                    world.scenario,
-                    str(world.n_agents),
-                    str(cfg.seed),
-                    str(end),
-                    _g17(normalized[sl].mean()),
-                    _g17(extrinsic[sl].mean()),
-                    _g17(mean_intrinsic[sl].mean()),
-                    _g17(curiosity_loss[sl].mean()),
-                ]
-            )
-            csv_file.write(row + "\n")
-            csv_file.flush()
-
-        while done < total:
-            n_eps = min(train_cfg.episodes_per_update, total - done)
-            round_cfg = (
-                train_cfg
-                if n_eps == train_cfg.episodes_per_update
-                else replace(train_cfg, episodes_per_update=n_eps)
-            )
+        while state.episodes < total:
             try:
-                stats = coma.train_round(
-                    policies, critic, env, bank, round_cfg, done, env_rng, action_rng
-                )
+                coma.train_round(state, cfg.train)
             except FloatingPointError as e:
                 raise RuntimeError(
-                    f"run {rid}: numeric failure near episode {done}: {e}"
+                    f"run {rid}: numeric failure near episode {state.episodes}: {e}"
                 ) from e
-            round_loss = (
-                float(np.mean(stats.curiosity_losses)) if stats.curiosity_losses else 0.0
-            )
-            played = slice(done, done + n_eps)
-            extrinsic[played] = stats.extrinsic_returns
-            normalized[played] = np.divide(stats.success_steps, world.episode_length)
-            mean_intrinsic[played] = stats.mean_intrinsic
-            curiosity_loss[played] = round_loss
-            success_any[played] = stats.success_any
-            done += n_eps
-            while next_mark <= done:
-                emit_row(next_mark, next_mark - cfg.eval_interval)
-                next_mark += cfg.eval_interval
+            while row_ends and row_ends[0] <= state.episodes:
+                csv_file.write(_csv_row(cfg, state, row_ends.pop(0)) + "\n")
+                csv_file.flush()
+            done = state.episodes
             if next_log <= done:
+                recent = float(np.mean(state.normalized[max(0, done - 500):done]))
                 logger.info(
-                    "run %s: %d/%d episodes, recent normalized %.3f",
-                    rid, done, total, float(np.mean(normalized[max(0, done - 500):done])),
+                    "run %s: %d/%d episodes, recent normalized %.3f", rid, done, total, recent
                 )
                 next_log = (done // PROGRESS_LOG_EVERY + 1) * PROGRESS_LOG_EVERY
-        if next_mark - cfg.eval_interval < total:
-            emit_row(total, next_mark - cfg.eval_interval)
 
-    score = final_score_of(normalized)
+    score = final_score_of(state.normalized)
     # written last, and whole or not at all: a run without one never finished
     with open(summary_path + ".tmp", "w") as f:
         f.write(f"final_score = {_g17(score)}\nepisodes = {total}\n")
     os.replace(summary_path + ".tmp", summary_path)
     logger.info("run %s: finished, final score %.4f", rid, score)
     return RunResult(
-        cfg, normalized, extrinsic, mean_intrinsic, curiosity_loss, success_any, score
+        cfg, state.normalized, state.extrinsic, state.mean_intrinsic,
+        state.curiosity_loss, state.success_any, score,
     )
 
 
@@ -438,19 +391,16 @@ class SweepCell:
 def parse_sweep(text: str) -> tuple[list[str], list[int], dict[str, str]]:
     """Sweep file = base run config plus `methods` and `seeds` list keys."""
     pairs = parse_pairs(text)
-    try:
-        methods_raw = pairs.pop("methods")
-        seeds_raw = pairs.pop("seeds")
-    except KeyError as e:
-        raise ConfigurationError(f"sweep file must define {e.args[0]}") from None
-    methods = [m.strip() for m in methods_raw.split(",") if m.strip()]
-    try:
-        seeds = [int(s) for s in seeds_raw.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigurationError(f"seeds: malformed value {seeds_raw!r}") from None
-    if not methods or not seeds:
-        raise ConfigurationError("methods and seeds must be non-empty")
-    return methods, seeds, pairs
+    lists = []
+    for key, conv in (("methods", str), ("seeds", int)):
+        if key not in pairs:
+            raise ConfigurationError(f"sweep file must define {key}")
+        raw = pairs.pop(key)
+        try:
+            lists.append([conv(item) for item in _split_items(raw)])
+        except ValueError:
+            raise ConfigurationError(f"{key}: malformed value {raw!r}") from None
+    return lists[0], lists[1], pairs
 
 
 def _sweep_worker(args: tuple[RunConfig, str]) -> tuple[str, str | None]:

@@ -296,15 +296,12 @@ def test_criterion_7_overfit_sanity():
             last = float(np.mean(curiosity.curiosity_update(bank, *tr)[1]))
         assert last < 1e-3 * initial, f"curiosity loss only fell to {last / initial:.2e}"
 
-        rng = np.random.default_rng(3)
-        policies = coma.make_policy_set(2, world.obs_dim, rng)
-        critic = coma.make_critic(2, world.obs_dim, rng)
         cfg = coma.TrainConfig(episodes_per_update=1)
-        none_bank = curiosity.make_bank("none", 2, world.obs_dim, rng)
-        episode = coma.rollout_episode(env, policies, none_bank, cfg, 0.1, rng, rng)
-        initial = coma.critic_update(critic, episode, cfg)
+        state = coma.init_state(harness.RunConfig(method="none", seed=3, world=world, train=cfg))
+        episode = coma.rollout_episode(state, cfg, 0.1)
+        initial = coma.critic_update(state.critic, episode, cfg)
         for _ in range(199):
-            last = coma.critic_update(critic, episode, cfg)
+            last = coma.critic_update(state.critic, episode, cfg)
         assert last < 0.10 * initial, f"critic loss only fell to {last / initial:.2%}"
         assert time.monotonic() - start < 120.0
 

@@ -1,5 +1,6 @@
 """Tests for the counterfactual actor-critic trainer."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curiosity_marl import coma, curiosity, nav_env
+from curiosity_marl import coma, curiosity, harness, nav_env
 from curiosity_marl import neural_core as nc
 
 
@@ -21,16 +22,33 @@ def small_world(**kw):
     return nav_env.WorldConfig(**kw)
 
 
-def fresh_setup(n_agents=2, kind="none", seed=0, **cfg_kw):
-    """Policies, critic, env, bank, and config wired from one seed."""
-    rng = np.random.default_rng(seed)
-    world = small_world(n_agents=n_agents)
-    cfg = coma.TrainConfig(**cfg_kw)
-    env = nav_env.NavEnv(world)
-    policies = coma.make_policy_set(n_agents, world.obs_dim, rng)
-    critic = coma.make_critic(n_agents, world.obs_dim, rng)
-    bank = curiosity.make_bank(kind, n_agents, world.obs_dim, rng)
-    return policies, critic, env, bank, cfg
+def run_config(n_agents=2, kind="none", seed=0, reward_mode="sparse", **cfg_kw):
+    return harness.RunConfig(
+        method=kind,
+        seed=seed,
+        world=small_world(n_agents=n_agents, reward_mode=reward_mode),
+        train=coma.TrainConfig(**cfg_kw),
+    )
+
+
+def fresh_setup(*args, **kwargs):
+    """A fresh TrainState built from one run config, and its TrainConfig."""
+    run = run_config(*args, **kwargs)
+    return coma.init_state(run), run.train
+
+
+def record_module_losses(monkeypatch):
+    """The module losses of every curiosity_update call, one list per call."""
+    recorded = []
+    curiosity_update = curiosity.curiosity_update
+
+    def recording(*args):
+        rewards, losses = curiosity_update(*args)
+        recorded.append(losses)
+        return rewards, losses
+
+    monkeypatch.setattr(curiosity, "curiosity_update", recording)
+    return recorded
 
 
 # --- configuration -----------------------------------------------------------
@@ -202,20 +220,14 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     """On frozen parameters, the lockstep rollout draws the actions that
     playing its episodes one after another, step by step and agent by agent,
     draws from the same generators, and sees the same environment."""
-    world = small_world(n_agents=n_agents, reward_mode=reward_mode)
-    rng = np.random.default_rng(31)
-    policies = coma.make_policy_set(n_agents, world.obs_dim, rng)
-    bank = curiosity.make_bank("mcm", n_agents, world.obs_dim, rng)
-    cfg = coma.TrainConfig(episodes_per_update=5)
+    state, cfg = fresh_setup(n_agents, "mcm", 31, reward_mode, episodes_per_update=5)
+    world, policies, bank = state.env.config, state.policies, state.bank
     eps = 0.1
     scorer = dataclasses.replace(  # the rollout trains bank
         bank, agents=dataclasses.replace(bank.agents, network=bank.agents.network.copy())
     )
-    buf = coma.rollout_episode(
-        nav_env.NavEnv(world), policies, bank, cfg, eps,
-        np.random.default_rng(32), np.random.default_rng(33),
-    )
-    env_rng, action_rng = np.random.default_rng(32), np.random.default_rng(33)
+    env_rng, action_rng = copy.deepcopy(state.env_rng), copy.deepcopy(state.action_rng)
+    buf = coma.rollout_episode(state, cfg, eps)
     t_max = world.episode_length
     for episode in range(cfg.episodes_per_update):
         env = nav_env.NavEnv(world)
@@ -250,7 +262,8 @@ def test_one_network_pass_per_role(n_agents, monkeypatch):
     (the per-agent stack and the joint module) one forward, which both
     scores and trains it. Every update runs one backward and one Adam step
     per role and epoch."""
-    policies, critic, env, bank, cfg = fresh_setup(n_agents, kind="mcm_sep", seed=35)
+    state, cfg = fresh_setup(n_agents, kind="mcm_sep", seed=35)
+    policies, critic, bank = state.policies, state.critic, state.bank
     calls = {"forward": [], "backward": [], "adam_step": []}
     for name in calls:
         def counted(*args, _fn=getattr(nc, name), _name=name, **kwargs):
@@ -262,10 +275,13 @@ def test_one_network_pass_per_role(n_agents, monkeypatch):
     def passes_of(net):
         return {name: sum(n is net for n in nets) for name, nets in calls.items()}
 
-    rng = np.random.default_rng(36)
-    stats = coma.train_round(policies, critic, env, bank, cfg, 0, rng, rng)
-    assert len(stats.curiosity_losses) == n_agents + 1
-    t_max, epochs = env.config.episode_length, cfg.critic_epochs
+    module_losses = record_module_losses(monkeypatch)
+    coma.train_round(state, cfg)
+    (losses,) = module_losses
+    assert len(losses) == n_agents + 1
+    e = cfg.episodes_per_update
+    assert np.array_equal(state.curiosity_loss[:e], np.full(e, np.mean(losses)))
+    t_max, epochs = state.env.config.episode_length, cfg.critic_epochs
     assert passes_of(policies.network) == {"forward": t_max + 1, "backward": 1, "adam_step": 1}
     assert passes_of(critic.network) == {
         "forward": epochs + 1, "backward": epochs, "adam_step": epochs
@@ -452,10 +468,10 @@ def test_td_lambda_rejects_length_mismatch():
 
 
 def test_rollout_shapes_and_bookkeeping():
-    policies, critic, env, bank, cfg = fresh_setup()
-    rng = np.random.default_rng(12)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
-    e, t_max, d = cfg.episodes_per_update, env.config.episode_length, env.config.obs_dim
+    state, cfg = fresh_setup(seed=12)
+    buf = coma.rollout_episode(state, cfg, 0.05)
+    world = state.env.config
+    e, t_max, d = cfg.episodes_per_update, world.episode_length, world.obs_dim
     assert buf.obs.shape == (e, t_max + 1, 2, d)
     assert buf.actions.shape == (e, t_max, 2)
     assert buf.probs.shape == (e, t_max, 2, 5)
@@ -471,9 +487,8 @@ def test_rollout_shapes_and_bookkeeping():
 
 
 def test_rollout_without_curiosity_mixes_nothing():
-    policies, critic, env, bank, cfg = fresh_setup(kind="none")
-    rng = np.random.default_rng(13)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
+    state, cfg = fresh_setup(kind="none", seed=13)
+    buf = coma.rollout_episode(state, cfg, 0.05)
     np.testing.assert_array_equal(buf.intrinsic, 0.0)
     np.testing.assert_array_equal(buf.mixed, buf.extrinsic[..., None] * np.ones((1, 1, 2)))
 
@@ -481,12 +496,11 @@ def test_rollout_without_curiosity_mixes_nothing():
 def test_rollout_shared_curiosity_gives_identical_streams():
     """A single joint model scores every agent, so mixed rewards coincide
     exactly and (at lambda=1) so do the critic's regression targets."""
-    policies, critic, env, bank, cfg = fresh_setup(kind="icm_joint")
-    rng = np.random.default_rng(14)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.05, rng, rng)
+    state, cfg = fresh_setup(kind="icm_joint", seed=14)
+    buf = coma.rollout_episode(state, cfg, 0.05)
     np.testing.assert_array_equal(buf.mixed[..., 0], buf.mixed[..., 1])
     assert buf.intrinsic.max() > 0.0
-    q = np.zeros((env.config.episode_length, cfg.episodes_per_update))
+    q = np.zeros((state.env.config.episode_length, cfg.episodes_per_update))
     t0 = coma.td_lambda_targets(buf.mixed[..., 0].T, q, cfg.gamma, 1.0)
     t1 = coma.td_lambda_targets(buf.mixed[..., 1].T, q, cfg.gamma, 1.0)
     np.testing.assert_array_equal(t0, t1)
@@ -530,9 +544,9 @@ def test_stacked_actor_closure_equals_member_closures(n_agents):
 def test_actor_update_trains_on_the_audited_closure(monkeypatch):
     """actor_update takes its loss and gradients from actor_loss_closure, the
     closure actor_gradient_suite audits, and from nothing else."""
-    policies, critic, env, bank, cfg = fresh_setup(2, seed=42)
-    rng = np.random.default_rng(43)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    state, cfg = fresh_setup(2, seed=42)
+    policies, critic = state.policies, state.critic
+    buf = coma.rollout_episode(state, cfg, 0.1)
     closures = []
     actor_loss_closure = coma.actor_loss_closure
 
@@ -618,11 +632,10 @@ def test_actor_update_increases_advantaged_action_probability():
 
 
 def test_critic_update_reduces_loss_on_frozen_batch():
-    policies, critic, env, bank, cfg = fresh_setup(episodes_per_update=4)
-    rng = np.random.default_rng(16)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
-    first = coma.critic_update(critic, buf, cfg)
-    losses = [coma.critic_update(critic, buf, cfg) for _ in range(30)]
+    state, cfg = fresh_setup(seed=16, episodes_per_update=4)
+    buf = coma.rollout_episode(state, cfg, 0.1)
+    first = coma.critic_update(state.critic, buf, cfg)
+    losses = [coma.critic_update(state.critic, buf, cfg) for _ in range(30)]
     assert losses[-1] < first
     assert losses[-1] < 0.5 * first
 
@@ -630,11 +643,11 @@ def test_critic_update_reduces_loss_on_frozen_batch():
 def test_critic_targets_use_pre_update_bootstrap():
     """Targets are computed once from the pre-update critic, then held fixed
     across the epochs of one update call."""
-    policies, critic, env, bank, cfg = fresh_setup(episodes_per_update=2)
-    rng = np.random.default_rng(17)
-    buf = coma.rollout_episode(env, policies, bank, cfg, 0.1, rng, rng)
+    state, cfg = fresh_setup(seed=17, episodes_per_update=2)
+    critic = state.critic
+    buf = coma.rollout_episode(state, cfg, 0.1)
     x, taken, targets, _ = coma._critic_batch(critic, buf, cfg)
-    t_max = env.config.episode_length
+    t_max = state.env.config.episode_length
     assert x.shape[0] == 2 * t_max * 2
     assert taken.shape == targets.shape == (x.shape[0],)
     # recompute by hand for every (episode, agent) stream; rows run episode
@@ -659,15 +672,18 @@ def test_critic_targets_use_pre_update_bootstrap():
 # --- full training rounds ----------------------------------------------------
 
 
-def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, action_rng):
+def reference_round(state, cfg):
     """train_round as a sequence of separate passes: env rewards scored step
     by step, a scoring forward of the bank before the critic and actor
     updates, the critic's targets from a forward of their own in (episode,
-    step, agent) row order, and the bank's update on a fresh forward last."""
-    epsilon = coma.epsilon_at(cfg, episode_index)
-    e, t_max, n = cfg.episodes_per_update, env.config.episode_length, policies.network.members
-    first_obs = env.reset(env_rng, e)
-    uniforms = action_rng.random((e, t_max, n))
+    step, agent) row order, the bank's update on a fresh forward last, and
+    the per-episode values written one episode at a time."""
+    policies, critic, env, bank = state.policies, state.critic, state.env, state.bank
+    epsilon = coma.epsilon_at(cfg, state.episodes)
+    e = min(cfg.episodes_per_update, len(state.normalized) - state.episodes)
+    t_max, n = env.config.episode_length, policies.network.members
+    first_obs = env.reset(state.env_rng, e)
+    uniforms = state.action_rng.random((e, t_max, n))
     obs = np.empty((e, t_max + 1, *first_obs.shape[1:]))
     obs[:, 0] = first_obs
     actions = np.empty((e, t_max, n), dtype=int)
@@ -718,25 +734,29 @@ def reference_round(policies, critic, env, bank, cfg, episode_index, env_rng, ac
         )
         nc.adam_step(learner, grads_fn())
         curiosity_losses.extend(member_losses.tolist())
-    return coma.RoundStats(
-        extrinsic_returns=extrinsic.sum(axis=1).tolist(),
-        success_steps=success.sum(axis=1).tolist(),
-        success_any=success.any(axis=1).tolist(),
-        mean_intrinsic=intrinsic.mean(axis=(1, 2)).tolist(),
-        curiosity_losses=curiosity_losses,
-        critic_loss=critic_losses[0],
-        actor_loss=actor_loss,
-    )
+    round_loss = float(np.mean(curiosity_losses)) if curiosity_losses else 0.0
+    for k in range(e):
+        slot = state.episodes + k
+        state.normalized[slot] = int(success[k].sum()) / t_max
+        state.extrinsic[slot] = extrinsic[k].sum()
+        state.mean_intrinsic[slot] = intrinsic[k].mean()
+        state.curiosity_loss[slot] = round_loss
+        state.success_any[slot] = success[k].any()
+    state.episodes += e
+    return coma.RoundStats(critic_loss=float(critic_losses[0][0]), actor_loss=actor_loss)
 
 
-def trained_state(policies, critic, bank):
-    """Every parameter and Adam moment of every network, with step counts."""
-    arrays, steps = [], []
-    for learner in (policies, critic, bank.agents, bank.joint):
+def trained_state(state):
+    """Every parameter and Adam moment of every network, with step counts,
+    and the state's per-episode arrays and episode count."""
+    arrays, counts = [], [state.episodes]
+    for learner in (state.policies, state.critic, state.bank.agents, state.bank.joint):
         if learner is not None:
             arrays += [*learner.network.parameters(), *learner.m, *learner.v]
-            steps.append(learner.step_count)
-    return arrays, steps
+            counts.append(learner.step_count)
+    arrays += [state.normalized, state.extrinsic, state.mean_intrinsic, state.curiosity_loss]
+    arrays.append(state.success_any)
+    return arrays, counts
 
 
 @pytest.mark.parametrize("kind", ["none", "mcm", "icm_joint", "icm_min"])
@@ -744,47 +764,57 @@ def trained_state(policies, critic, bank):
 @pytest.mark.parametrize("reward_mode", ["sparse", "dense"])
 def test_train_round_equals_separate_passes_bit_for_bit(kind, n_agents, reward_mode):
     """Scoring rewards after the rollout and sharing each network's
-    pre-update forward change no bit of a round: its stats, parameters and
-    Adam moments equal those of the separate passes. This holds because a
-    row's Q does not depend on the row's position in the critic's batch."""
-    world = small_world(n_agents=n_agents, reward_mode=reward_mode)
-    cfg = coma.TrainConfig(episodes_per_update=4, total_episodes=64)
+    pre-update forward change no bit of a round: its stats, parameters,
+    Adam moments and per-episode values equal those of the separate passes.
+    This holds because a row's Q does not depend on the row's position in
+    the critic's batch."""
+    run = run_config(n_agents, kind, 60, reward_mode, episodes_per_update=4, total_episodes=64)
     runs = []
     for play in (coma.train_round, reference_round):
-        rng = np.random.default_rng(60)
-        policies = coma.make_policy_set(n_agents, world.obs_dim, rng)
-        critic = coma.make_critic(n_agents, world.obs_dim, rng)
-        bank = curiosity.make_bank(kind, n_agents, world.obs_dim, rng)
-        env, env_rng, action_rng = nav_env.NavEnv(world), *np.random.default_rng(61).spawn(2)
-        stats = [
-            play(policies, critic, env, bank, cfg, i * 4, env_rng, action_rng) for i in range(2)
-        ]
-        runs.append((stats, trained_state(policies, critic, bank)))
-    (stats, (arrays, steps)), (ref_stats, (ref_arrays, ref_steps)) = runs
+        state = coma.init_state(run)
+        stats = [play(state, run.train) for _ in range(2)]
+        runs.append((stats, trained_state(state)))
+    (stats, (arrays, counts)), (ref_stats, (ref_arrays, ref_counts)) = runs
     assert stats == ref_stats
-    assert steps == ref_steps
+    assert counts == ref_counts
     assert len(arrays) == len(ref_arrays)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
+
+
+def test_two_rounds_fill_a_twelve_episode_budget(tmp_path):
+    """With 12 episodes at 8 per round, the first round fills slots 0-7 and
+    leaves 8-11 empty, and the second plays the 4 left. The filled arrays
+    are the ones run_experiment writes its CSV from, bit for bit. A third
+    round, with no episode left, raises and plays nothing."""
+    run = run_config(2, "mcm", 5, episodes_per_update=8, total_episodes=12)
+    names = ("normalized", "extrinsic", "mean_intrinsic", "curiosity_loss", "success_any")
+    state = coma.init_state(run)
+    coma.train_round(state, run.train)
+    assert state.episodes == 8
+    assert not any(getattr(state, name)[8:].any() for name in names)
+    coma.train_round(state, run.train)
+    assert state.episodes == 12
+    result = harness.run_experiment(run, str(tmp_path))
+    for name in names:
+        assert getattr(state, name).shape == (12,)
+        assert np.array_equal(getattr(state, name), getattr(result, name)), name
+    assert state.mean_intrinsic.all() and state.curiosity_loss.all()
+    with pytest.raises(ValueError, match="all 12 episodes"):
+        coma.train_round(state, run.train)
+    assert state.episodes == 12
 
 
 def test_train_round_stats_and_determinism():
     results = []
     for _ in range(2):
-        rng_env = np.random.default_rng(100)
-        rng_act = np.random.default_rng(200)
-        policies, critic, env, bank, cfg = fresh_setup(seed=18)
-        cfg = dataclasses.replace(cfg, total_episodes=64)
-        done = 0
+        state, cfg = fresh_setup(seed=18, total_episodes=64)
         stats = None
-        while done < 32:
-            stats = coma.train_round(
-                policies, critic, env, bank, cfg, done, rng_env, rng_act
-            )
-            done += cfg.episodes_per_update
+        while state.episodes < 32:
+            stats = coma.train_round(state, cfg)
         results.append(
             (
-                [w.copy() for w in policies.network.member(0).parameters()],
-                stats.extrinsic_returns,
+                [w.copy() for w in state.policies.network.member(0).parameters()],
+                state.extrinsic.tolist(),
                 stats.critic_loss,
             )
         )
@@ -794,41 +824,41 @@ def test_train_round_stats_and_determinism():
     assert results[0][2] == results[1][2]
 
 
-def test_train_round_reports_per_episode_scalars():
-    policies, critic, env, bank, cfg = fresh_setup(kind="mcm", seed=19)
-    rng_env = np.random.default_rng(20)
-    rng_act = np.random.default_rng(21)
-    stats = coma.train_round(policies, critic, env, bank, cfg, 0, rng_env, rng_act)
-    assert len(stats.extrinsic_returns) == cfg.episodes_per_update
-    assert len(stats.success_steps) == cfg.episodes_per_update
-    assert len(stats.mean_intrinsic) == cfg.episodes_per_update
-    assert all(m > 0 for m in stats.mean_intrinsic)
-    assert len(stats.curiosity_losses) == policies.network.members
+def test_train_round_reports_per_episode_scalars(monkeypatch):
+    state, cfg = fresh_setup(kind="mcm", seed=19)
+    module_losses = record_module_losses(monkeypatch)
+    stats = coma.train_round(state, cfg)
+    e = cfg.episodes_per_update
+    assert state.episodes == e
+    assert all(np.isfinite(a[:e]).all() for a in (state.extrinsic, state.normalized))
+    assert np.all(state.mean_intrinsic[:e] > 0)
+    (losses,) = module_losses
+    assert len(losses) == state.policies.network.members
+    assert np.array_equal(state.curiosity_loss[:e], np.full(e, np.mean(losses)))
+    assert np.array_equal(state.success_any[:e], state.normalized[:e] > 0)
     assert np.isfinite(stats.critic_loss)
     assert np.isfinite(stats.actor_loss)
 
 
-def test_train_round_without_curiosity_skips_bank():
-    policies, critic, env, bank, cfg = fresh_setup(kind="none", seed=22)
-    rng_env = np.random.default_rng(23)
-    rng_act = np.random.default_rng(24)
-    stats = coma.train_round(policies, critic, env, bank, cfg, 0, rng_env, rng_act)
-    assert stats.curiosity_losses == []
-    assert bank.agents is None and bank.joint is None
+def test_train_round_without_curiosity_skips_bank(monkeypatch):
+    state, cfg = fresh_setup(kind="none", seed=22)
+    module_losses = record_module_losses(monkeypatch)
+    coma.train_round(state, cfg)
+    assert module_losses == [[]]
+    e = cfg.episodes_per_update
+    assert np.array_equal(state.curiosity_loss[:e], np.zeros(e))
+    assert np.array_equal(state.mean_intrinsic[:e], np.zeros(e))
+    assert state.bank.agents is None and state.bank.joint is None
 
 
 def test_policies_stay_valid_distributions_after_training():
-    policies, critic, env, bank, cfg = fresh_setup(kind="mcm_sep", seed=25)
-    rng_env = np.random.default_rng(26)
-    rng_act = np.random.default_rng(27)
-    for round_idx in range(4):
-        coma.train_round(
-            policies, critic, env, bank, cfg, round_idx * 8, rng_env, rng_act
-        )
-    obs = env.reset(rng_env)
+    state, cfg = fresh_setup(kind="mcm_sep", seed=25)
+    for _ in range(4):
+        coma.train_round(state, cfg)
+    obs = state.env.reset(state.env_rng)
     eps = coma.epsilon_at(cfg, 32)
     for i in range(2):
-        p = coma.policy_probs(policies.network.member(i), obs[i][None], eps)
+        p = coma.policy_probs(state.policies.network.member(i), obs[i][None], eps)
         assert np.all(p >= eps - 1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -838,29 +868,15 @@ def test_mixing_weight_zero_leaves_policy_trajectory_unchanged():
     bit-identical action choices (the curiosity stream only adds observers)."""
     trajectories = []
     for kind in ("none", "mcm"):
-        seq = np.random.SeedSequence(314)
-        env_ss, act_ss, net_ss, bank_ss = seq.spawn(4)
-        env_rng = np.random.default_rng(env_ss)
-        act_rng = np.random.default_rng(act_ss)
-        net_rng = np.random.default_rng(net_ss)
-        bank_rng = np.random.default_rng(bank_ss)
-        world = small_world()
-        cfg = coma.TrainConfig(total_episodes=48, intrinsic_lambda=0.0)
-        env = nav_env.NavEnv(world)
-        policies = coma.make_policy_set(2, world.obs_dim, net_rng)
-        critic = coma.make_critic(2, world.obs_dim, net_rng)
-        bank = curiosity.make_bank(kind, 2, world.obs_dim, bank_rng)
-        acts = []
-        done = 0
-        while done < 48:
-            stats = coma.train_round(
-                policies, critic, env, bank, cfg, done, env_rng, act_rng
-            )
-            done += cfg.episodes_per_update
-            acts.append([stats.extrinsic_returns, stats.critic_loss])
-        params = [p.copy() for p in policies.network.member(0).parameters()]
-        trajectories.append((acts, params))
-    (acts_a, params_a), (acts_b, params_b) = trajectories
+        state, cfg = fresh_setup(kind=kind, seed=314, total_episodes=48, intrinsic_lambda=0.0)
+        critic_losses = []
+        while state.episodes < 48:
+            critic_losses.append(coma.train_round(state, cfg).critic_loss)
+        params = [p.copy() for p in state.policies.network.member(0).parameters()]
+        trajectories.append(
+            (state.extrinsic.tolist(), state.normalized.tolist(), critic_losses, params)
+        )
+    (*acts_a, params_a), (*acts_b, params_b) = trajectories
     assert acts_a == acts_b
     for a, b in zip(params_a, params_b):
         np.testing.assert_array_equal(a, b)

@@ -54,6 +54,27 @@ def test_overrides_beat_file_text():
     assert cfg.method == "none"
 
 
+def test_key_given_twice_is_rejected_with_both_lines():
+    """A repeated key is an error, not a silent override by its last value."""
+    text = "seed = 1\n# a comment\nmethod = none\n  seed = 2  # again\n"
+    with pytest.raises(ConfigurationError, match="seed: given twice, on lines 1 and 4"):
+        harness.parse_config(text)
+    with pytest.raises(ConfigurationError, match="seeds: given twice, on lines 2 and 3"):
+        harness.parse_sweep("methods = none\nseeds = 0\nseeds = 1, 2\n")
+    # an override still replaces the file's one value
+    assert harness.parse_config("seed = 1\n", {"seed": "2"}).seed == 2
+
+
+@pytest.mark.parametrize("raw", ["64,,64", "64,", ",64", "", " , "])
+def test_empty_list_item_is_rejected(raw):
+    with pytest.raises(ConfigurationError, match="hidden_dims: malformed value"):
+        harness.parse_config(f"hidden_dims = {raw}\n")
+    with pytest.raises(ConfigurationError, match="seeds: malformed value"):
+        harness.parse_sweep(f"methods = none\nseeds = {raw.replace('64', '0')}\n")
+    with pytest.raises(ConfigurationError, match="methods: malformed value"):
+        harness.parse_sweep(f"methods = {raw.replace('64', 'none')}\nseeds = 0\n")
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigurationError, match="unknown config key: learning_rate"):
         harness.parse_config("learning_rate = 0.01\n")
@@ -235,12 +256,12 @@ def test_csv_rows_reach_disk_as_they_are_emitted(tmp_path, monkeypatch):
     real_train_round = coma.train_round
     seen = []
 
-    def train_round_reading_csv(*args):
-        done = args[5]
+    def train_round_reading_csv(state, round_cfg):
+        done = state.episodes
         rows = harness.parse_csv_rows(csv_path.read_text())  # checks the header
         assert [r["episode"] for r in rows] == list(range(8, done + 1, 8))
         seen.append(done)
-        return real_train_round(*args)
+        return real_train_round(state, round_cfg)
 
     monkeypatch.setattr(coma, "train_round", train_round_reading_csv)
     harness.run_experiment(cfg, str(tmp_path))
@@ -316,15 +337,13 @@ def test_load_run_scores_unaligned_tail_as_the_run_did(tmp_path, monkeypatch):
     cfg = harness.parse_config("method = none\ntotal_episodes = 40\neval_interval = 20\n")
     length = cfg.world.episode_length
 
-    def fake_round(policies, critic, env, bank, round_cfg, done, env_rng, action_rng):
-        n = round_cfg.episodes_per_update
-        steps = [length if done + i >= 34 else 0 for i in range(n)]
-        return coma.RoundStats(
-            extrinsic_returns=[0.0] * n,
-            success_steps=steps,
-            success_any=[s > 0 for s in steps],
-            mean_intrinsic=[0.0] * n,
-        )
+    def fake_round(state, round_cfg):
+        played = np.arange(state.episodes, state.episodes + round_cfg.episodes_per_update)
+        steps = np.where(played >= 34, length, 0)
+        state.normalized[played] = steps / length
+        state.success_any[played] = steps > 0
+        state.episodes = int(played[-1]) + 1
+        return coma.RoundStats(critic_loss=0.0, actor_loss=0.0)
 
     monkeypatch.setattr(coma, "train_round", fake_round)
     result = harness.run_experiment(cfg, str(tmp_path))
