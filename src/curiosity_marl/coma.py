@@ -101,11 +101,12 @@ class RolloutBuffer:
         return _flat_transitions(self.obs, self.actions)
 
     @cached_property
-    def critic_x(self) -> np.ndarray:
-        """critic_inputs of every step and agent, (E, T, N, in), built once
-        for the critic and the actor update."""
-        obs, taken, _ = self.transitions()
-        return critic_inputs(obs, taken).reshape(*self.actions.shape, -1)
+    def critic_rows(self) -> np.ndarray:
+        """critic_inputs of every step and agent as one C-contiguous
+        (E, N, T, in) array, episode by episode, agent by agent, step by
+        step: the critic's row order. Built once for the critic and the
+        actor update."""
+        return critic_inputs(self.obs[:, :-1], self.actions).swapaxes(1, 2)
 
 
 def _flat_transitions(obs: np.ndarray, actions: np.ndarray):
@@ -184,7 +185,6 @@ class TrainState:
     extrinsic: np.ndarray  # (total_episodes,) extrinsic return
     mean_intrinsic: np.ndarray  # (total_episodes,) over steps and agents
     curiosity_loss: np.ndarray  # (total_episodes,) its round's mean module loss
-    success_any: np.ndarray  # (total_episodes,) bool
     episodes: int = 0
 
 
@@ -213,7 +213,6 @@ def init_state(run: RunConfig) -> TrainState:
         extrinsic=np.zeros(total),
         mean_intrinsic=np.zeros(total),
         curiosity_loss=np.zeros(total),
-        success_any=np.zeros(total, dtype=bool),
     )
 
 
@@ -269,15 +268,17 @@ def epsilon_at(cfg: TrainConfig, episode_index: int) -> float:
 
 
 def critic_inputs(joint_obs: np.ndarray, joint_actions: np.ndarray) -> np.ndarray:
-    """Critic feature rows (B, N, in) for every step and agent: flattened joint
-    observation, one-hot actions of every other agent (ascending order), then
-    the agent's one-hot index. joint_obs is (B, N, d), joint_actions (B, N)."""
-    b, n, d = joint_obs.shape
-    one_hot = cur.one_hot_action(joint_actions)  # (B, N, 5)
-    x = np.empty((b, n, critic_input_dim(n, d)))
-    x[:, :, : n * d] = joint_obs.reshape(b, 1, n * d)
-    x[:, :, n * d : -n] = one_hot[:, other_agents(n)].reshape(b, n, -1)
-    x[:, :, -n:] = np.eye(n)
+    """Critic feature rows (..., T, N, in) for every step and agent: flattened
+    joint observation, one-hot actions of every other agent (ascending
+    order), then the agent's one-hot index. joint_obs is (..., T, N, d),
+    joint_actions (..., T, N). The rows lie agent-major in memory: the
+    result's swapaxes(-3, -2) is a C-contiguous (..., N, T, in) array."""
+    *lead, t, n, d = joint_obs.shape
+    one_hot = cur.one_hot_action(joint_actions)  # (..., T, N, 5)
+    x = np.empty((*lead, n, t, critic_input_dim(n, d))).swapaxes(-3, -2)
+    x[..., : n * d] = joint_obs.reshape(*lead, t, 1, n * d)
+    x[..., n * d : -n] = one_hot[..., other_agents(n), :].reshape(*lead, t, n, -1)
+    x[..., -n:] = np.eye(n)
     return x
 
 
@@ -363,8 +364,8 @@ def _critic_batch(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig):
     every (episode, agent, step) triple, in that row order, plus the
     pre-update critic's forward over those inputs, from which the targets'
     bootstrap Q estimates are taken: (x, taken, targets, forwarded)."""
-    e, t_max, n = buf.actions.shape
-    x = buf.critic_x.transpose(0, 2, 1, 3).reshape(e * n * t_max, -1)
+    e, n, t_max, _ = buf.critic_rows.shape
+    x = buf.critic_rows.reshape(e * n * t_max, -1)
     taken = buf.actions.transpose(0, 2, 1).reshape(-1)
     forwarded = nc.forward(critic.network, x)
     (q,), _ = forwarded
@@ -533,18 +534,16 @@ def actor_update(
     magnitude once agents are near their landmarks, and without the rescaling
     the logit drift during the long approach phase saturates the policies
     before the fine docking signal can be expressed."""
-    n = policies.network.members
     joint_obs, actions, _ = buf.transitions()  # (B, N, d), (B, N)
-    b = actions.shape[0]
-    probs = buf.probs.reshape(b, n, N_ACTIONS)
-    (q_all,), _ = nc.forward(critic.network, buf.critic_x.reshape(b * n, -1))
-    q_all = q_all[0].reshape(b, n, N_ACTIONS)
+    e, n, t_max, _ = buf.critic_rows.shape
+    b = e * t_max
+    (q,), _ = nc.forward(critic.network, buf.critic_rows.reshape(b * n, -1))
     # agent-major and contiguous, so each agent's z-score reduces one
     # contiguous run, as a 1-D array's does
-    pi = np.ascontiguousarray(probs.transpose(1, 0, 2))  # (N, B, 5)
+    q = q[0].reshape(e, n, t_max, N_ACTIONS).swapaxes(0, 1).reshape(n, b, N_ACTIONS)
+    pi = np.ascontiguousarray(buf.probs.reshape(b, n, N_ACTIONS).transpose(1, 0, 2))
     u = np.ascontiguousarray(actions.T)  # (N, B)
-    advantages = counterfactual_advantages(q_all.transpose(1, 0, 2), pi, u)
-    advantages = np.ascontiguousarray(advantages)
+    advantages = counterfactual_advantages(q, pi, u)
     advantages = (advantages - advantages.mean(axis=-1, keepdims=True)) / (
         advantages.std(axis=-1, keepdims=True) + 1e-8
     )
@@ -576,6 +575,5 @@ def train_round(state: TrainState, cfg: TrainConfig) -> RoundStats:
     state.extrinsic[played] = buf.extrinsic.sum(axis=1)
     state.mean_intrinsic[played] = buf.intrinsic.mean(axis=(1, 2))
     state.curiosity_loss[played] = np.mean(buf.curiosity_losses) if buf.curiosity_losses else 0.0
-    state.success_any[played] = buf.success.any(axis=1)
     state.episodes = played.stop
     return stats

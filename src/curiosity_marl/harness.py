@@ -170,7 +170,6 @@ class RunResult:
     extrinsic: np.ndarray
     mean_intrinsic: np.ndarray
     curiosity_loss: np.ndarray
-    success_any: np.ndarray  # bool
     final_score: float
 
 
@@ -252,8 +251,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     os.replace(summary_path + ".tmp", summary_path)
     logger.info("run %s: finished, final score %.4f", rid, score)
     return RunResult(
-        cfg, state.normalized, state.extrinsic, state.mean_intrinsic,
-        state.curiosity_loss, state.success_any, score,
+        cfg, state.normalized, state.extrinsic, state.mean_intrinsic, state.curiosity_loss, score
     )
 
 

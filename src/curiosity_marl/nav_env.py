@@ -228,18 +228,6 @@ def score(config: WorldConfig, state: EnvState) -> tuple[np.ndarray, np.ndarray]
     return _dense_reward(config, state, dists, success), success
 
 
-def step(config: WorldConfig, state: EnvState, joint_action) -> tuple[EnvState, StepResult]:
-    """move, then score the new state under the reward mode."""
-    new_state = move(config, state, joint_action)
-    reward, success = score(config, new_state)
-    return new_state, StepResult(
-        next_joint_obs=observe(new_state),
-        extrinsic_reward=reward,
-        done=new_state.timestep >= config.episode_length,
-        success=success,
-    )
-
-
 def _distances_and_success(
     config: WorldConfig, state: EnvState
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -308,15 +296,21 @@ class NavEnv:
         return self.state
 
     def step(self, joint_action) -> StepResult:
-        self.state, result = step(self.config, self._started(), joint_action)
-        return result
+        """move, then score the new positions: one step of what a trainer
+        does for a whole round."""
+        next_obs = self.move(joint_action)
+        reward, success = self.score(self.state.agent_positions)
+        return StepResult(
+            next_obs, reward, self.state.timestep >= self.config.episode_length, success
+        )
 
     def move(self, joint_action) -> np.ndarray:
-        """step without scoring; returns the next joint observations."""
+        """Move every agent without scoring; returns the next joint
+        observations."""
         self.state = move(self.config, self._started(), joint_action)
         return observe(self.state)
 
     def score(self, agent_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(extrinsic reward, success) of agent positions (..., N, 2) in this
-        world, as step scores them."""
+        world."""
         return score(self.config, replace(self._started(), agent_positions=agent_positions))

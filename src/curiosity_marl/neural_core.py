@@ -132,17 +132,11 @@ class Network:
             params.extend((w, b))
         return params
 
-    def _map(self, fn) -> "Network":
-        return _from_parameters(self.spec, [fn(p) for p in self.parameters()])
-
-    def copy(self) -> "Network":
-        return self._map(np.copy)
-
     def member(self, m: int) -> "Network":
         """Member m as a one-member network whose parameters are views of
         this stack's (it gets its own work arrays)."""
         m = range(self.members)[m]
-        return self._map(lambda p: p[m : m + 1])
+        return _from_parameters(self.spec, [p[m : m + 1] for p in self.parameters()])
 
 
 def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:

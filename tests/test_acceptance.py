@@ -216,7 +216,6 @@ def test_criterion_4_lambda_zero_equivalence(tmp_path):
         )
         np.testing.assert_array_equal(plain.normalized, curious.normalized)
         np.testing.assert_array_equal(plain.extrinsic, curious.extrinsic)
-        np.testing.assert_array_equal(plain.success_any, curious.success_any)
         assert curious.mean_intrinsic.max() > 0.0  # the observer did run
         assert time.monotonic() - start < 300.0
 

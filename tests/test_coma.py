@@ -223,9 +223,8 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     state, cfg = fresh_setup(n_agents, "mcm", 31, reward_mode, episodes_per_update=5)
     world, policies, bank = state.env.config, state.policies, state.bank
     eps = 0.1
-    scorer = dataclasses.replace(  # the rollout trains bank
-        bank, agents=dataclasses.replace(bank.agents, network=bank.agents.network.copy())
-    )
+    frozen = copy.deepcopy(bank.agents.network)  # the rollout trains bank
+    scorer = dataclasses.replace(bank, agents=dataclasses.replace(bank.agents, network=frozen))
     env_rng, action_rng = copy.deepcopy(state.env_rng), copy.deepcopy(state.action_rng)
     buf = coma.rollout_episode(state, cfg, eps)
     t_max = world.episode_length
@@ -741,7 +740,6 @@ def reference_round(state, cfg):
         state.extrinsic[slot] = extrinsic[k].sum()
         state.mean_intrinsic[slot] = intrinsic[k].mean()
         state.curiosity_loss[slot] = round_loss
-        state.success_any[slot] = success[k].any()
     state.episodes += e
     return coma.RoundStats(critic_loss=float(critic_losses[0][0]), actor_loss=actor_loss)
 
@@ -755,7 +753,6 @@ def trained_state(state):
             arrays += [*learner.network.parameters(), *learner.m, *learner.v]
             counts.append(learner.step_count)
     arrays += [state.normalized, state.extrinsic, state.mean_intrinsic, state.curiosity_loss]
-    arrays.append(state.success_any)
     return arrays, counts
 
 
@@ -787,7 +784,7 @@ def test_two_rounds_fill_a_twelve_episode_budget(tmp_path):
     are the ones run_experiment writes its CSV from, bit for bit. A third
     round, with no episode left, raises and plays nothing."""
     run = run_config(2, "mcm", 5, episodes_per_update=8, total_episodes=12)
-    names = ("normalized", "extrinsic", "mean_intrinsic", "curiosity_loss", "success_any")
+    names = ("normalized", "extrinsic", "mean_intrinsic", "curiosity_loss")
     state = coma.init_state(run)
     coma.train_round(state, run.train)
     assert state.episodes == 8
@@ -835,7 +832,6 @@ def test_train_round_reports_per_episode_scalars(monkeypatch):
     (losses,) = module_losses
     assert len(losses) == state.policies.network.members
     assert np.array_equal(state.curiosity_loss[:e], np.full(e, np.mean(losses)))
-    assert np.array_equal(state.success_any[:e], state.normalized[:e] > 0)
     assert np.isfinite(stats.critic_loss)
     assert np.isfinite(stats.actor_loss)
 

@@ -1,6 +1,8 @@
 """Curiosity tests: losses and intrinsic rewards vs scalar-loop oracles,
 roster architecture, reward mixing."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,7 +306,7 @@ class TestLossOracles:
         bank = bank_of("icm_indiv", 14)
         rng = np.random.default_rng(51)
         batch = random_batch(rng, 6)
-        frozen = [m.copy() for m in modules(bank)]
+        frozen = [copy.deepcopy(m) for m in modules(bank)]
         _, losses = cur.curiosity_update(bank, *batch)
         for agent in range(2):
             manual = 0.0

@@ -341,7 +341,6 @@ def test_load_run_scores_unaligned_tail_as_the_run_did(tmp_path, monkeypatch):
         played = np.arange(state.episodes, state.episodes + round_cfg.episodes_per_update)
         steps = np.where(played >= 34, length, 0)
         state.normalized[played] = steps / length
-        state.success_any[played] = steps > 0
         state.episodes = int(played[-1]) + 1
         return coma.RoundStats(critic_loss=0.0, actor_loss=0.0)
 

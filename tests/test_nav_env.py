@@ -26,6 +26,20 @@ def make_state(config, positions):
     )
 
 
+def step(config, state, joint_action):
+    """The reference step of one state: nav_env.move, then nav_env.score of
+    the new state. NavEnv.step, and the trainer's path of moving a whole
+    round and scoring it in one call, are checked against it."""
+    new_state = nav_env.move(config, state, joint_action)
+    reward, success = nav_env.score(config, new_state)
+    return new_state, nav_env.StepResult(
+        next_joint_obs=nav_env.observe(new_state),
+        extrinsic_reward=reward,
+        done=new_state.timestep >= config.episode_length,
+        success=success,
+    )
+
+
 class TestConfig:
     def test_defaults_valid(self):
         WorldConfig().validate()
@@ -153,14 +167,14 @@ class TestStep:
             (3, (0.1, 0.0)),
             (4, (0.0, 0.0)),
         ]:
-            new_state, _ = nav_env.step(config, state, (action, 4))
+            new_state, _ = step(config, state, (action, 4))
             np.testing.assert_allclose(new_state.agent_positions[0], delta, atol=1e-15)
             np.testing.assert_array_equal(new_state.agent_positions[1], [0.0, 0.0])
 
     def test_clamping_at_boundary(self):
         config = WorldConfig()
         state = make_state(config, [[1.0, 1.0], [-1.0, -1.0]])
-        new_state, _ = nav_env.step(config, state, (3, 2))  # push further out
+        new_state, _ = step(config, state, (3, 2))  # push further out
         np.testing.assert_array_equal(new_state.agent_positions[0], [1.0, 1.0])
         np.testing.assert_array_equal(new_state.agent_positions[1], [-1.0, -1.0])
 
@@ -177,11 +191,11 @@ class TestStep:
         config = WorldConfig()
         state = make_state(config, [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
-            nav_env.step(config, state, (0,))
+            step(config, state, (0,))
         with pytest.raises(ValueError):
-            nav_env.step(config, state, (0, 5))
+            step(config, state, (0, 5))
         with pytest.raises(ValueError):
-            nav_env.step(config, state, (-1, 0))
+            step(config, state, (-1, 0))
 
     @pytest.mark.parametrize(
         "action",
@@ -263,7 +277,7 @@ class TestRewards:
         state = make_state(config, [lm, lm])
         total = 0.0
         for _ in range(5):
-            state, result = nav_env.step(config, state, (4, 4))  # stay put
+            state, result = step(config, state, (4, 4))  # stay put
             total += result.extrinsic_reward
         assert total == 5.0
 
@@ -353,7 +367,7 @@ class TestRewards:
         config = WorldConfig(reward_mode="dense", scenario="same_landmark", start_jitter=0.0)
         lm = nav_env.canonical_layout(config)[1][0]
         state = make_state(config, [lm, lm])
-        _, result = nav_env.step(config, state, (4, 4))
+        _, result = step(config, state, (4, 4))
         assert result.success
 
 
@@ -411,7 +425,7 @@ class TestLockstep:
         state = EnvState(
             positions, landmarks, nav_env.landmark_assignment(scenario, n_agents), 0
         )
-        new_state, result = nav_env.step(config, state, actions)
+        new_state, result = step(config, state, actions)
         for e in range(len(positions)):
             pos, obs, reward, success = oracle_step(config, positions[e], actions[e])
             np.testing.assert_array_equal(new_state.agent_positions[e], pos)
@@ -429,8 +443,9 @@ class TestLockstep:
     def test_moved_positions_score_as_steps(self, reward_mode, n_agents, scenario):
         """Moving without scoring and then scoring the kept (E, T, N, 2)
         positions in one call gives, bit for bit, the observations, rewards
-        and success that stepping gives, with agents huddled so pairs
-        collide and pushed onto their landmarks and the walls."""
+        and success that the reference step gives, and so does NavEnv.step,
+        with agents huddled so pairs collide and pushed onto their landmarks
+        and the walls."""
         config = WorldConfig(n_agents=n_agents, scenario=scenario, reward_mode=reward_mode)
         rng = np.random.default_rng(42)
         landmarks = nav_env.canonical_layout(config)[1]
@@ -439,15 +454,19 @@ class TestLockstep:
         start_pos[0] = landmarks[list(nav_env.landmark_assignment(scenario, n_agents))]
         start_pos[1] = 0.0  # every pair collides
         stepped, moved = NavEnv(config), NavEnv(config)
-        stepped.state = moved.state = dataclasses.replace(start, agent_positions=start_pos)
+        state = dataclasses.replace(start, agent_positions=start_pos)
+        stepped.state = moved.state = state
         positions = np.empty((6, config.episode_length, n_agents, 2))
         results = []
         for t in range(config.episode_length):
             actions = rng.integers(0, 5, (6, n_agents))
             actions[:2] = 4  # stay docked, stay huddled
             actions[2] = 3  # run into the right wall
-            results.append(stepped.step(actions))
-            np.testing.assert_array_equal(moved.move(actions), results[-1].next_joint_obs)
+            state, result = step(config, state, actions)
+            results.append(result)
+            got = dataclasses.astuple(stepped.step(actions))
+            assert all(map(np.array_equal, got, dataclasses.astuple(result)))
+            np.testing.assert_array_equal(moved.move(actions), result.next_joint_obs)
             positions[:, t] = moved.state.agent_positions
         reward, success = moved.score(positions)
         assert np.array_equal(reward, np.stack([r.extrinsic_reward for r in results], axis=1))
@@ -468,9 +487,9 @@ class TestLockstep:
         config = WorldConfig()
         state, _ = nav_env.reset(config, np.random.default_rng(0), n_episodes=3)
         with pytest.raises(ValueError):
-            nav_env.step(config, state, np.zeros((2, 2), int))
+            step(config, state, np.zeros((2, 2), int))
         with pytest.raises(ValueError):
-            nav_env.step(config, state, np.zeros(2, int))
+            step(config, state, np.zeros(2, int))
 
 
 class TestDeterminism:

@@ -27,6 +27,11 @@ def full_size_case():
     return net, nc.squared_error_loss_closure(x, targets, [None, extra])
 
 
+def copy_network(net):
+    """net with every parameter copied: it shares no array with net."""
+    return nc._from_parameters(net.spec, [p.copy() for p in net.parameters()])
+
+
 def small_spec(two_headed=False):
     if two_headed:
         return nc.NetworkSpec(3, (2, 4), hidden_dims=(5, 6), head_extra_input_dims=(0, 3))
@@ -243,7 +248,7 @@ class TestAdam:
         parameter and both moments."""
         rng = np.random.default_rng(9)
         net = nc.init_network(small_spec(two_headed=True), rng, members=3)
-        ref = net.copy()
+        ref = copy_network(net)
         learner = nc.Learner(net, lr=0.01)
         m = [np.zeros_like(p) for p in ref.parameters()]
         v = [np.zeros_like(p) for p in ref.parameters()]
@@ -421,7 +426,7 @@ class TestReusedBuffers:
 
         _, cache_a = nc.forward(net, x_a, extras_a)
         nc.forward(net, x_c, extras_c)  # another batch size has its own buffers
-        nc.forward(net.copy(), x_a, extras_a)  # and so has a copy
+        nc.forward(copy_network(net), x_a, extras_a)  # and so has a copy
         grads = nc.backward(net, cache_a, gys_a)
         _, ref_cache = reference_forward(net, x_a, extras_a)
         for g, ref in zip(grads, reference_backward(net, ref_cache, [g[0] for g in gys_a])):
@@ -488,7 +493,7 @@ class TestMemberStack:
         rng = np.random.default_rng(50 + members + batch)
         net = nc.init_network(small_spec(two_headed), rng, members)
         learner = nc.Learner(net, lr=0.01)
-        singles = [net.member(m).copy() for m in range(members)]
+        singles = [copy_network(net.member(m)) for m in range(members)]
         single_learners = [nc.Learner(single, lr=0.01) for single in singles]
         for _ in range(2):  # the second step runs on updated parameters and moments
             x, extras, gys = pass_inputs(net.spec, batch, rng, members, shared)
