@@ -305,6 +305,25 @@ def forward(
     return outputs, cache
 
 
+# Rows per block of a weight-gradient product. OpenBLAS splits a product
+# over more than one thread only above a size, and its result then depends on
+# the thread count; for every layer shape the lab trains, a block of this
+# many rows stays below that size.
+GRAD_BLOCK_ROWS = 128
+
+
+def _weight_grad(d_out: np.ndarray, layer_in: np.ndarray) -> np.ndarray:
+    """Each member's d_out^T @ layer_in, (M, out, in), for d_out (M, B, out)
+    and layer_in (M, B, in) or a (B, in) shared by every member: the sum of
+    the products over blocks of GRAD_BLOCK_ROWS rows, added in block order,
+    so its bits do not depend on the BLAS thread count."""
+    blocks = [slice(lo, lo + GRAD_BLOCK_ROWS) for lo in range(0, d_out.shape[1], GRAD_BLOCK_ROWS)]
+    grad = np.matmul(d_out[:, blocks[0]].swapaxes(1, 2), layer_in[..., blocks[0], :])
+    for rows in blocks[1:]:
+        grad += np.matmul(d_out[:, rows].swapaxes(1, 2), layer_in[..., rows, :])
+    return grad
+
+
 def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarray]) -> Gradients:
     """Exact parameter gradients for the scalar loss whose output gradients
     are supplied, one (M, B, out) array per head, as forward returned the
@@ -324,7 +343,7 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
         want = (*h_in.shape[:-1], spec.output_dims[k])
         if gy.shape != want:
             raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
-        head_w_grads.append(np.matmul(gy.swapaxes(1, 2), h_in))
+        head_w_grads.append(_weight_grad(gy, h_in))
         head_b_grads.append(gy.sum(axis=1, keepdims=True))
         gys.append(gy)
     bufs.generation += 1  # the work arrays are overwritten below
@@ -343,7 +362,7 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
         factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z))
         np.multiply(d_a, factor, out=d_z)
         layer_in = cache.rows if layer == 0 else bufs.a[layer - 1]
-        trunk_w_grads.append(np.matmul(d_z.swapaxes(1, 2), layer_in))
+        trunk_w_grads.append(_weight_grad(d_z, layer_in))
         trunk_b_grads.append(d_z.sum(axis=1, keepdims=True))
         if layer > 0:
             d_a = np.matmul(d_z, net.trunk_w[layer], out=bufs.a[layer - 1])

@@ -1,8 +1,9 @@
 """The bit-identity contract as a check: the 64-config CSV set and the
 stdout of `gradcheck --seed S` hash to the digests recorded in
 bit_identity.json for this machine's key (numpy version, OpenBLAS kernel,
-one BLAS thread). See bit_identity.py for the set and for how to record a
-new key or re-baseline one."""
+one BLAS thread), and a run writes the same bytes at 1 and 2 BLAS threads.
+See bit_identity.py for the set and for how to record a new key or
+re-baseline one."""
 
 import json
 import os
@@ -15,9 +16,13 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-def test_outputs_match_recorded_digests(tmp_path):
+def _env(threads: int) -> dict[str, str]:
     pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=pythonpath)
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    env = _env(1)
     proc = subprocess.run(
         [sys.executable, os.path.join(TESTS, "bit_identity.py"), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=600,
@@ -34,3 +39,23 @@ def test_outputs_match_recorded_digests(tmp_path):
         )
     for name in sorted(want.keys() | got["digests"].keys()):
         assert got["digests"].get(name) == want.get(name), f"first entry that differs: {name}"
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One short run, trained in two processes at 1 and 2 BLAS threads,
+    writes byte-identical CSVs. Its policies and curiosity modules train on
+    400 rows per member (8 episodes of 50 steps), a row count whose
+    weight-gradient products OpenBLAS splits over threads; this config's
+    CSV differed between the two counts before backward summed those
+    products over fixed row blocks."""
+    args = ["--method", "mcm", "--seed", "3", "--total-episodes", "24", "--eval-interval", "8"]
+    csvs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "curiosity_marl.cli", "run", *args, "--results-dir", str(out)],
+            env=_env(threads), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        csvs.append((out / "mcm_same_landmark_2ag_s3.csv").read_bytes())
+    assert csvs[0] == csvs[1]

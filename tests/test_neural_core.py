@@ -344,6 +344,16 @@ def reference_forward(net, x, extras=None):
     return outputs, (x, pre, act, head_inputs)
 
 
+def block_sum_product(d_out, layer_in):
+    """d_out.T @ layer_in on 2-D arrays as backward computes it: products
+    over blocks of nc.GRAD_BLOCK_ROWS rows, added in block order."""
+    rows = nc.GRAD_BLOCK_ROWS
+    grad = d_out[:rows].T @ layer_in[:rows]
+    for lo in range(rows, len(d_out), rows):
+        grad = grad + d_out[lo : lo + rows].T @ layer_in[lo : lo + rows]
+    return grad
+
+
 def reference_backward(net, ref_cache, head_output_grads):
     """A one-member network's gradients, shaped as its member's slice of
     each parameter: (out, in) weights and (1, out) biases."""
@@ -353,13 +363,13 @@ def reference_backward(net, ref_cache, head_output_grads):
     head_grads = []
     d_a = np.zeros((len(x), trunk_out))
     for w, h_in, gy in zip(net.head_w, head_inputs, head_output_grads):
-        head_grads.extend((gy.T @ h_in, gy.sum(axis=0, keepdims=True)))
+        head_grads.extend((block_sum_product(gy, h_in), gy.sum(axis=0, keepdims=True)))
         d_a += gy @ w[0][:, :trunk_out]
     trunk_grads = []
     for layer in range(len(net.trunk_w) - 1, -1, -1):
         d_z = d_a * np.where(pre[layer] > 0.0, 1.0, spec.leaky_slope)
         layer_in = x if layer == 0 else act[layer - 1]
-        trunk_grads[:0] = [d_z.T @ layer_in, d_z.sum(axis=0, keepdims=True)]
+        trunk_grads[:0] = [block_sum_product(d_z, layer_in), d_z.sum(axis=0, keepdims=True)]
         d_a = d_z @ net.trunk_w[layer][0]
     return trunk_grads + head_grads
 
