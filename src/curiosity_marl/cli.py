@@ -35,7 +35,10 @@ _DIRECT_FLAGS = [
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat `key = value` config file")
     for flag, key in _DIRECT_FLAGS:
-        p.add_argument(flag, dest=f"cfg_{key}", metavar="V", help=f"override {key}")
+        p.add_argument(
+            flag, dest=f"cfg_{key}", action="append", default=[], metavar="V",
+            help=f"override {key}",
+        )
     p.add_argument(
         "--set",
         action="append",
@@ -53,16 +56,20 @@ def _add_results_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for _, key in _DIRECT_FLAGS:
-        value = getattr(args, f"cfg_{key}")
-        if value is not None:
-            overrides[key] = value
+    """The config keys the direct flags and --set items give. A key given
+    twice, by one flag repeated or by a flag and a --set item, is rejected,
+    as it is in a config file."""
+    given = [(key, value) for _, key in _DIRECT_FLAGS for value in getattr(args, f"cfg_{key}")]
     for item in args.set:
         if "=" not in item:
             raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        given.append((key.strip(), value.strip()))
+    overrides: dict[str, str] = {}
+    for key, value in given:
+        if key in overrides:
+            raise ConfigurationError(f"{key}: given twice on the command line")
+        overrides[key] = value
     return overrides
 
 

@@ -62,6 +62,26 @@ def test_run_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key,given",
+    [
+        ("seed", ["--set", "seed=1", "--set", "seed=2"]),
+        ("seed", ["--seed", "1", "--set", "seed=2"]),
+        ("seed", ["--seed", "1", "--seed", "2"]),
+        ("lambda", ["--lambda", "0.1", "--set", " lambda = 0.2"]),
+    ],
+    ids=["set_twice", "flag_and_set", "flag_twice", "flag_and_spaced_set"],
+)
+def test_run_key_given_twice_exits_2_before_writing(key, given, tmp_path, capsys):
+    """A key given twice on the command line is rejected by name, as a
+    config file's is, instead of one value winning without a word."""
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", *given, "--total-episodes", "8", "--results-dir", str(out_dir)])
+    assert code == 2
+    assert f"error: {key}: given twice" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_malformed_set_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--set", "no_equals_sign", "--results-dir", str(tmp_path)])
     assert code == 2
