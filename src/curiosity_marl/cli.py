@@ -36,8 +36,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat `key = value` config file")
     for flag, key in _DIRECT_FLAGS:
         p.add_argument(
-            flag, dest=f"cfg_{key}", action="append", default=[], metavar="V",
-            help=f"override {key}",
+            flag, dest=f"cfg_{key}", action="append", metavar="V", help=f"override {key}"
         )
     p.add_argument(
         "--set",
@@ -56,10 +55,9 @@ def _add_results_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    """The config keys the direct flags and --set items give. A key given
-    twice, by one flag repeated or by a flag and a --set item, is rejected,
-    as it is in a config file."""
-    given = [(key, value) for _, key in _DIRECT_FLAGS for value in getattr(args, f"cfg_{key}")]
+    """The keys the direct flags and --set items give; a key given twice, by
+    either or both, is rejected as it is in a config file."""
+    given = [(key, v) for _, key in _DIRECT_FLAGS for v in getattr(args, f"cfg_{key}") or ()]
     for item in args.set:
         if "=" not in item:
             raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")

@@ -296,13 +296,10 @@ class NavEnv:
         return self.state
 
     def step(self, joint_action) -> StepResult:
-        """move, then score the new positions: one step of what a trainer
-        does for a whole round."""
-        next_obs = self.move(joint_action)
+        """move, then score: one step of what training does for a round."""
+        obs = self.move(joint_action)
         reward, success = self.score(self.state.agent_positions)
-        return StepResult(
-            next_obs, reward, self.state.timestep >= self.config.episode_length, success
-        )
+        return StepResult(obs, reward, self.state.timestep >= self.config.episode_length, success)
 
     def move(self, joint_action) -> np.ndarray:
         """Move every agent without scoring; returns the next joint

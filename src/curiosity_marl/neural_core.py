@@ -305,22 +305,19 @@ def forward(
     return outputs, cache
 
 
-# Rows per block of a weight-gradient product. OpenBLAS splits a product
-# over more than one thread only above a size, and its result then depends on
-# the thread count; for every layer shape the lab trains, a block of this
-# many rows stays below that size.
+# Rows per block of a weight-gradient product: OpenBLAS splits a larger
+# product over threads, and its bits then depend on the thread count.
 GRAD_BLOCK_ROWS = 128
 
 
 def _weight_grad(d_out: np.ndarray, layer_in: np.ndarray) -> np.ndarray:
     """Each member's d_out^T @ layer_in, (M, out, in), for d_out (M, B, out)
-    and layer_in (M, B, in) or a (B, in) shared by every member: the sum of
-    the products over blocks of GRAD_BLOCK_ROWS rows, added in block order,
-    so its bits do not depend on the BLAS thread count."""
-    blocks = [slice(lo, lo + GRAD_BLOCK_ROWS) for lo in range(0, d_out.shape[1], GRAD_BLOCK_ROWS)]
-    grad = np.matmul(d_out[:, blocks[0]].swapaxes(1, 2), layer_in[..., blocks[0], :])
-    for rows in blocks[1:]:
-        grad += np.matmul(d_out[:, rows].swapaxes(1, 2), layer_in[..., rows, :])
+    and layer_in (M, B, in) or a (B, in) shared by every member, as the sum
+    of the products over blocks of GRAD_BLOCK_ROWS rows in block order."""
+    rows = GRAD_BLOCK_ROWS
+    grad = np.matmul(d_out[:, :rows].swapaxes(1, 2), layer_in[..., :rows, :])
+    for lo in range(rows, d_out.shape[1], rows):
+        grad += np.matmul(d_out[:, lo : lo + rows].swapaxes(1, 2), layer_in[..., lo : lo + rows, :])
     return grad
 
 
