@@ -7,11 +7,12 @@ seed 3, 24 episodes, interval 8) into OUT_DIR, one subdirectory per reward
 mode, runs gradcheck at seeds 0, 3 and 29, and prints one JSON object: this
 machine's key and the sha256 of every CSV and of every gradcheck's stdout.
 
-Those bytes depend on the numpy version, on the OpenBLAS kernel numpy's
-bundled library picked for this CPU, and on its thread count, so the key
-names all three. tests/test_bit_identity.py runs this script with one BLAS
-thread and compares it with bit_identity.json, which holds the digests of
-each key recorded so far:
+Those bytes depend on the numpy version and on the OpenBLAS kernel numpy's
+bundled library picked for this CPU. They must not depend on its thread
+count, so two runs of this script at different OPENBLAS_NUM_THREADS print
+the same digests; the key still names the count. tests/test_bit_identity.py
+runs this script with one BLAS thread and compares it with
+bit_identity.json, which holds the digests of each key recorded so far:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/bit_identity.py OUT_DIR [--write]
 

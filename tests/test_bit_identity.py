@@ -22,10 +22,9 @@ def _env(threads: int) -> dict[str, str]:
 
 
 def test_outputs_match_recorded_digests(tmp_path):
-    env = _env(1)
     proc = subprocess.run(
         [sys.executable, os.path.join(TESTS, "bit_identity.py"), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=_env(1), capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     got = json.loads(proc.stdout)
