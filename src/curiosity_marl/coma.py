@@ -30,7 +30,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class TrainConfig:
     """Every training hyperparameter. total_episodes = 0 means the
-    agent-count default, which the harness resolves before training.
+    agent-count default; init_state sizes the state for the resolved
+    budget, and a round reads the budget from the state.
     intrinsic_lambda and intrinsic_clip are the config-file keys `lambda`
     and `clip_max`, and check messages name them so."""
 
@@ -260,10 +261,11 @@ def select_actions(
     return np.minimum(actions, N_ACTIONS - 1, out=actions), probs
 
 
-def epsilon_at(cfg: TrainConfig, episode_index: int) -> float:
-    """Exploration floor, annealed linearly over the first half of training."""
-    half = max(1, cfg.total_episodes // 2)
-    frac = min(1.0, max(0.0, episode_index / half))
+def epsilon_at(state: TrainState, cfg: TrainConfig) -> float:
+    """Exploration floor of the state's next round, annealed linearly over
+    the first half of the state's budget, the one its arrays hold."""
+    half = max(1, len(state.normalized) // 2)
+    frac = min(1.0, max(0.0, state.episodes / half))
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
@@ -345,7 +347,7 @@ def rollout_episode(state: TrainState, cfg: TrainConfig, epsilon: float) -> Roll
             policies, obs[:, t], epsilon, uniforms[:, t]
         )
         obs[:, t + 1] = env.move(actions[:, t])
-        positions[:, t] = env.state.agent_positions
+        positions[:, t] = env.positions
     extrinsic, success = env.score(positions)
     intrinsic, curiosity_losses = cur.curiosity_update(
         state.bank, *_flat_transitions(obs, actions)
@@ -564,7 +566,7 @@ def train_round(state: TrainState, cfg: TrainConfig) -> RoundStats:
     critic's gives both its targets and its first epoch, and the bank's
     gives both the intrinsic rewards and its Adam step. A round that raises
     leaves the episode count where it was."""
-    epsilon = epsilon_at(cfg, state.episodes)
+    epsilon = epsilon_at(state, cfg)
     buf = rollout_episode(state, cfg, epsilon)
     stats = RoundStats(
         critic_update(state.critic, buf, cfg),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import multiprocessing
 import os
 from dataclasses import Field, dataclass, field, fields, replace
@@ -54,6 +55,11 @@ class RunConfig:
         return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
 
     def validate(self) -> None:
+        # before the range checks, which a NaN passes: every comparison with
+        # it is False
+        for key, value in _items(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{key}: must be finite")
         try:
             curiosity.CuriosityKind(self.method)
         except ValueError:
@@ -97,6 +103,14 @@ def _settings() -> list[tuple[str | None, Field]]:
     None), then WorldConfig's, then TrainConfig's."""
     own = [(None, f) for f in fields(RunConfig) if f.name not in _SECTIONS]
     return own + [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls)]
+
+
+def _items(cfg: RunConfig) -> list[tuple[str, object]]:
+    """(config-file key, value) of every setting of cfg, in _settings order."""
+    return [
+        (_FIELD_TO_KEY.get(f.name, f.name), getattr(cfg if s is None else getattr(cfg, s), f.name))
+        for s, f in _settings()
+    ]
 
 
 def _field_converters() -> dict[str, tuple[str | None, str, object]]:
@@ -153,13 +167,12 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig in the same flat format parse_config reads."""
     lines = []
-    for section, f in _settings():
-        value = getattr(cfg if section is None else getattr(cfg, section), f.name)
+    for key, value in _items(cfg):
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{_FIELD_TO_KEY.get(f.name, f.name)} = {rendered}")
+        lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"
 
 

@@ -158,22 +158,20 @@ def test_criterion_3_environment_suite():
         env.reset(rng)
         steps = 0
         while steps < 100_000:
-            if env.state.timestep == config.episode_length:
+            if env.timestep == config.episode_length:
                 env.reset(rng)
             env.step(tuple(int(a) for a in rng.integers(0, 5, 2)))
-            assert np.all(np.abs(env.state.agent_positions) <= config.half_extent)
+            assert np.all(np.abs(env.positions) <= config.half_extent)
             steps += 1
 
         # sparse predicate vs exhaustive 50x50 position grid
         grid = np.linspace(-1, 1, 50)
-        lm = nav_env.canonical_layout(config)[1]
-        assignment = nav_env.landmark_assignment(config.scenario, 2)
+        lm = env.landmarks
         fixed = lm[0] + np.array([-0.05, -0.05])  # inside the success disc
         for x in grid:
             for y in grid:
                 pos = np.array([[x, y], fixed])
-                state = nav_env.EnvState(pos, lm, assignment, 0)
-                got, success = nav_env.sparse_reward(config, state)
+                got, success = env.score(pos)
                 d0 = np.hypot(x - lm[0][0], y - lm[0][1])
                 d1 = np.hypot(*(fixed - lm[0]))
                 want = d0 <= 0.1 and d1 <= 0.1
@@ -185,12 +183,10 @@ def test_criterion_3_environment_suite():
         rng = np.random.default_rng(6)
         for n_agents in (2, 4):
             cfg_n = nav_env.WorldConfig(n_agents=n_agents)
-            lm_n = nav_env.canonical_layout(cfg_n)[1]
-            asn = nav_env.landmark_assignment(cfg_n.scenario, n_agents)
+            lm_n = nav_env.NavEnv(cfg_n).landmarks
             for _ in range(200):
                 pos = rng.uniform(-1, 1, (n_agents, 2))
-                state = nav_env.EnvState(pos, lm_n, asn, 0)
-                obs = nav_env.observe(state)
+                obs = nav_env.observe(pos, lm_n)
                 off = 2 * cfg_n.n_landmarks
                 for i in range(n_agents):
                     others_i = [m for m in range(n_agents) if m != i]

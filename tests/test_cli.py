@@ -57,6 +57,27 @@ def test_run_rejected_setting_exits_2_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "given",
+    [
+        ["--set", "collision_radius=nan", "--reward-mode", "dense"],
+        ["--set", "start_jitter=nan"],
+        ["--set", "lambda=inf"],
+    ],
+    ids=["collision_radius", "start_jitter", "lambda"],
+)
+def test_run_non_finite_setting_exits_2_before_writing(given, tmp_path, capsys):
+    """A NaN collision radius would drop every collision penalty, and other
+    non-finite values fail mid-run after the sidecar is written; each is
+    rejected with the config check instead."""
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", *given, "--total-episodes", "8", "--results-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {given[1].split('=')[0]}: must be finite")
+    assert not out_dir.exists()
+
+
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

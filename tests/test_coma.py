@@ -91,13 +91,18 @@ def test_train_config_rejects(field, value):
 
 
 def test_epsilon_anneal_endpoints_and_midpoint():
-    cfg = coma.TrainConfig(total_episodes=1000)
-    assert coma.epsilon_at(cfg, 0) == pytest.approx(0.1)
-    assert coma.epsilon_at(cfg, 250) == pytest.approx(0.06)
-    assert coma.epsilon_at(cfg, 500) == pytest.approx(0.02)
+    state, cfg = fresh_setup(total_episodes=1000)
+
+    def epsilon_at(episodes):
+        state.episodes = episodes
+        return coma.epsilon_at(state, cfg)
+
+    assert epsilon_at(0) == pytest.approx(0.1)
+    assert epsilon_at(250) == pytest.approx(0.06)
+    assert epsilon_at(500) == pytest.approx(0.02)
     # constant after the first half
-    assert coma.epsilon_at(cfg, 900) == pytest.approx(0.02)
-    assert coma.epsilon_at(cfg, 10**6) == pytest.approx(0.02)
+    assert epsilon_at(900) == pytest.approx(0.02)
+    assert epsilon_at(10**6) == pytest.approx(0.02)
 
 
 # --- policy distribution and sampling ---------------------------------------
@@ -696,7 +701,7 @@ def reference_round(state, cfg):
     step, agent) row order, the bank's update on a fresh forward last, and
     the per-episode values written one episode at a time."""
     policies, critic, env, bank = state.policies, state.critic, state.env, state.bank
-    epsilon = coma.epsilon_at(cfg, state.episodes)
+    epsilon = coma.epsilon_at(state, cfg)
     e = min(cfg.episodes_per_update, len(state.normalized) - state.episodes)
     t_max, n = env.config.episode_length, policies.network.members
     first_obs = env.reset(state.env_rng, e)
@@ -819,6 +824,25 @@ def test_two_rounds_fill_a_twelve_episode_budget(tmp_path):
     assert state.episodes == 12
 
 
+def test_unresolved_budget_trains_as_the_resolved_one_bit_for_bit():
+    """A state built from a config whose total_episodes is 0 holds the
+    agent-count default budget, and epsilon anneals over that budget: two
+    rounds with the unresolved TrainConfig equal two rounds with the
+    resolved one, bit for bit."""
+    run = run_config(2, "none", 4)
+    resolved = dataclasses.replace(run.train, total_episodes=run.resolved_total_episodes)
+    runs = []
+    for cfg in (run.train, resolved):
+        state = coma.init_state(run)
+        stats = [coma.train_round(state, cfg) for _ in range(2)]
+        runs.append((stats, trained_state(state)))
+    (stats, (arrays, counts)), (ref_stats, (ref_arrays, ref_counts)) = runs
+    assert run.train.total_episodes == 0 and len(state.normalized) == 30_000
+    assert stats == ref_stats
+    assert counts == ref_counts
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
+
+
 def test_train_round_stats_and_determinism():
     results = []
     for _ in range(2):
@@ -870,7 +894,7 @@ def test_policies_stay_valid_distributions_after_training():
     for _ in range(4):
         coma.train_round(state, cfg)
     obs = state.env.reset(state.env_rng)
-    eps = coma.epsilon_at(cfg, 32)
+    eps = coma.epsilon_at(state, cfg)
     for i in range(2):
         p = coma.policy_probs(state.policies.network.member(i), obs[i][None], eps)
         assert np.all(p >= eps - 1e-12)

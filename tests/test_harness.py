@@ -119,6 +119,35 @@ def test_invalid_configs_rejected(text, fragment):
         harness.parse_config(text)
 
 
+FLOAT_KEYS = [
+    "half_extent", "step_size", "success_radius", "collision_radius", "c_collide",
+    "c_success", "start_jitter", "gamma", "td_lambda", "actor_lr", "critic_lr",
+    "curiosity_lr", "entropy_coeff", "epsilon_start", "epsilon_end", "lambda",
+    "clip_max", "leaky_slope",
+]
+
+
+def test_float_keys_are_every_float_setting():
+    cfg = harness.RunConfig()
+    names = {
+        f.name
+        for section in (cfg.world, cfg.train)
+        for f in dataclasses.fields(section)
+        if isinstance(getattr(section, f.name), float)
+    }
+    renamed = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
+    assert {renamed.get(name, name) for name in names} == set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_by_name(key, value):
+    """Every range check passes a NaN, since each comparison with it is
+    False, so a non-finite value is rejected before the range checks."""
+    with pytest.raises(ConfigurationError, match=f"^{key}: must be finite$"):
+        harness.parse_config(f"{key} = {value}\n")
+
+
 def test_render_parse_round_trip():
     cfg = harness.parse_config(
         "scenario = different_landmark\nseed = 3\nlambda = 0.125\n"
