@@ -13,15 +13,15 @@ a run config, and each train_round advances it by one round of episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import curiosity as cur
 from . import neural_core as nc
-from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, other_agents
+from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, check_finite, other_agents
 
 if TYPE_CHECKING:
     from .harness import RunConfig
@@ -30,10 +30,12 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class TrainConfig:
     """Every training hyperparameter. total_episodes = 0 means the
-    agent-count default; init_state sizes the state for the resolved
-    budget, and a round reads the budget from the state.
-    intrinsic_lambda and intrinsic_clip are the config-file keys `lambda`
-    and `clip_max`, and check messages name them so."""
+    agent-count default; init_state keeps this config with the resolved
+    budget in the state, and a round reads it from there. KEYS names the
+    config-file keys of the fields whose key is not their name, and check
+    messages name them so."""
+
+    KEYS: ClassVar[dict[str, str]] = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
 
     gamma: float = 0.95
     td_lambda: float = 0.8
@@ -52,6 +54,7 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma: must lie in [0, 1)")
         if not 0.0 <= self.td_lambda <= 1.0:
@@ -73,9 +76,9 @@ class TrainConfig:
         if self.entropy_coeff < 0.0:
             raise ConfigurationError("entropy_coeff: must be >= 0")
         if self.intrinsic_lambda < 0.0:
-            raise ConfigurationError("lambda: must be >= 0")
+            raise ConfigurationError(f"{self.KEYS['intrinsic_lambda']}: must be >= 0")
         if self.intrinsic_clip <= 0.0:
-            raise ConfigurationError("clip_max: must be > 0")
+            raise ConfigurationError(f"{self.KEYS['intrinsic_clip']}: must be > 0")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError("hidden_dims: must be positive integers")
         if not 0.0 < self.leaky_slope < 1.0:
@@ -171,11 +174,13 @@ def make_critic(
 
 @dataclass
 class TrainState:
-    """Everything one run's training changes: the learners (their Adam
-    moments included), the environment, the two streams every round draws
-    from, the number of episodes played, and one slot per episode of the
-    run's budget for each per-episode value its CSV is made from."""
+    """One run's TrainConfig, its total_episodes resolved, and everything
+    its training changes: the learners (their Adam moments included), the
+    environment, the two streams every round draws from, the number of
+    episodes played, and one slot per episode of the budget for each
+    per-episode value its CSV is made from."""
 
+    cfg: TrainConfig
     policies: nc.Learner
     critic: nc.Learner
     bank: cur.CuriosityBank
@@ -197,10 +202,11 @@ def init_state(run: RunConfig) -> TrainState:
     cannot change any run's output."""
     env_ss, action_ss, net_ss, bank_ss = np.random.SeedSequence(run.seed).spawn(4)
     net_rng = np.random.default_rng(net_ss)
-    world, cfg = run.world, run.train
+    world, total = run.world, run.resolved_total_episodes
+    cfg = replace(run.train, total_episodes=total)
     arch = (cfg.hidden_dims, cfg.leaky_slope)
-    total = run.resolved_total_episodes
     return TrainState(
+        cfg=cfg,
         policies=make_policy_set(world.n_agents, world.obs_dim, net_rng, *arch, cfg.actor_lr),
         critic=make_critic(world.n_agents, world.obs_dim, net_rng, *arch, cfg.critic_lr),
         bank=cur.make_bank(
@@ -261,10 +267,11 @@ def select_actions(
     return np.minimum(actions, N_ACTIONS - 1, out=actions), probs
 
 
-def epsilon_at(state: TrainState, cfg: TrainConfig) -> float:
+def epsilon_at(state: TrainState) -> float:
     """Exploration floor of the state's next round, annealed linearly over
-    the first half of the state's budget, the one its arrays hold."""
-    half = max(1, len(state.normalized) // 2)
+    the first half of the state's budget."""
+    cfg = state.cfg
+    half = max(1, cfg.total_episodes // 2)
     frac = min(1.0, max(0.0, state.episodes / half))
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
@@ -309,9 +316,9 @@ def td_lambda_targets(
     return targets
 
 
-def rollout_episode(state: TrainState, cfg: TrainConfig, epsilon: float) -> RolloutBuffer:
-    """Play the round's episodes, cfg.episodes_per_update or the fewer left
-    of the state's budget, in lockstep with the current policies, then score
+def rollout_episode(state: TrainState, epsilon: float) -> RolloutBuffer:
+    """Play the round's episodes, episodes_per_update or the fewer left of
+    the state's budget, in lockstep with the current policies, then score
     them, in this order:
 
     1. the loop only samples actions, moves the agents and observes;
@@ -329,8 +336,8 @@ def rollout_episode(state: TrainState, cfg: TrainConfig, epsilon: float) -> Roll
     another, step by step and agent by agent. Neither the scoring nor the
     bank changes during the loop, so scoring after the last step gives the
     rewards that scoring each step online would."""
-    env, policies = state.env, state.policies
-    e = min(cfg.episodes_per_update, len(state.normalized) - state.episodes)
+    env, policies, cfg = state.env, state.policies, state.cfg
+    e = min(cfg.episodes_per_update, cfg.total_episodes - state.episodes)
     if e < 1:
         raise ValueError(f"the state has played all {state.episodes} episodes of its budget")
     t_max = env.config.episode_length
@@ -557,7 +564,7 @@ def actor_update(
     return float(loss[0])
 
 
-def train_round(state: TrainState, cfg: TrainConfig) -> RoundStats:
+def train_round(state: TrainState) -> RoundStats:
     """One round, in this order: rollout_episode plays a batch of episodes
     in lockstep, scores their rewards and trains the curiosity bank on the
     same pass that scored them; then the critic and the actors update, and
@@ -566,8 +573,8 @@ def train_round(state: TrainState, cfg: TrainConfig) -> RoundStats:
     critic's gives both its targets and its first epoch, and the bank's
     gives both the intrinsic rewards and its Adam step. A round that raises
     leaves the episode count where it was."""
-    epsilon = epsilon_at(state, cfg)
-    buf = rollout_episode(state, cfg, epsilon)
+    cfg, epsilon = state.cfg, epsilon_at(state)
+    buf = rollout_episode(state, epsilon)
     stats = RoundStats(
         critic_update(state.critic, buf, cfg),
         actor_update(state.policies, state.critic, buf, cfg, epsilon),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import math
 import multiprocessing
 import os
 from dataclasses import Field, dataclass, field, fields, replace
@@ -55,11 +54,6 @@ class RunConfig:
         return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
 
     def validate(self) -> None:
-        # before the range checks, which a NaN passes: every comparison with
-        # it is False
-        for key, value in _items(self):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{key}: must be finite")
         try:
             curiosity.CuriosityKind(self.method)
         except ValueError:
@@ -76,9 +70,8 @@ class RunConfig:
 
 
 # RunConfig fields that nest a section; every other field is a run setting.
+# A section's KEYS name its fields' config-file keys where they differ.
 _SECTIONS = {"world": nav_env.WorldConfig, "train": coma.TrainConfig}
-# Two TrainConfig fields keep their established config-file keys.
-_FIELD_TO_KEY = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
 
 
 def _split_items(raw: str) -> list[str]:
@@ -98,27 +91,12 @@ _CONVERTERS = {
 }
 
 
-def _settings() -> list[tuple[str | None, Field]]:
-    """(section, field) for every config key: the run's own fields (section
-    None), then WorldConfig's, then TrainConfig's."""
-    own = [(None, f) for f in fields(RunConfig) if f.name not in _SECTIONS]
-    return own + [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls)]
-
-
-def _items(cfg: RunConfig) -> list[tuple[str, object]]:
-    """(config-file key, value) of every setting of cfg, in _settings order."""
-    return [
-        (_FIELD_TO_KEY.get(f.name, f.name), getattr(cfg if s is None else getattr(cfg, s), f.name))
-        for s, f in _settings()
-    ]
-
-
-def _field_converters() -> dict[str, tuple[str | None, str, object]]:
-    """Map config-file key -> (section, field name, converter)."""
-    out = {}
-    for section, f in _settings():
-        annotation = f.type if isinstance(f.type, str) else f.type.__name__
-        out[_FIELD_TO_KEY.get(f.name, f.name)] = (section, f.name, _CONVERTERS[annotation])
+def _settings() -> dict[str, tuple[str | None, Field]]:
+    """Config-file key -> (section, field) of every setting: the run's own
+    fields (section None), then WorldConfig's, then TrainConfig's."""
+    out = {f.name: (None, f) for f in fields(RunConfig) if f.name not in _SECTIONS}
+    for section, cls in _SECTIONS.items():
+        out.update({cls.KEYS.get(f.name, f.name): (section, f) for f in fields(cls)})
     return out
 
 
@@ -145,16 +123,16 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     """Build a validated RunConfig from file text plus override pairs
     (overrides win, mirroring CLI-flag precedence). Unknown keys are
     rejected by name."""
-    converters = _field_converters()
+    settings = _settings()
     merged = parse_pairs(text)
     merged.update(overrides or {})
     values: dict[str | None, dict] = {section: {} for section in (None, *_SECTIONS)}
     for key, raw in merged.items():
-        if key not in converters:
+        if key not in settings:
             raise ConfigurationError(f"unknown config key: {key}")
-        section, attr, conv = converters[key]
+        section, f = settings[key]
         try:
-            values[section][attr] = conv(raw)
+            values[section][f.name] = _CONVERTERS[f.type](raw)
         except (ValueError, TypeError):
             raise ConfigurationError(f"{key}: malformed value {raw!r}") from None
     cfg = RunConfig(
@@ -167,7 +145,8 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig in the same flat format parse_config reads."""
     lines = []
-    for key, value in _items(cfg):
+    for key, (section, f) in _settings().items():
+        value = getattr(cfg if section is None else getattr(cfg, section), f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
@@ -241,7 +220,7 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
         csv_file.flush()
         while state.episodes < total:
             try:
-                coma.train_round(state, cfg.train)
+                coma.train_round(state)
             except FloatingPointError as e:
                 raise RuntimeError(
                     f"run {rid}: numeric failure near episode {state.episodes}: {e}"

@@ -10,8 +10,9 @@ axes, and scores any positions of its world. observe is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,8 +41,20 @@ class EpisodeExhaustedError(RuntimeError):
     """Raised when step() or move() is called after the episode horizon."""
 
 
+def check_finite(section) -> None:
+    """Reject a config section's first non-finite float field, named by its
+    config-file key. A section runs this before its range checks, which a
+    NaN passes: every comparison with it is False."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigurationError(f"{section.KEYS.get(f.name, f.name)}: must be finite")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
+    KEYS: ClassVar[dict[str, str]] = {}  # every config-file key is its field's name
+
     n_agents: int = 2
     scenario: str = "same_landmark"
     reward_mode: str = "sparse"
@@ -63,6 +76,7 @@ class WorldConfig:
         return 2 * self.n_landmarks + 2 * (self.n_agents - 1)
 
     def validate(self) -> None:
+        check_finite(self)
         if self.n_agents not in (2, 4):
             raise ConfigurationError(f"n_agents must be 2 or 4, got {self.n_agents}")
         if self.scenario not in SCENARIOS:

@@ -293,7 +293,7 @@ def test_criterion_7_overfit_sanity():
 
         cfg = coma.TrainConfig(episodes_per_update=1)
         state = coma.init_state(harness.RunConfig(method="none", seed=3, world=world, train=cfg))
-        episode = coma.rollout_episode(state, cfg, 0.1)
+        episode = coma.rollout_episode(state, 0.1)
         initial = coma.critic_update(state.critic, episode, cfg)
         for _ in range(199):
             last = coma.critic_update(state.critic, episode, cfg)

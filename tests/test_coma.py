@@ -32,9 +32,10 @@ def run_config(n_agents=2, kind="none", seed=0, reward_mode="sparse", **cfg_kw):
 
 
 def fresh_setup(*args, **kwargs):
-    """A fresh TrainState built from one run config, and its TrainConfig."""
-    run = run_config(*args, **kwargs)
-    return coma.init_state(run), run.train
+    """A fresh TrainState built from one run config, and the resolved
+    TrainConfig it keeps."""
+    state = coma.init_state(run_config(*args, **kwargs))
+    return state, state.cfg
 
 
 def record_module_losses(monkeypatch):
@@ -90,12 +91,23 @@ def test_train_config_rejects(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "field,value,key",
+    [("actor_lr", float("nan"), "actor_lr"), ("intrinsic_lambda", float("inf"), "lambda")],
+)
+def test_train_config_rejects_non_finite_by_key(field, value, key):
+    """A config built in code gets the non-finite check too, and the message
+    names the config-file key."""
+    with pytest.raises(nav_env.ConfigurationError, match=f"^{key}: must be finite$"):
+        coma.TrainConfig(**{field: value}).validate()
+
+
 def test_epsilon_anneal_endpoints_and_midpoint():
     state, cfg = fresh_setup(total_episodes=1000)
 
     def epsilon_at(episodes):
         state.episodes = episodes
-        return coma.epsilon_at(state, cfg)
+        return coma.epsilon_at(state)
 
     assert epsilon_at(0) == pytest.approx(0.1)
     assert epsilon_at(250) == pytest.approx(0.06)
@@ -231,7 +243,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
     frozen = copy.deepcopy(bank.agents.network)  # the rollout trains bank
     scorer = dataclasses.replace(bank, agents=dataclasses.replace(bank.agents, network=frozen))
     env_rng, action_rng = copy.deepcopy(state.env_rng), copy.deepcopy(state.action_rng)
-    buf = coma.rollout_episode(state, cfg, eps)
+    buf = coma.rollout_episode(state, eps)
     t_max = world.episode_length
     for episode in range(cfg.episodes_per_update):
         env = nav_env.NavEnv(world)
@@ -280,7 +292,7 @@ def test_one_network_pass_per_role(n_agents, monkeypatch):
         return {name: sum(n is net for n in nets) for name, nets in calls.items()}
 
     module_losses = record_module_losses(monkeypatch)
-    coma.train_round(state, cfg)
+    coma.train_round(state)
     (losses,) = module_losses
     assert len(losses) == n_agents + 1
     e = cfg.episodes_per_update
@@ -489,7 +501,7 @@ def test_td_lambda_rejects_length_mismatch():
 
 def test_rollout_shapes_and_bookkeeping():
     state, cfg = fresh_setup(seed=12)
-    buf = coma.rollout_episode(state, cfg, 0.05)
+    buf = coma.rollout_episode(state, 0.05)
     world = state.env.config
     e, t_max, d = cfg.episodes_per_update, world.episode_length, world.obs_dim
     assert buf.obs.shape == (e, t_max + 1, 2, d)
@@ -508,7 +520,7 @@ def test_rollout_shapes_and_bookkeeping():
 
 def test_rollout_without_curiosity_mixes_nothing():
     state, cfg = fresh_setup(kind="none", seed=13)
-    buf = coma.rollout_episode(state, cfg, 0.05)
+    buf = coma.rollout_episode(state, 0.05)
     np.testing.assert_array_equal(buf.intrinsic, 0.0)
     np.testing.assert_array_equal(buf.mixed, buf.extrinsic[..., None] * np.ones((1, 1, 2)))
 
@@ -517,7 +529,7 @@ def test_rollout_shared_curiosity_gives_identical_streams():
     """A single joint model scores every agent, so mixed rewards coincide
     exactly and (at lambda=1) so do the critic's regression targets."""
     state, cfg = fresh_setup(kind="icm_joint", seed=14)
-    buf = coma.rollout_episode(state, cfg, 0.05)
+    buf = coma.rollout_episode(state, 0.05)
     np.testing.assert_array_equal(buf.mixed[..., 0], buf.mixed[..., 1])
     assert buf.intrinsic.max() > 0.0
     q = np.zeros((state.env.config.episode_length, cfg.episodes_per_update))
@@ -566,7 +578,7 @@ def test_actor_update_trains_on_the_audited_closure(monkeypatch):
     closure actor_gradient_suite audits, and from nothing else."""
     state, cfg = fresh_setup(2, seed=42)
     policies, critic = state.policies, state.critic
-    buf = coma.rollout_episode(state, cfg, 0.1)
+    buf = coma.rollout_episode(state, 0.1)
     closures = []
     actor_loss_closure = coma.actor_loss_closure
 
@@ -653,7 +665,7 @@ def test_actor_update_increases_advantaged_action_probability():
 
 def test_critic_update_reduces_loss_on_frozen_batch():
     state, cfg = fresh_setup(seed=16, episodes_per_update=4)
-    buf = coma.rollout_episode(state, cfg, 0.1)
+    buf = coma.rollout_episode(state, 0.1)
     first = coma.critic_update(state.critic, buf, cfg)
     losses = [coma.critic_update(state.critic, buf, cfg) for _ in range(30)]
     assert losses[-1] < first
@@ -665,7 +677,7 @@ def test_critic_targets_use_pre_update_bootstrap():
     across the epochs of one update call."""
     state, cfg = fresh_setup(seed=17, episodes_per_update=2)
     critic = state.critic
-    buf = coma.rollout_episode(state, cfg, 0.1)
+    buf = coma.rollout_episode(state, 0.1)
     x, taken, targets, _ = coma._critic_batch(critic, buf, cfg)
     t_max = state.env.config.episode_length
     assert x.shape[0] == 2 * t_max * 2
@@ -694,14 +706,14 @@ def test_critic_targets_use_pre_update_bootstrap():
 # --- full training rounds ----------------------------------------------------
 
 
-def reference_round(state, cfg):
+def reference_round(state):
     """train_round as a sequence of separate passes: env rewards scored step
     by step, a scoring forward of the bank before the critic and actor
     updates, the critic's targets from a forward of their own in (episode,
     step, agent) row order, the bank's update on a fresh forward last, and
     the per-episode values written one episode at a time."""
     policies, critic, env, bank = state.policies, state.critic, state.env, state.bank
-    epsilon = coma.epsilon_at(state, cfg)
+    cfg, epsilon = state.cfg, coma.epsilon_at(state)
     e = min(cfg.episodes_per_update, len(state.normalized) - state.episodes)
     t_max, n = env.config.episode_length, policies.network.members
     first_obs = env.reset(state.env_rng, e)
@@ -792,7 +804,7 @@ def test_train_round_equals_separate_passes_bit_for_bit(kind, n_agents, reward_m
     runs = []
     for play in (coma.train_round, reference_round):
         state = coma.init_state(run)
-        stats = [play(state, run.train) for _ in range(2)]
+        stats = [play(state) for _ in range(2)]
         runs.append((stats, trained_state(state)))
     (stats, (arrays, counts)), (ref_stats, (ref_arrays, ref_counts)) = runs
     assert stats == ref_stats
@@ -809,10 +821,10 @@ def test_two_rounds_fill_a_twelve_episode_budget(tmp_path):
     run = run_config(2, "mcm", 5, episodes_per_update=8, total_episodes=12)
     names = ("normalized", "extrinsic", "mean_intrinsic", "curiosity_loss")
     state = coma.init_state(run)
-    coma.train_round(state, run.train)
+    coma.train_round(state)
     assert state.episodes == 8
     assert not any(getattr(state, name)[8:].any() for name in names)
-    coma.train_round(state, run.train)
+    coma.train_round(state)
     assert state.episodes == 12
     result = harness.run_experiment(run, str(tmp_path))
     for name in names:
@@ -820,21 +832,33 @@ def test_two_rounds_fill_a_twelve_episode_budget(tmp_path):
         assert np.array_equal(getattr(state, name), getattr(result, name)), name
     assert state.mean_intrinsic.all() and state.curiosity_loss.all()
     with pytest.raises(ValueError, match="all 12 episodes"):
-        coma.train_round(state, run.train)
+        coma.train_round(state)
     assert state.episodes == 12
 
 
+def test_state_keeps_the_resolved_config():
+    """A state keeps the TrainConfig it was built from, with total_episodes
+    resolved to the length of its arrays; every other setting is the run's."""
+    run = run_config(2, "none", 4, critic_epochs=3)
+    state = coma.init_state(run)
+    assert run.train.total_episodes == 0
+    assert state.cfg.total_episodes == len(state.normalized) == 30_000
+    assert state.cfg == dataclasses.replace(run.train, total_episodes=30_000)
+
+
 def test_unresolved_budget_trains_as_the_resolved_one_bit_for_bit():
-    """A state built from a config whose total_episodes is 0 holds the
+    """A state built from a run config whose total_episodes is 0 holds the
     agent-count default budget, and epsilon anneals over that budget: two
-    rounds with the unresolved TrainConfig equal two rounds with the
-    resolved one, bit for bit."""
+    rounds of it equal two rounds of a state built from the resolved
+    config, bit for bit."""
     run = run_config(2, "none", 4)
-    resolved = dataclasses.replace(run.train, total_episodes=run.resolved_total_episodes)
+    resolved = dataclasses.replace(
+        run, train=dataclasses.replace(run.train, total_episodes=run.resolved_total_episodes)
+    )
     runs = []
-    for cfg in (run.train, resolved):
-        state = coma.init_state(run)
-        stats = [coma.train_round(state, cfg) for _ in range(2)]
+    for built_from in (run, resolved):
+        state = coma.init_state(built_from)
+        stats = [coma.train_round(state) for _ in range(2)]
         runs.append((stats, trained_state(state)))
     (stats, (arrays, counts)), (ref_stats, (ref_arrays, ref_counts)) = runs
     assert run.train.total_episodes == 0 and len(state.normalized) == 30_000
@@ -849,7 +873,7 @@ def test_train_round_stats_and_determinism():
         state, cfg = fresh_setup(seed=18, total_episodes=64)
         stats = None
         while state.episodes < 32:
-            stats = coma.train_round(state, cfg)
+            stats = coma.train_round(state)
         results.append(
             (
                 [w.copy() for w in state.policies.network.member(0).parameters()],
@@ -866,7 +890,7 @@ def test_train_round_stats_and_determinism():
 def test_train_round_reports_per_episode_scalars(monkeypatch):
     state, cfg = fresh_setup(kind="mcm", seed=19)
     module_losses = record_module_losses(monkeypatch)
-    stats = coma.train_round(state, cfg)
+    stats = coma.train_round(state)
     e = cfg.episodes_per_update
     assert state.episodes == e
     assert all(np.isfinite(a[:e]).all() for a in (state.extrinsic, state.normalized))
@@ -881,7 +905,7 @@ def test_train_round_reports_per_episode_scalars(monkeypatch):
 def test_train_round_without_curiosity_skips_bank(monkeypatch):
     state, cfg = fresh_setup(kind="none", seed=22)
     module_losses = record_module_losses(monkeypatch)
-    coma.train_round(state, cfg)
+    coma.train_round(state)
     assert module_losses == [[]]
     e = cfg.episodes_per_update
     assert np.array_equal(state.curiosity_loss[:e], np.zeros(e))
@@ -892,9 +916,9 @@ def test_train_round_without_curiosity_skips_bank(monkeypatch):
 def test_policies_stay_valid_distributions_after_training():
     state, cfg = fresh_setup(kind="mcm_sep", seed=25)
     for _ in range(4):
-        coma.train_round(state, cfg)
+        coma.train_round(state)
     obs = state.env.reset(state.env_rng)
-    eps = coma.epsilon_at(state, cfg)
+    eps = coma.epsilon_at(state)
     for i in range(2):
         p = coma.policy_probs(state.policies.network.member(i), obs[i][None], eps)
         assert np.all(p >= eps - 1e-12)
@@ -909,7 +933,7 @@ def test_mixing_weight_zero_leaves_policy_trajectory_unchanged():
         state, cfg = fresh_setup(kind=kind, seed=314, total_episodes=48, intrinsic_lambda=0.0)
         critic_losses = []
         while state.episodes < 48:
-            critic_losses.append(coma.train_round(state, cfg).critic_loss)
+            critic_losses.append(coma.train_round(state).critic_loss)
         params = [p.copy() for p in state.policies.network.member(0).parameters()]
         trajectories.append(
             (state.extrinsic.tolist(), state.normalized.tolist(), critic_losses, params)

@@ -135,8 +135,7 @@ def test_float_keys_are_every_float_setting():
         for f in dataclasses.fields(section)
         if isinstance(getattr(section, f.name), float)
     }
-    renamed = {"intrinsic_lambda": "lambda", "intrinsic_clip": "clip_max"}
-    assert {renamed.get(name, name) for name in names} == set(FLOAT_KEYS)
+    assert {coma.TrainConfig.KEYS.get(name, name) for name in names} == set(FLOAT_KEYS)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -285,12 +284,12 @@ def test_csv_rows_reach_disk_as_they_are_emitted(tmp_path, monkeypatch):
     real_train_round = coma.train_round
     seen = []
 
-    def train_round_reading_csv(state, round_cfg):
+    def train_round_reading_csv(state):
         done = state.episodes
         rows = harness.parse_csv_rows(csv_path.read_text())  # checks the header
         assert [r["episode"] for r in rows] == list(range(8, done + 1, 8))
         seen.append(done)
-        return real_train_round(state, round_cfg)
+        return real_train_round(state)
 
     monkeypatch.setattr(coma, "train_round", train_round_reading_csv)
     harness.run_experiment(cfg, str(tmp_path))
@@ -366,8 +365,8 @@ def test_load_run_scores_unaligned_tail_as_the_run_did(tmp_path, monkeypatch):
     cfg = harness.parse_config("method = none\ntotal_episodes = 40\neval_interval = 20\n")
     length = cfg.world.episode_length
 
-    def fake_round(state, round_cfg):
-        played = np.arange(state.episodes, state.episodes + round_cfg.episodes_per_update)
+    def fake_round(state):
+        played = np.arange(state.episodes, state.episodes + state.cfg.episodes_per_update)
         steps = np.where(played >= 34, length, 0)
         state.normalized[played] = steps / length
         state.episodes = int(played[-1]) + 1

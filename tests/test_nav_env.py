@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             WorldConfig(**kwargs).validate()
 
+    def test_env_rejects_a_non_finite_setting_by_key(self):
+        """A NaN collision radius passes every range check and drops every
+        collision penalty; the env's own config check rejects it by key."""
+        config = WorldConfig(collision_radius=float("nan"), reward_mode="dense")
+        with pytest.raises(ConfigurationError, match="^collision_radius: must be finite$"):
+            NavEnv(config)
+
     def test_obs_dim(self):
         assert WorldConfig(n_agents=2, scenario="same_landmark").obs_dim == 4
         assert WorldConfig(n_agents=2, scenario="different_landmark").obs_dim == 6
