@@ -195,7 +195,8 @@ class TrainState:
 
 
 def init_state(run: RunConfig) -> TrainState:
-    """A fresh state for a run config. The run's seed is split into four
+    """A fresh state for a run config, which keeps the run's TrainConfig
+    with its budget resolved. The run's seed is split into four
     independent streams: the environment's and the actions', which the state
     keeps, the networks' (the policies draw first, then the critic) and the
     bank's. So runs never share random state, and running them in parallel

@@ -12,6 +12,8 @@ the summary file last.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import logging
 import multiprocessing
 import os
@@ -379,8 +381,14 @@ class SweepCell:
 
 
 def parse_sweep(text: str) -> tuple[list[str], list[int], dict[str, str]]:
-    """Sweep file = base run config plus `methods` and `seeds` list keys."""
+    """Sweep file = base run config plus `methods` and `seeds` list keys.
+    A `method` or `seed` key is rejected: every cell would override it."""
     pairs = parse_pairs(text)
+    for key in ("method", "seed"):
+        if key in pairs:
+            raise ConfigurationError(
+                f"{key}: not a sweep key; list the cells' {key}s under `{key}s`"
+            )
     lists = []
     for key, conv in (("methods", str), ("seeds", int)):
         if key not in pairs:
@@ -391,6 +399,31 @@ def parse_sweep(text: str) -> tuple[list[str], list[int], dict[str, str]]:
         except ValueError:
             raise ConfigurationError(f"{key}: malformed value {raw!r}") from None
     return lists[0], lists[1], pairs
+
+
+def _openblas_function(name: str):
+    """numpy's bundled OpenBLAS function `name` (such as set_num_threads),
+    under whichever symbol the wheel exports, or None."""
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for symbol in (f"{prefix}{name}64_", f"{prefix}{name}"):
+                if hasattr(lib, symbol):
+                    return getattr(lib, symbol)
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per sweep worker, so that the
+    workers do not compete for the cores with BLAS threads of their own.
+    The thread count changes no output byte."""
+    set_threads = _openblas_function("set_num_threads")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def _sweep_worker(args: tuple[RunConfig, str]) -> tuple[str, str | None]:
@@ -413,7 +446,9 @@ def sweep(
     Returns one cell record per combination, failures included. A method or
     seed listed twice is rejected: its cells would share one run_id, and so
     one CSV, which parallel workers would write at once. So is a workers
-    count below 1."""
+    count below 1. With workers > 1, each pool worker runs OpenBLAS on one
+    thread; a serial sweep keeps the process's count, since one run alone
+    trains faster on more."""
     for name, values in (("methods", methods), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
@@ -421,16 +456,17 @@ def sweep(
     if workers < 1:
         raise ConfigurationError("workers: must be >= 1")
     out_dir = resolve_results_dir(results_dir)
-    cfgs = []
-    for method in methods:
-        for seed in seeds:
-            overrides = dict(base_pairs)
-            overrides["method"] = method
-            overrides["seed"] = str(seed)
-            cfgs.append(parse_config("", overrides))
+    cfgs = [
+        parse_config("", {**base_pairs, "method": method, "seed": str(seed)})
+        for method in methods
+        for seed in seeds
+    ]
     jobs = [(cfg, out_dir) for cfg in cfgs]
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+        pin = _openblas_function("set_num_threads") is not None
+        if not pin:
+            logger.warning("no OpenBLAS thread setter: sweep workers keep the default count")
+        with multiprocessing.Pool(workers, _one_blas_thread if pin else None) as pool:
             outcomes = pool.map(_sweep_worker, jobs)
     else:
         outcomes = [_sweep_worker(job) for job in jobs]

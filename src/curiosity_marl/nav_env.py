@@ -78,17 +78,16 @@ class WorldConfig:
     def validate(self) -> None:
         check_finite(self)
         if self.n_agents not in (2, 4):
-            raise ConfigurationError(f"n_agents must be 2 or 4, got {self.n_agents}")
+            raise ConfigurationError(f"n_agents: must be 2 or 4, got {self.n_agents}")
         if self.scenario not in SCENARIOS:
-            raise ConfigurationError(f"unknown scenario {self.scenario!r}")
+            raise ConfigurationError(f"scenario: unknown scenario {self.scenario!r}")
         if self.reward_mode not in REWARD_MODES:
-            raise ConfigurationError(f"unknown reward_mode {self.reward_mode!r}")
-        if not 0.0 < self.step_size < self.half_extent:
-            raise ConfigurationError("need 0 < step_size < half_extent")
-        if not 0.0 < self.success_radius < self.half_extent:
-            raise ConfigurationError("need 0 < success_radius < half_extent")
+            raise ConfigurationError(f"reward_mode: unknown reward mode {self.reward_mode!r}")
+        for name in ("step_size", "success_radius"):
+            if not 0.0 < getattr(self, name) < self.half_extent:
+                raise ConfigurationError(f"{name}: must lie in (0, half_extent)")
         if self.episode_length < 1:
-            raise ConfigurationError("episode_length must be >= 1")
+            raise ConfigurationError("episode_length: must be >= 1")
         for name in ("collision_radius", "c_collide", "c_success", "start_jitter"):
             if getattr(self, name) < 0.0:
                 raise ConfigurationError(f"{name}: must be >= 0")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import glob
 import hashlib
 import io
 import json
@@ -41,21 +40,14 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bit_identity
 GRADCHECK_SEEDS = (0, 3, 29)
 
 
-def _openblas(symbol: str, restype):
+def _openblas(name: str, restype):
     """The named function of numpy's bundled OpenBLAS called with no
     arguments, or None when there is no such library or function."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                fn = getattr(lib, prefix + symbol + suffix, None)
-                if fn is not None:
-                    fn.restype, fn.argtypes = restype, []
-                    return fn()
-    return None
+    fn = harness._openblas_function(name)
+    if fn is None:
+        return None
+    fn.restype, fn.argtypes = restype, []
+    return fn()
 
 
 def machine_key() -> str:

@@ -1,5 +1,6 @@
 """Tests for config parsing, run orchestration, CSV output, and aggregation."""
 
+import ctypes
 import dataclasses
 import os
 
@@ -107,6 +108,8 @@ def test_malformed_value_names_the_key():
         ("critic_lr = 0\n", "critic_lr"),
         ("leaky_slope = 2\n", "leaky_slope"),
         ("step_size = 0\n", "step_size"),
+        ("success_radius = 1\n", "success_radius"),
+        ("reward_mode = shaped\n", "reward_mode"),
         ("episode_length = 0\n", "episode_length"),
         ("start_jitter = -1\n", "start_jitter"),
         ("collision_radius = -1\n", "collision_radius"),
@@ -115,7 +118,8 @@ def test_malformed_value_names_the_key():
     ],
 )
 def test_invalid_configs_rejected(text, fragment):
-    with pytest.raises(ConfigurationError, match=fragment):
+    """Each message starts with the key its section names the value by."""
+    with pytest.raises(ConfigurationError, match=f"^{fragment}: "):
         harness.parse_config(text)
 
 
@@ -569,6 +573,14 @@ def test_parse_sweep_requires_lists():
         harness.parse_sweep("methods = none\nseeds = x\n")
 
 
+@pytest.mark.parametrize("key", ["method", "seed"])
+def test_parse_sweep_rejects_a_single_cell_key(key):
+    """Every cell sets its own method and seed, so a sweep file's
+    `method = mcm` or `seed = 7` would be dropped without a word."""
+    with pytest.raises(ConfigurationError, match=f"^{key}: .*`{key}s`"):
+        harness.parse_sweep(f"methods = none\nseeds = 0\n{key} = 7\n")
+
+
 def test_sweep_serial_produces_all_files(tmp_path):
     cells = harness.sweep(["none", "icm_indiv"], [0, 1], SWEEP_BASE, str(tmp_path))
     assert len(cells) == 4
@@ -591,6 +603,35 @@ def test_sweep_parallel_matches_serial(tmp_path):
         a = (tmp_path / "s" / (cell.run_id + ".csv")).read_text()
         b = (tmp_path / "p" / (cell.run_id + ".csv")).read_text()
         assert a == b
+
+
+def test_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    """Each pool worker runs OpenBLAS on one thread, so that a sweep's
+    workers do not run more BLAS threads than there are cores; the sweeping
+    process keeps its own count."""
+    get_threads = harness._openblas_function("get_num_threads")
+    if get_threads is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no get_num_threads")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    own = get_threads()
+
+    def report_threads(cfg, results_dir):
+        (tmp_path / harness.run_id(cfg)).write_text(str(get_threads()))
+
+    monkeypatch.setattr(harness, "run_experiment", report_threads)
+    cells = harness.sweep(["none"], [0, 1], SWEEP_BASE, str(tmp_path / "r"), workers=2)
+    assert all(c.ok for c in cells)
+    assert [(tmp_path / c.run_id).read_text() for c in cells] == ["1", "1"]
+    assert get_threads() == own
+
+
+def test_sweep_without_a_blas_thread_setter_warns_once_and_runs(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(harness, "_openblas_function", lambda name: None)
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg, results_dir: None)
+    cells = harness.sweep(["none"], [0, 1], SWEEP_BASE, str(tmp_path), workers=2)
+    assert all(c.ok for c in cells)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "no OpenBLAS thread setter" in caplog.text
 
 
 def test_sweep_reports_failing_cells(tmp_path):
