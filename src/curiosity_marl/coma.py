@@ -133,26 +133,18 @@ class RoundStats:
     actor_loss: float
 
 
-def _action_spec(input_dim: int, hidden_dims, leaky_slope: float) -> nc.NetworkSpec:
-    """One output per action: a policy's logits, or the critic's Q values."""
-    return nc.NetworkSpec(
-        input_dim=input_dim,
-        output_dims=(N_ACTIONS,),
-        hidden_dims=tuple(hidden_dims),
-        leaky_slope=leaky_slope,
-    )
+def _action_spec(input_dim: int, cfg: TrainConfig) -> nc.NetworkSpec:
+    """One output per action, a policy's logits or the critic's Q values,
+    over the config's trunk."""
+    return nc.NetworkSpec(input_dim, (N_ACTIONS,), tuple(cfg.hidden_dims), cfg.leaky_slope)
 
 
 def make_policy_set(
-    n_agents: int,
-    obs_dim: int,
-    rng: np.random.Generator,
-    hidden_dims=(64, 64),
-    leaky_slope: float = 0.01,
-    lr: float = 1e-3,
+    n_agents: int, obs_dim: int, rng: np.random.Generator, cfg: TrainConfig
 ) -> nc.Learner:
-    """The agents' policies: member n of the stack is agent n's."""
-    return nc.init_learner(_action_spec(obs_dim, hidden_dims, leaky_slope), rng, n_agents, lr)
+    """The agents' policies, trained at cfg.actor_lr: member n of the stack
+    is agent n's."""
+    return nc.init_learner(_action_spec(obs_dim, cfg), rng, n_agents, cfg.actor_lr)
 
 
 def critic_input_dim(n_agents: int, obs_dim: int) -> int:
@@ -160,16 +152,11 @@ def critic_input_dim(n_agents: int, obs_dim: int) -> int:
 
 
 def make_critic(
-    n_agents: int,
-    obs_dim: int,
-    rng: np.random.Generator,
-    hidden_dims=(64, 64),
-    leaky_slope: float = 0.01,
-    lr: float = 1e-3,
+    n_agents: int, obs_dim: int, rng: np.random.Generator, cfg: TrainConfig
 ) -> nc.Learner:
-    """The shared critic, a stack of one."""
-    spec = _action_spec(critic_input_dim(n_agents, obs_dim), hidden_dims, leaky_slope)
-    return nc.init_learner(spec, rng, 1, lr)
+    """The shared critic, a stack of one, trained at cfg.critic_lr."""
+    spec = _action_spec(critic_input_dim(n_agents, obs_dim), cfg)
+    return nc.init_learner(spec, rng, 1, cfg.critic_lr)
 
 
 @dataclass
@@ -195,25 +182,23 @@ class TrainState:
 
 
 def init_state(run: RunConfig) -> TrainState:
-    """A fresh state for a run config, which keeps the run's TrainConfig
-    with its budget resolved. The run's seed is split into four
-    independent streams: the environment's and the actions', which the state
-    keeps, the networks' (the policies draw first, then the critic) and the
-    bank's. So runs never share random state, and running them in parallel
-    cannot change any run's output."""
+    """A fresh state for a run config, which run.validate checks first. The
+    state keeps the run's TrainConfig with its budget resolved, and every
+    network is built from it. The run's seed is split into four independent
+    streams: the environment's and the actions', which the state keeps, the
+    networks' (the policies draw first, then the critic) and the bank's. So
+    runs never share random state, and running them in parallel cannot
+    change any run's output."""
+    run.validate()
     env_ss, action_ss, net_ss, bank_ss = np.random.SeedSequence(run.seed).spawn(4)
-    net_rng = np.random.default_rng(net_ss)
+    net_rng, bank_rng = np.random.default_rng(net_ss), np.random.default_rng(bank_ss)
     world, total = run.world, run.resolved_total_episodes
     cfg = replace(run.train, total_episodes=total)
-    arch = (cfg.hidden_dims, cfg.leaky_slope)
     return TrainState(
         cfg=cfg,
-        policies=make_policy_set(world.n_agents, world.obs_dim, net_rng, *arch, cfg.actor_lr),
-        critic=make_critic(world.n_agents, world.obs_dim, net_rng, *arch, cfg.critic_lr),
-        bank=cur.make_bank(
-            run.method, world.n_agents, world.obs_dim, np.random.default_rng(bank_ss),
-            *arch, cfg.curiosity_lr,
-        ),
+        policies=make_policy_set(world.n_agents, world.obs_dim, net_rng, cfg),
+        critic=make_critic(world.n_agents, world.obs_dim, net_rng, cfg),
+        bank=cur.make_bank(run.method, world.n_agents, world.obs_dim, bank_rng, cfg),
         env=NavEnv(world),
         env_rng=np.random.default_rng(env_ss),
         action_rng=np.random.default_rng(action_ss),
@@ -430,13 +415,11 @@ def critic_update(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig) -> f
     return float(losses[0][0])
 
 
-def critic_gradient_suite(
-    n_critics: int = 20, seed: int = 0, h: float = 1e-5
-) -> tuple[float, float]:
+def critic_gradient_suite(n_critics: int = 20, seed: int = 0) -> tuple[float, float]:
     """Finite-difference audit of the critic regression gradient on random
     small critics and frozen batches. Returns (max relative error, relative
     error of the sign-flip mutant from the first critic)."""
-    return nc.audit(_critic_case, n_critics, seed, h)
+    return nc.audit(_critic_case, n_critics, seed)
 
 
 def _critic_case(rng: np.random.Generator, i: int):
@@ -508,12 +491,12 @@ def actor_loss_closure(
     return loss_and_grads
 
 
-def actor_gradient_suite(n_policies: int = 20, seed: int = 0, h: float = 1e-5) -> float:
+def actor_gradient_suite(n_policies: int = 20, seed: int = 0) -> float:
     """Finite-difference audit of the actor surrogate gradient on random
     small policies and frozen batches; returns the max relative error, or
     NaN, which fails every error bound, when the sign-flip mutant from the
     first policy does not show an error above nc.MUTANT_MIN."""
-    worst, mutant = nc.audit(_actor_case, n_policies, seed, h)
+    worst, mutant = nc.audit(_actor_case, n_policies, seed)
     return worst if mutant > nc.MUTANT_MIN else float("nan")
 
 

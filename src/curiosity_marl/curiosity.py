@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import neural_core as nc
 from .nav_env import N_ACTIONS, other_agents
+
+if TYPE_CHECKING:
+    from .coma import TrainConfig
 
 
 class CuriosityKind(str, Enum):
@@ -73,18 +77,9 @@ def _agent_spec(
     return nc.NetworkSpec(
         input_dim=obs_dim + N_ACTIONS,
         output_dims=(obs_dim, n_agents * obs_dim)[:heads],
-        hidden_dims=tuple(hidden_dims),
+        hidden_dims=hidden_dims,
         leaky_slope=leaky_slope,
         head_extra_input_dims=(0, (n_agents - 1) * (obs_dim + N_ACTIONS))[:heads],
-    )
-
-
-def _joint_spec(n_agents: int, obs_dim: int, hidden_dims, leaky_slope) -> nc.NetworkSpec:
-    return nc.NetworkSpec(
-        input_dim=n_agents * (obs_dim + N_ACTIONS),
-        output_dims=(n_agents * obs_dim,),
-        hidden_dims=tuple(hidden_dims),
-        leaky_slope=leaky_slope,
     )
 
 
@@ -93,23 +88,25 @@ def make_bank(
     n_agents: int,
     obs_dim: int,
     rng: np.random.Generator,
-    hidden_dims=(64, 64),
-    leaky_slope: float = 0.01,
-    lr: float = 1e-3,
+    cfg: TrainConfig,
 ) -> CuriosityBank:
-    """Build the module roster of a method's METHODS row: a stack of N
-    per-agent modules with that row's heads, and one joint module if it has
-    one. The per-agent modules draw from rng first, agent by agent, then the
-    joint one."""
+    """Build the module roster of a method's METHODS row over the config's
+    trunk, trained at cfg.curiosity_lr: a stack of N per-agent modules with
+    that row's heads, and one joint module, which predicts the next joint
+    observation, if it has one. The per-agent modules draw from rng first,
+    agent by agent, then the joint one."""
     kind = CuriosityKind(kind)
     heads, has_joint, _ = METHODS[kind]
+    hidden, slope = tuple(cfg.hidden_dims), cfg.leaky_slope
     agents = joint = None
     if heads:
-        spec = _agent_spec(heads, n_agents, obs_dim, hidden_dims, leaky_slope)
-        agents = nc.init_learner(spec, rng, n_agents, lr)
+        spec = _agent_spec(heads, n_agents, obs_dim, hidden, slope)
+        agents = nc.init_learner(spec, rng, n_agents, cfg.curiosity_lr)
     if has_joint:
-        spec = _joint_spec(n_agents, obs_dim, hidden_dims, leaky_slope)
-        joint = nc.init_learner(spec, rng, 1, lr)
+        spec = nc.NetworkSpec(
+            n_agents * (obs_dim + N_ACTIONS), (n_agents * obs_dim,), hidden, slope
+        )
+        joint = nc.init_learner(spec, rng, 1, cfg.curiosity_lr)
     return CuriosityBank(kind, n_agents, agents, joint)
 
 
@@ -232,16 +229,14 @@ def curiosity_update(
     return rewards, losses
 
 
-def curiosity_gradient_suite(
-    n_modules: int = 20, seed: int = 0, h: float = 1e-5
-) -> tuple[float, float]:
+def curiosity_gradient_suite(n_modules: int = 20, seed: int = 0) -> tuple[float, float]:
     """Finite-difference audit of the forward-model losses on random small
     stacks of 1-3 modules and frozen batches, alternating one- and
     two-headed shapes; the audited loss is the sum of the members' losses,
     one per copy: (1,) on the stack, (K,) on a probe network. Returns (max
     relative error, relative error of the sign-flip mutant from the first
     stack)."""
-    return nc.audit(_module_case, n_modules, seed, h)
+    return nc.audit(_module_case, n_modules, seed)
 
 
 def _module_case(rng: np.random.Generator, i: int):
@@ -318,9 +313,6 @@ def mix_rewards(
     e: float | np.ndarray, i: np.ndarray, lam: float, clip_max: float
 ) -> np.ndarray:
     """Per-agent mixed reward e + lam * min(i, clip_max); e broadcasts
-    against i (a scalar, or (..., 1) against (..., N))."""
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
-    if clip_max <= 0.0:
-        raise ValueError("clip_max must be > 0")
+    against i (a scalar, or (..., 1) against (..., N)). TrainConfig.validate
+    checks the ranges of lam and clip_max (the lambda and clip_max keys)."""
     return e + lam * np.minimum(np.asarray(i, dtype=float), clip_max)

@@ -25,13 +25,13 @@ network. Adam's beta1, beta2 and eps are module constants.
 
 Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
-element raised by h and copy 2j + 1 with it lowered, and runs every probe of
-a chunk in one forward. Chunks run over the flat index of all parameters, in
-parameters() order and across tensor boundaries, and every chunk but the
-last has the one length that keeps a probe's parameter floats within
-PROBE_FLOATS: a network of P floats (every member counted) with 2 * P * P
-within it (P up to 724, every network of the network and actor suites) is
-audited in one probe forward. A loss closure therefore takes a network of
+element raised by the fixed step PROBE_STEP and copy 2j + 1 with it
+lowered, and runs every probe of a chunk in one forward. Chunks run over
+the flat index of all parameters, in parameters() order and across tensor
+boundaries, and every chunk but the last has the one length that keeps a
+probe's parameter floats within PROBE_FLOATS: a network of P floats (every
+member counted) with 2 * P * P within it (P up to 724, every network of the
+network and actor suites) is audited in one probe forward. A loss closure therefore takes a network of
 K times the members its data describe and returns one loss per copy, (K,),
 each bit for bit the loss it returns for that copy alone; the trained path
 is the K = 1 case and gets a (1,) array.
@@ -185,7 +185,7 @@ class Learner:
     step 0 with zero moments."""
 
     network: Network
-    lr: float = 1e-3
+    lr: float
     step_count: int = field(default=0, init=False)
     # first and second moments of every parameter float, flat in parameters() order
     m: np.ndarray = field(init=False, repr=False)
@@ -197,9 +197,7 @@ class Learner:
         self.v = np.zeros(size)
 
 
-def init_learner(
-    spec: NetworkSpec, rng: np.random.Generator, members: int = 1, lr: float = 1e-3
-) -> Learner:
+def init_learner(spec: NetworkSpec, rng: np.random.Generator, members: int, lr: float) -> Learner:
     """init_network's stack of members with a fresh Adam state at rate lr."""
     return Learner(init_network(spec, rng, members), lr)
 
@@ -408,12 +406,12 @@ def adam_step(learner: Learner, grads: Gradients) -> None:
 # A network too large for two copies to fit is probed two copies at a time.
 PROBE_FLOATS = 1 << 20
 
+# Central-difference step of every audit: each probe moves one parameter
+# element by +-PROBE_STEP.
+PROBE_STEP = 1e-5
 
-def grad_check(
-    net: Network,
-    loss_and_grads,
-    h: float = 1e-5,
-) -> float:
+
+def grad_check(net: Network, loss_and_grads) -> float:
     """Max relative error between analytic gradients and central differences.
 
     loss_and_grads(net) must deterministically return (loss, grads_fn), where
@@ -431,41 +429,39 @@ def grad_check(
     update-relevant scale still registers. A NaN error is returned as NaN.
     """
     ana = np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])  # flat order
-    numeric = _central_differences(net, loss_and_grads, np.arange(ana.size), h)
+    numeric = _central_differences(net, loss_and_grads, np.arange(ana.size))
     # |ana - numeric| / max(|ana|, |numeric|, scale, 1e-8), elementwise
     scale = float(np.max(np.abs(ana)))
     floor = np.maximum(np.maximum(np.abs(ana), np.abs(numeric)), max(scale, 1e-8))
     return float(np.max(np.abs(ana - numeric) / floor))
 
 
-def _central_differences(
-    net: Network, loss_and_grads, elements: np.ndarray, h: float
-) -> np.ndarray:
-    """(loss(x[i] + h) - loss(x[i] - h)) / 2h for each index i in elements,
-    ascending indices into the flat concatenation x of net.parameters(); one
-    closure call per chunk of elements. Every chunk but the last holds the
+def _central_differences(net: Network, loss_and_grads, elements: np.ndarray) -> np.ndarray:
+    """(loss(x[i] + h) - loss(x[i] - h)) / 2h for h = PROBE_STEP and each
+    index i in elements, ascending indices into the flat concatenation x of
+    net.parameters(); one closure call per chunk of elements. Every chunk but the last holds the
     most elements whose probe network, 2 * (elements) * P floats for a net
     of P parameter floats, fits within PROBE_FLOATS, and at least one."""
     numeric = np.empty(len(elements))
     chunk = max(1, PROBE_FLOATS // (2 * sum(p.size for p in net.parameters())))
     for start in range(0, len(elements), chunk):
         idx = elements[start : start + chunk]
-        losses = np.asarray(loss_and_grads(_probe_network(net, idx, h))[0])
+        losses = np.asarray(loss_and_grads(_probe_network(net, idx))[0])
         if losses.shape != (2 * len(idx),):
             raise ValueError(
                 f"loss closure returned shape {losses.shape} on a probe network of "
                 f"{2 * len(idx)} copies; it must return one loss per copy"
             )
-        numeric[start : start + chunk] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+        numeric[start : start + chunk] = (losses[0::2] - losses[1::2]) / (2.0 * PROBE_STEP)
     return numeric
 
 
-def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
+def _probe_network(net: Network, elements: np.ndarray) -> Network:
     """K = 2 * len(elements) copies of net in one stack, copy k as members
     k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of the
-    parameters (ascending indices, in parameters() order) plus h, copy 2j + 1
-    the same element minus h. Every tensor holds its own values for every
-    copy; none is a view of net's."""
+    parameters (ascending indices, in parameters() order) plus PROBE_STEP,
+    copy 2j + 1 the same element minus PROBE_STEP. Every tensor holds its
+    own values for every copy; none is a view of net's."""
     copies = 2 * len(elements)
     params = net.parameters()
     ends = np.searchsorted(elements, np.cumsum([p.size for p in params])).tolist()
@@ -476,8 +472,8 @@ def _probe_network(net: Network, elements: np.ndarray, h: float) -> Network:
         flat[...] = p.reshape(1, -1)
         j, idx = np.arange(lo, hi), elements[lo:hi] - offset
         orig = p.reshape(-1)[idx]
-        flat[2 * j, idx] = orig + h
-        flat[2 * j + 1, idx] = orig - h
+        flat[2 * j, idx] = orig + PROBE_STEP
+        flat[2 * j + 1, idx] = orig - PROBE_STEP
         probes.append(flat.reshape(copies * p.shape[0], *p.shape[1:]))
         lo, offset = hi, offset + p.size
     return _from_parameters(net.spec, probes)
@@ -519,7 +515,7 @@ def min_kink_distance(cache: ForwardCache) -> float:
 MUTANT_MIN = 1e-3
 
 
-def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
+def mutation_control(net: Network, loss_and_grads) -> float:
     """Relative error after sign-flipping the largest analytic gradient entry.
 
     A working checker must report a large value here (the flip doubles the
@@ -530,12 +526,12 @@ def mutation_control(net: Network, loss_and_grads, h: float = 1e-5) -> float:
     """
     ana = np.concatenate([g.ravel() for g in loss_and_grads(net)[1]()])
     flat_idx = int(np.argmax(np.abs(ana)))
-    numeric = _central_differences(net, loss_and_grads, np.array([flat_idx]), h)[0]
+    numeric = _central_differences(net, loss_and_grads, np.array([flat_idx]))[0]
     mutated = -ana[flat_idx]
     return abs(mutated - numeric) / max(abs(mutated), abs(numeric), 1e-8)
 
 
-def audit(make_case, n: int, seed: int, h: float = 1e-5) -> tuple[float, float]:
+def audit(make_case, n: int, seed: int) -> tuple[float, float]:
     """Finite-difference audit of n cases, each make_case(rng, i) -> (net,
     loss_and_grads) drawn in turn from default_rng(seed): grad_check on every
     case and mutation_control on the first. Returns (max relative error,
@@ -546,15 +542,13 @@ def audit(make_case, n: int, seed: int, h: float = 1e-5) -> tuple[float, float]:
     worst = mutant = 0.0
     for i in range(n):
         net, closure = make_case(rng, i)
-        worst = float(np.maximum(worst, grad_check(net, closure, h)))  # NaN sticks
+        worst = float(np.maximum(worst, grad_check(net, closure)))  # NaN sticks
         if i == 0:
-            mutant = mutation_control(net, closure, h)
+            mutant = mutation_control(net, closure)
     return worst, mutant
 
 
-def gradient_suite(
-    n_networks: int = 100, seed: int = 0, h: float = 1e-5
-) -> tuple[float, float]:
+def gradient_suite(n_networks: int = 100, seed: int = 0) -> tuple[float, float]:
     """Audit backward() on random small networks, alternating one- and
     two-headed shapes. Inputs are rejection-sampled so every trunk
     pre-activation sits away from the leaky-ReLU kink.
@@ -562,7 +556,7 @@ def gradient_suite(
     Returns (max relative error across the suite, relative error of the
     sign-flip mutant from the first network — expected to be large).
     """
-    return audit(_network_case, n_networks, seed, h)
+    return audit(_network_case, n_networks, seed)
 
 
 def _network_case(rng: np.random.Generator, i: int):
@@ -592,15 +586,21 @@ def _network_case(rng: np.random.Generator, i: int):
     return net, squared_error_loss_closure(x, targets, extras)
 
 
-def kink_free_draw(net: Network, draw, margin: float = 1e-3, tries: int = 200):
+# kink_free_draw's least distance of a pre-activation from the leaky-ReLU
+# kink, a hundred probe steps, and its most draws
+KINK_MARGIN = 1e-3
+KINK_TRIES = 200
+
+
+def kink_free_draw(net: Network, draw):
     """Call draw() for (trunk_input, head_extra_inputs) until a forward pass
-    puts every trunk pre-activation more than margin from the leaky-ReLU
-    kink, where central differences are trustworthy; at most tries draws,
-    and the last one is returned."""
-    for _ in range(tries):
+    puts every trunk pre-activation more than KINK_MARGIN from the
+    leaky-ReLU kink, where central differences are trustworthy; at most
+    KINK_TRIES draws, and the last one is returned."""
+    for _ in range(KINK_TRIES):
         x, extras = draw()
         _, cache = forward(net, x, extras)
-        if min_kink_distance(cache) > margin:
+        if min_kink_distance(cache) > KINK_MARGIN:
             break
     return x, extras
 

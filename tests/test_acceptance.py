@@ -51,10 +51,10 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_formula_oracles():
     with _verdict("2 curiosity formula oracles (1000 transitions, 1e-12)"):
         rng = np.random.default_rng(42)
-        n_agents, obs_dim = 2, 4
+        n_agents, obs_dim, cfg = 2, 4, coma.TrainConfig()
         kinds = ("mcm", "mcm_indiv", "mcm_joint", "icm_indiv", "icm_joint", "icm_min")
         banks = {
-            k: curiosity.make_bank(k, n_agents, obs_dim, np.random.default_rng(7))
+            k: curiosity.make_bank(k, n_agents, obs_dim, np.random.default_rng(7), cfg)
             for k in kinds
         }
 
@@ -114,9 +114,9 @@ def test_criterion_2_formula_oracles():
 
         # decomposition with genuinely shared parameters across ablation reads
         seq = np.random.SeedSequence(123)
-        b_full = curiosity.make_bank("mcm", 2, obs_dim, np.random.default_rng(seq))
-        b_own = curiosity.make_bank("mcm_indiv", 2, obs_dim, np.random.default_rng(seq))
-        b_joint = curiosity.make_bank("mcm_joint", 2, obs_dim, np.random.default_rng(seq))
+        b_full = curiosity.make_bank("mcm", 2, obs_dim, np.random.default_rng(seq), cfg)
+        b_own = curiosity.make_bank("mcm_indiv", 2, obs_dim, np.random.default_rng(seq), cfg)
+        b_joint = curiosity.make_bank("mcm_joint", 2, obs_dim, np.random.default_rng(seq), cfg)
         for _ in range(100):
             joint_obs = rng.uniform(-1, 1, (1, 2, obs_dim))
             nxt = rng.uniform(-1, 1, (1, 2, obs_dim))
@@ -282,7 +282,9 @@ def test_criterion_7_overfit_sanity():
         world = nav_env.WorldConfig(reward_mode="dense")
         env = nav_env.NavEnv(world)
 
-        bank = curiosity.make_bank("mcm", 2, world.obs_dim, np.random.default_rng(1))
+        bank = curiosity.make_bank(
+            "mcm", 2, world.obs_dim, np.random.default_rng(1), coma.TrainConfig()
+        )
         obs = env.reset(np.random.default_rng(2))
         r = env.step((3, 0))
         tr = (obs[None], np.array([[3, 0]]), r.next_joint_obs[None])

@@ -203,10 +203,10 @@ def test_gradcheck_fails_on_lost_actor_mutant(capsys, monkeypatch):
     their mutants."""
     mutation_control = cli.nc.mutation_control
 
-    def actor_mutant_lost(net, closure, h=1e-5):
+    def actor_mutant_lost(net, closure):
         if closure.__qualname__.startswith("actor_loss_closure"):
             return 0.0
-        return mutation_control(net, closure, h)
+        return mutation_control(net, closure)
 
     monkeypatch.setattr(cli.nc, "mutation_control", actor_mutant_lost)
     assert np.isnan(cli.coma.actor_gradient_suite(n_policies=2))

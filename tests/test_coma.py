@@ -177,7 +177,7 @@ def test_select_actions_matches_probabilities():
     3.5 sigma. The draws run in ten calls of 1e4 rows, so that the trunk's
     work arrays stay small."""
     rng = np.random.default_rng(3)
-    policies = coma.make_policy_set(2, 8, rng)
+    policies = coma.make_policy_set(2, 8, rng, coma.TrainConfig())
     obs = np.stack([rng.standard_normal(8), rng.standard_normal(8)])
     eps = 0.05
     expected = np.stack(
@@ -199,7 +199,7 @@ def test_select_actions_matches_probabilities():
 
 def test_select_actions_probs_respect_floor():
     rng = np.random.default_rng(4)
-    policies = coma.make_policy_set(3, 10, rng)
+    policies = coma.make_policy_set(3, 10, rng, coma.TrainConfig())
     obs = rng.standard_normal((6, 3, 10))
     acts, probs = coma.select_actions(policies, obs, 0.02, rng.random((6, 3)))
     assert acts.shape == (6, 3)
@@ -219,7 +219,7 @@ def test_lockstep_select_actions_match_per_row_oracle(n_agents):
     distribution a one-row forward gives it, and the action that row's
     uniform picks from that distribution."""
     rng = np.random.default_rng(30)
-    policies = coma.make_policy_set(n_agents, 8, rng)
+    policies = coma.make_policy_set(n_agents, 8, rng, coma.TrainConfig())
     obs = rng.standard_normal((16, n_agents, 8))
     uniforms = rng.random((16, n_agents))
     acts, probs = coma.select_actions(policies, obs, 0.05, uniforms)
@@ -337,7 +337,7 @@ def test_critic_input_dim_matches():
     assert coma.critic_input_dim(2, 12) == 2 * 12 + 5 + 2
     assert coma.critic_input_dim(4, 24) == 4 * 24 + 3 * 5 + 4
     rng = np.random.default_rng(5)
-    critic = coma.make_critic(2, 12, rng)
+    critic = coma.make_critic(2, 12, rng, coma.TrainConfig())
     assert critic.network.spec.input_dim == coma.critic_input_dim(2, 12)
 
 
@@ -349,7 +349,7 @@ def test_critic_q_of_a_row_does_not_depend_on_its_position(rows, n_agents, obs_d
     agent's advantages rest on this. 800 rows of 15 and 1,600 of 51 are a
     2- and a 4-agent round's critic batches; 370 is no multiple of a block."""
     rng = np.random.default_rng(rows)
-    critic = coma.make_critic(n_agents, obs_dim, rng)
+    critic = coma.make_critic(n_agents, obs_dim, rng, coma.TrainConfig())
     x = rng.standard_normal((rows, coma.critic_input_dim(n_agents, obs_dim)))
     perm = rng.permutation(rows)
     (q,), _ = nc.forward(critic.network, x)
@@ -365,7 +365,7 @@ def critic_q(critic, joint_obs, joint_action, agent):
 
 def test_counterfactual_advantage_against_hand_sum():
     rng = np.random.default_rng(6)
-    critic = coma.make_critic(2, 6, rng)
+    critic = coma.make_critic(2, 6, rng, coma.TrainConfig())
     joint_obs = rng.standard_normal((2, 6))
     pi = rng.dirichlet(np.ones(5))
     q = critic_q(critic, joint_obs, (1, 3), 0)
@@ -377,7 +377,7 @@ def test_counterfactual_advantage_against_hand_sum():
 
 def test_counterfactual_advantage_zero_for_constant_critic():
     rng = np.random.default_rng(7)
-    critic = coma.make_critic(2, 6, rng)
+    critic = coma.make_critic(2, 6, rng, coma.TrainConfig())
     zero_network(critic.network)
     critic.network.head_b[0][:] = -3.7  # every Q identical
     pi = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
@@ -388,7 +388,7 @@ def test_counterfactual_advantage_zero_for_constant_critic():
 
 def test_counterfactual_advantage_zero_for_deterministic_policy():
     rng = np.random.default_rng(8)
-    critic = coma.make_critic(2, 6, rng)
+    critic = coma.make_critic(2, 6, rng, coma.TrainConfig())
     pi = np.zeros(5)
     pi[3] = 1.0
     q = critic_q(critic, rng.standard_normal((2, 6)), (3, 2), 0)
@@ -398,7 +398,7 @@ def test_counterfactual_advantage_zero_for_deterministic_policy():
 
 def test_counterfactual_advantage_policy_expectation_is_zero():
     rng = np.random.default_rng(9)
-    critic = coma.make_critic(2, 6, rng)
+    critic = coma.make_critic(2, 6, rng, coma.TrainConfig())
     joint_obs = rng.standard_normal((2, 6))
     pi = rng.dirichlet(np.ones(5))
     # one row per candidate action u of agent 0, agent 1 fixed at action 2
@@ -553,7 +553,7 @@ def test_stacked_actor_closure_equals_member_closures(n_agents):
     one-member closure that actor_gradient_suite audits is the one
     actor_update trains each agent on."""
     rng = np.random.default_rng(41)
-    policies = coma.make_policy_set(n_agents, 6, rng, hidden_dims=(7, 5))
+    policies = coma.make_policy_set(n_agents, 6, rng, coma.TrainConfig(hidden_dims=(7, 5)))
     obs = rng.standard_normal((n_agents, 9, 6))
     actions = rng.integers(0, nav_env.N_ACTIONS, (n_agents, 9))
     advantages = rng.standard_normal((n_agents, 9))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curiosity_marl import coma
 from curiosity_marl import curiosity as cur
 from curiosity_marl import neural_core as nc
 from curiosity_marl.curiosity import CuriosityKind
@@ -30,9 +31,8 @@ def rows(batch):
 
 
 def bank_of(kind, seed, n_agents=2, obs_dim=4, lr=1e-3):
-    return cur.make_bank(
-        kind, n_agents, obs_dim, np.random.default_rng(seed), hidden_dims=HIDDEN, lr=lr
-    )
+    cfg = coma.TrainConfig(hidden_dims=HIDDEN, curiosity_lr=lr)
+    return cur.make_bank(kind, n_agents, obs_dim, np.random.default_rng(seed), cfg)
 
 
 def modules(bank):
@@ -362,9 +362,3 @@ class TestMixing:
     def test_mixing_bounds(self, e, i, lam, clip):
         mixed = cur.mix_rewards(e, np.array([i]), lam, clip)[0]
         assert e <= mixed <= e + lam * clip + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cur.mix_rewards(0.0, np.zeros(2), -0.1, 1.0)
-        with pytest.raises(ValueError):
-            cur.mix_rewards(0.0, np.zeros(2), 0.1, 0.0)

@@ -152,9 +152,9 @@ class TestBackward:
             return net, nc.squared_error_loss_closure(x, [rng.standard_normal((2, 2))])
 
         for name in ("grad_check", "mutation_control"):
-            def counted(net, closure, h, _fn=getattr(nc, name), _name=name):
+            def counted(net, closure, _fn=getattr(nc, name), _name=name):
                 seen[_name].append(net)
-                return _fn(net, closure, h)
+                return _fn(net, closure)
 
             monkeypatch.setattr(nc, name, counted)
         worst, mutant = nc.audit(make_case, 3, seed=5)
@@ -192,7 +192,7 @@ class TestBackward:
     def test_full_size_network_gradients(self):
         """One audit at production scale (64x64 trunk, both head styles)."""
         net, closure = full_size_case()
-        assert nc.grad_check(net, closure, h=1e-5) < 1e-6
+        assert nc.grad_check(net, closure) < 1e-6
 
     def test_batched_backward_sums_rows(self):
         spec = small_spec()
@@ -219,7 +219,6 @@ class TestAdam:
         assert learner.network is net and learner.lr == 0.01 and learner.step_count == 0
         for moment in (learner.m, learner.v):
             assert moment.shape == (size,) and not moment.any()
-        assert nc.Learner(net).lr == 1e-3
 
     def test_matches_reference_recurrence(self):
         """Ten steps versus a scalar-loop Adam with bias correction."""
@@ -270,7 +269,7 @@ class TestAdam:
 
     def test_rejects_bad_gradients(self):
         net = nc.init_network(small_spec(), np.random.default_rng(0))
-        learner = nc.Learner(net)
+        learner = nc.Learner(net, lr=1e-3)
         grads = [np.zeros_like(p) for p in net.parameters()]
         grads[0] = grads[0][:, :2]
         with pytest.raises(ValueError):
@@ -569,10 +568,11 @@ class TestMemberStack:
             nc.init_network(small_spec(), rng, members=0)
 
 
-def one_at_a_time(net, closure, h=1e-5):
+def one_at_a_time(net, closure):
     """A grad_check and mutation_control that probe one element at a time,
-    moving it in net itself: (max relative error, each parameter's central
-    differences, mutant's relative error)."""
+    moving it in net itself by their step: (max relative error, each
+    parameter's central differences, mutant's relative error)."""
+    h = nc.PROBE_STEP
 
     def central_difference(flat, i):
         orig = flat[i]
@@ -659,7 +659,7 @@ class TestProbeNetworks:
             net, closure = make_case(rng, i)
             worst, numerics, mutant = one_at_a_time(net, closure)
             every = np.arange(sum(p.size for p in net.parameters()))
-            got = nc._central_differences(net, closure, every, 1e-5)
+            got = nc._central_differences(net, closure, every)
             assert np.array_equal(got, np.concatenate(numerics))
             assert nc.grad_check(net, closure) == worst
             assert nc.mutation_control(net, closure) == mutant
@@ -732,7 +732,7 @@ class TestProbeNetworks:
             monkeypatch.setattr(nc, "PROBE_FLOATS", 16 * max(sizes))
             probes = record_probes(monkeypatch, net)
             every = np.arange(sum(sizes))
-            got = nc._central_differences(net, closure, every, 1e-5)
+            got = nc._central_differences(net, closure, every)
             assert np.array_equal(got, np.concatenate(numerics))
             assert max(floats for _, _, floats in probes) <= nc.PROBE_FLOATS
             assert len(probes) > 1
