@@ -159,7 +159,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not results:
         print(f"no completed runs found in {out_dir}", file=sys.stderr)
         return 1
-    rows = harness.aggregate(results)
+    try:
+        rows = harness.aggregate(results)
+    except ValueError as e:  # runs of one cell whose configs differ beyond the seed
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(harness.format_aggregate(rows))
     summary_path = os.path.join(out_dir, "summary.csv")
     try:

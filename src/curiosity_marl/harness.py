@@ -267,16 +267,33 @@ class AggregateRow:
     std: float
 
 
+def _check_seeds_of_one_cell(runs) -> None:
+    """Raise ValueError naming the first config key, in render_config
+    order, at which a run's config differs from the first run's in more
+    than the seed, and both run ids."""
+    first = parse_pairs(render_config(replace(runs[0].config, seed=0)))
+    for r in runs[1:]:
+        other = parse_pairs(render_config(replace(r.config, seed=0)))
+        for key, value in first.items():
+            if other[key] != value:
+                raise ValueError(
+                    f"{key}: runs {run_id(runs[0].config)} and {run_id(r.config)} differ "
+                    f"({value} and {other[key]}); only seeds of one config are pooled"
+                )
+
+
 def aggregate(results) -> list[AggregateRow]:
     """Group final scores by (method, scenario, n_agents); sample std
-    (ddof=1), 0.0 for singleton groups."""
-    groups: dict[tuple[str, str, int], list[float]] = {}
+    (ddof=1), 0.0 for singleton groups. The runs of a group must differ in
+    the seed alone, or ValueError names the first key that differs."""
+    groups: dict[tuple[str, str, int], list] = {}
     for r in results:
         key = (r.config.method, r.config.world.scenario, r.config.world.n_agents)
-        groups.setdefault(key, []).append(r.final_score)
+        groups.setdefault(key, []).append(r)
     rows = []
-    for (method, scenario, n_agents), scores in sorted(groups.items()):
-        arr = np.asarray(scores)
+    for (method, scenario, n_agents), runs in sorted(groups.items()):
+        _check_seeds_of_one_cell(runs)
+        arr = np.asarray([r.final_score for r in runs])
         std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         rows.append(
             AggregateRow(method, scenario, n_agents, len(arr), float(arr.mean()), std)

@@ -261,6 +261,26 @@ def test_report_roundtrip(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
 
 
+def test_report_refuses_to_pool_runs_of_other_settings(tmp_path, capsys):
+    """A dense and a sparse run of one method in one directory are no two
+    seeds of one cell: report names the key that differs, in one error line,
+    and writes no table."""
+    for seed, mode in (("0", "sparse"), ("1", "dense")):
+        cli.main(
+            [
+                "run", "--method", "none", "--seed", seed, "--reward-mode", mode,
+                "--total-episodes", "8", "--results-dir", str(tmp_path),
+            ]
+        )
+    capsys.readouterr()
+    code = cli.main(["report", "--results-dir", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: reward_mode: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "summary.csv").exists()
+
+
 def test_report_unwritable_summary_exits_1(tmp_path, capsys):
     """A summary.csv that cannot be written is a report failure, reported in
     one line rather than a traceback, after the table."""

@@ -846,6 +846,36 @@ def test_state_keeps_the_resolved_config():
     assert state.cfg == dataclasses.replace(run.train, total_episodes=30_000)
 
 
+def test_init_state_builds_every_network_from_its_train_config():
+    """The policies, the critic, mcm_sep's per-agent stack and its joint
+    module all take the config's trunk sizes and slope, and each its own
+    learning rate."""
+    run = run_config(
+        2, "mcm_sep", 0, hidden_dims=(7, 5), leaky_slope=0.02,
+        actor_lr=2e-3, critic_lr=3e-3, curiosity_lr=4e-3,
+    )
+    state = coma.init_state(run)
+    learners = [
+        (state.policies, 2e-3), (state.critic, 3e-3),
+        (state.bank.agents, 4e-3), (state.bank.joint, 4e-3),
+    ]
+    for learner, lr in learners:
+        net = learner.network
+        assert learner.lr == lr
+        assert net.spec.hidden_dims == (7, 5) and net.spec.leaky_slope == 0.02
+        assert [w.shape[1] for w in net.trunk_w] == [7, 5]
+
+
+@pytest.mark.parametrize(
+    "field,value,key", [("intrinsic_lambda", -0.1, "lambda"), ("intrinsic_clip", 0.0, "clip_max")]
+)
+def test_init_state_checks_a_run_config_built_in_code(field, value, key):
+    """A state is never built from an unchecked config: init_state runs the
+    config's own validate, whose message names the config-file key."""
+    with pytest.raises(nav_env.ConfigurationError, match=f"^{key}: "):
+        coma.init_state(run_config(2, "mcm", 0, **{field: value}))
+
+
 def test_unresolved_budget_trains_as_the_resolved_one_bit_for_bit():
     """A state built from a run config whose total_episodes is 0 holds the
     agent-count default budget, and epsilon anneals over that budget: two

@@ -532,6 +532,27 @@ def test_aggregate_groups_and_sorts():
     assert by_key[("none", "same_landmark", 2)].n_seeds == 1
 
 
+@pytest.mark.parametrize(
+    "section,field,value,key",
+    [
+        ("world", "reward_mode", "dense", "reward_mode"),
+        ("world", "episode_length", 30, "episode_length"),
+        ("train", "intrinsic_lambda", 0.1, "lambda"),
+    ],
+)
+def test_aggregate_refuses_runs_whose_configs_differ_beyond_the_seed(section, field, value, key):
+    """Runs of one (method, scenario, n_agents) cell are pooled as seeds of
+    one config only if nothing else differs; otherwise aggregate names the
+    first key that differs and both run ids."""
+    base = _summary("none", "same_landmark", 2, 0, 0.5)
+    other = _summary("none", "same_landmark", 2, 1, 0.0)
+    changed = dataclasses.replace(getattr(other.config, section), **{field: value})
+    other = harness.RunSummary(dataclasses.replace(other.config, **{section: changed}), 0.0)
+    rids = "none_same_landmark_2ag_s0 and none_same_landmark_2ag_s1"
+    with pytest.raises(ValueError, match=f"^{key}: runs {rids} differ "):
+        harness.aggregate([base, other])
+
+
 def test_format_and_csv_aggregate():
     rows = harness.aggregate(
         [
