@@ -182,23 +182,25 @@ class TrainState:
 
 
 def init_state(run: RunConfig) -> TrainState:
-    """A fresh state for a run config, which run.validate checks first. The
-    state keeps the run's TrainConfig with its budget resolved, and every
-    network is built from it. The run's seed is split into four independent
-    streams: the environment's and the actions', which the state keeps, the
-    networks' (the policies draw first, then the critic) and the bank's. So
-    runs never share random state, and running them in parallel cannot
-    change any run's output."""
+    """A fresh state for a run config, checked first by run.validate, which
+    keeps the run's TrainConfig with its budget resolved and builds every
+    network from it. The run's seed is split into four independent streams:
+    the environment's and the actions', which the state keeps, the networks'
+    (the policies draw first, then the critic) and the bank's. So runs never
+    share random state, and running them in parallel cannot change any
+    run's output."""
     run.validate()
     env_ss, action_ss, net_ss, bank_ss = np.random.SeedSequence(run.seed).spawn(4)
-    net_rng, bank_rng = np.random.default_rng(net_ss), np.random.default_rng(bank_ss)
+    net_rng = np.random.default_rng(net_ss)
     world, total = run.world, run.resolved_total_episodes
     cfg = replace(run.train, total_episodes=total)
     return TrainState(
         cfg=cfg,
         policies=make_policy_set(world.n_agents, world.obs_dim, net_rng, cfg),
         critic=make_critic(world.n_agents, world.obs_dim, net_rng, cfg),
-        bank=cur.make_bank(run.method, world.n_agents, world.obs_dim, bank_rng, cfg),
+        bank=cur.make_bank(
+            run.method, world.n_agents, world.obs_dim, np.random.default_rng(bank_ss), cfg
+        ),
         env=NavEnv(world),
         env_rng=np.random.default_rng(env_ss),
         action_rng=np.random.default_rng(action_ss),

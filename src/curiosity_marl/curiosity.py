@@ -92,9 +92,8 @@ def make_bank(
 ) -> CuriosityBank:
     """Build the module roster of a method's METHODS row over the config's
     trunk, trained at cfg.curiosity_lr: a stack of N per-agent modules with
-    that row's heads, and one joint module, which predicts the next joint
-    observation, if it has one. The per-agent modules draw from rng first,
-    agent by agent, then the joint one."""
+    that row's heads, and one joint module if it has one. The per-agent
+    modules draw from rng first, agent by agent, then the joint one."""
     kind = CuriosityKind(kind)
     heads, has_joint, _ = METHODS[kind]
     hidden, slope = tuple(cfg.hidden_dims), cfg.leaky_slope

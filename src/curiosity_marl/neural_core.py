@@ -31,10 +31,10 @@ the flat index of all parameters, in parameters() order and across tensor
 boundaries, and every chunk but the last has the one length that keeps a
 probe's parameter floats within PROBE_FLOATS: a network of P floats (every
 member counted) with 2 * P * P within it (P up to 724, every network of the
-network and actor suites) is audited in one probe forward. A loss closure therefore takes a network of
-K times the members its data describe and returns one loss per copy, (K,),
-each bit for bit the loss it returns for that copy alone; the trained path
-is the K = 1 case and gets a (1,) array.
+network and actor suites) is audited in one probe forward. A loss closure
+therefore takes a network of K times the members its data describe and
+returns one loss per copy, (K,), each bit for bit the loss it returns for
+that copy alone; the trained path is the K = 1 case and gets a (1,) array.
 copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
 Each stack keeps one set of trunk work arrays, (M, B, width), per batch
@@ -439,9 +439,10 @@ def grad_check(net: Network, loss_and_grads) -> float:
 def _central_differences(net: Network, loss_and_grads, elements: np.ndarray) -> np.ndarray:
     """(loss(x[i] + h) - loss(x[i] - h)) / 2h for h = PROBE_STEP and each
     index i in elements, ascending indices into the flat concatenation x of
-    net.parameters(); one closure call per chunk of elements. Every chunk but the last holds the
-    most elements whose probe network, 2 * (elements) * P floats for a net
-    of P parameter floats, fits within PROBE_FLOATS, and at least one."""
+    net.parameters(); one closure call per chunk of elements. Every chunk
+    but the last holds the most elements whose probe network, 2 * (elements)
+    * P floats for a net of P parameter floats, fits within PROBE_FLOATS,
+    and at least one."""
     numeric = np.empty(len(elements))
     chunk = max(1, PROBE_FLOATS // (2 * sum(p.size for p in net.parameters())))
     for start in range(0, len(elements), chunk):
