@@ -56,13 +56,9 @@ class RunConfig:
         return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
 
     def validate(self) -> None:
-        try:
-            curiosity.CuriosityKind(self.method)
-        except ValueError:
-            raise ConfigurationError(
-                f"method: unknown method {self.method!r}; choose from "
-                f"{[k.value for k in curiosity.CuriosityKind]}"
-            ) from None
+        known = [k.value for k in curiosity.CuriosityKind]
+        if self.method not in known:
+            raise ConfigurationError(f"method: unknown method {self.method!r}; choose from {known}")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
         if self.eval_interval < 1:
@@ -84,12 +80,16 @@ def _split_items(raw: str) -> list[str]:
     return items
 
 
-# Field annotations are strings (postponed evaluation); map them to parsers.
-_CONVERTERS = {
-    "int": int,
-    "float": float,
-    "str": str.strip,
-    "tuple[int, ...]": lambda raw: tuple(int(p) for p in _split_items(raw)),
+# Each declared field type's (parser, renderer), keyed by its annotation, a
+# string by postponed evaluation. A value renders by its field's type, not its own.
+_TEXT_FORMS = {
+    "int": (int, lambda v: str(int(v))),
+    "float": (float, lambda v: repr(float(v))),
+    "str": (str.strip, str),
+    "tuple[int, ...]": (
+        lambda raw: tuple(int(p) for p in _split_items(raw)),
+        lambda v: ",".join(str(int(x)) for x in v),
+    ),
 }
 
 
@@ -134,7 +134,7 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
             raise ConfigurationError(f"unknown config key: {key}")
         section, f = settings[key]
         try:
-            values[section][f.name] = _CONVERTERS[f.type](raw)
+            values[section][f.name] = _TEXT_FORMS[f.type][0](raw)
         except (ValueError, TypeError):
             raise ConfigurationError(f"{key}: malformed value {raw!r}") from None
     cfg = RunConfig(
@@ -144,17 +144,17 @@ def parse_config(text: str = "", overrides: dict[str, str] | None = None) -> Run
     return cfg
 
 
+def _texts(cfg: RunConfig) -> dict[str, str]:
+    """Config-file key -> the text of its value, in _settings order."""
+    return {
+        key: _TEXT_FORMS[f.type][1](getattr(getattr(cfg, section) if section else cfg, f.name))
+        for key, (section, f) in _settings().items()
+    }
+
+
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig in the same flat format parse_config reads."""
-    lines = []
-    for key, (section, f) in _settings().items():
-        value = getattr(cfg if section is None else getattr(cfg, section), f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in _texts(cfg).items())
 
 
 @dataclass
@@ -199,8 +199,8 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     """Train one configuration end to end; write one CSV of per-interval
     means, a sidecar echoing the fully resolved config, and, once the CSV
     is closed, a summary file of the final score and episode count."""
-    cfg.validate()
-    cfg = replace(cfg, train=replace(cfg.train, total_episodes=cfg.resolved_total_episodes))
+    state = coma.init_state(cfg)  # checks cfg and resolves its budget
+    cfg = replace(cfg, train=state.cfg)
     out_dir = resolve_results_dir(results_dir)
     os.makedirs(out_dir, exist_ok=True)
     rid = run_id(cfg)
@@ -211,7 +211,6 @@ def run_experiment(cfg: RunConfig, results_dir: str | None = None) -> RunResult:
     with open(os.path.join(out_dir, rid + ".config"), "w") as f:
         f.write(render_config(cfg))
 
-    state = coma.init_state(cfg)
     total = cfg.train.total_episodes
     # each row ends at a multiple of eval_interval, and the last at total
     row_ends = [*range(cfg.eval_interval, total, cfg.eval_interval), total]
@@ -271,11 +270,11 @@ def _check_seeds_of_one_cell(runs) -> None:
     """Raise ValueError naming the first config key, in render_config
     order, at which a run's config differs from the first run's in more
     than the seed, and both run ids."""
-    first = parse_pairs(render_config(replace(runs[0].config, seed=0)))
+    first = _texts(runs[0].config)
     for r in runs[1:]:
-        other = parse_pairs(render_config(replace(r.config, seed=0)))
+        other = _texts(r.config)
         for key, value in first.items():
-            if other[key] != value:
+            if key != "seed" and other[key] != value:
                 raise ValueError(
                     f"{key}: runs {run_id(runs[0].config)} and {run_id(r.config)} differ "
                     f"({value} and {other[key]}); only seeds of one config are pooled"

@@ -47,7 +47,7 @@ def check_finite(section) -> None:
     NaN passes: every comparison with it is False."""
     for f in fields(section):
         value = getattr(section, f.name)
-        if isinstance(value, float) and not np.isfinite(value):
+        if f.type == "float" and not np.isfinite(value):
             raise ConfigurationError(f"{section.KEYS.get(f.name, f.name)}: must be finite")
 
 
