@@ -51,6 +51,11 @@ class RunConfig:
     world: nav_env.WorldConfig = field(default_factory=nav_env.WorldConfig)
     train: coma.TrainConfig = field(default_factory=coma.TrainConfig)
 
+    def __post_init__(self) -> None:
+        # a CuriosityKind is kept as its plain string; validate rejects an unknown method
+        with contextlib.suppress(ValueError):
+            object.__setattr__(self, "method", curiosity.CuriosityKind(self.method).value)
+
     @property
     def resolved_total_episodes(self) -> int:
         return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
@@ -463,8 +468,8 @@ def sweep(
     seed listed twice is rejected: its cells would share one run_id, and so
     one CSV, which parallel workers would write at once. So is a workers
     count below 1. With workers > 1, each pool worker runs OpenBLAS on one
-    thread; a serial sweep keeps the process's count, since one run alone
-    trains faster on more."""
+    thread; a serial sweep keeps the process's count, which one run alone
+    trains about as fast on."""
     for name, values in (("methods", methods), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:

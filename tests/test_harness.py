@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curiosity_marl import coma, harness
+from curiosity_marl import CuriosityKind, coma, harness
 from curiosity_marl.nav_env import ConfigurationError
 
 TINY = """
@@ -210,18 +210,34 @@ def test_older_sidecar_parses_to_defaults():
     )
 
 
+def _given_as(values, *types):
+    """Pairs (value, the value given as one of types)."""
+    return st.tuples(values, st.sampled_from(types)).map(lambda vt: (vt[0], vt[1](vt[0])))
+
+
+def _code_built(method, seed, interval, lam, gamma, hidden):
+    train = coma.TrainConfig(intrinsic_lambda=lam, gamma=gamma, hidden_dims=hidden)
+    return harness.RunConfig(method=method, seed=seed, eval_interval=interval, train=train)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    lam=st.floats(0.0, 10.0, allow_nan=False),
-    gamma=st.floats(0.0, 0.999),
-    seed=st.integers(0, 2**31),
-    interval=st.integers(1, 10**6),
+    method=_given_as(st.sampled_from([k.value for k in CuriosityKind]), str, CuriosityKind),
+    seed=_given_as(st.integers(0, 2**31), int, np.int64),
+    interval=_given_as(st.integers(1, 10**6), int, np.int64),
+    lam=_given_as(st.floats(0.0, 10.0, allow_nan=False), float, np.float64),
+    gamma=_given_as(st.floats(0.0, 0.999), float, np.float64),
+    hidden=_given_as(st.lists(st.integers(1, 99), min_size=1, max_size=3).map(tuple), tuple, list),
 )
-def test_render_round_trip_exact(lam, gamma, seed, interval):
-    train = dataclasses.replace(harness.RunConfig().train, intrinsic_lambda=lam, gamma=gamma)
-    cfg = dataclasses.replace(harness.RunConfig(), train=train, seed=seed, eval_interval=interval)
-    again = harness.parse_config(harness.render_config(cfg))
-    assert again == cfg
+def test_render_round_trip_exact(method, seed, interval, lam, gamma, hidden):
+    """A config built in code, with numpy scalars, a list hidden_dims or a
+    CuriosityKind member, renders as the config of the same values in their
+    fields' declared types, and parses back to that config exactly."""
+    pairs = (method, seed, interval, lam, gamma, hidden)
+    declared = _code_built(*(value for value, _ in pairs))
+    cfg = _code_built(*(given for _, given in pairs))
+    assert harness.render_config(cfg) == harness.render_config(declared)
+    assert harness.parse_config(harness.render_config(cfg)) == declared
 
 
 def test_auto_episode_budget():
@@ -278,6 +294,39 @@ def test_run_experiment_writes_csv_and_sidecar(tmp_path):
     assert side_cfg == cfg
     assert len(result.normalized) == 60
     assert result.final_score == harness.final_score_of(result.normalized)
+
+
+@pytest.mark.parametrize(
+    "given,declared",
+    [
+        ({"hidden_dims": [7, 5]}, {"hidden_dims": (7, 5)}),
+        ({"intrinsic_lambda": np.float64(0.05)}, {"intrinsic_lambda": 0.05}),
+        ({"method": CuriosityKind.NONE}, {"method": "none"}),
+    ],
+    ids=["list_hidden_dims", "numpy_lambda", "curiosity_kind"],
+)
+def test_run_of_a_code_built_config_is_reported(given, declared, tmp_path, caplog):
+    """A finished run whose config was built in code with a value of
+    another type than its field's is reloaded, not skipped, as the run of
+    the same values in their declared types."""
+
+    def run_config(settings):
+        settings = dict(settings)
+        method = settings.pop("method", "mcm")
+        return harness.RunConfig(method, train=coma.TrainConfig(total_episodes=16, **settings))
+
+    result = harness.run_experiment(run_config(given), str(tmp_path))
+    expected = run_config(declared)
+    rid = harness.run_id(expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        rid + ext for ext in (".config", ".csv", ".summary")
+    ]
+    rows = harness.parse_csv_rows((tmp_path / (rid + ".csv")).read_text())
+    assert {row["method"] for row in rows} == {expected.method}
+    with caplog.at_level("WARNING", logger="curiosity_marl.harness"):
+        loaded = harness.load_results(str(tmp_path))
+    assert not caplog.records
+    assert loaded == [harness.RunSummary(expected, result.final_score)]
 
 
 def test_csv_rows_reach_disk_as_they_are_emitted(tmp_path, monkeypatch):
