@@ -468,8 +468,8 @@ def sweep(
     seed listed twice is rejected: its cells would share one run_id, and so
     one CSV, which parallel workers would write at once. So is a workers
     count below 1. With workers > 1, each pool worker runs OpenBLAS on one
-    thread; a serial sweep keeps the process's count, which one run alone
-    trains about as fast on."""
+    thread; a serial sweep keeps the process's count, at which one run
+    trains about as fast as at one thread."""
     for name, values in (("methods", methods), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:

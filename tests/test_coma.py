@@ -867,11 +867,18 @@ def test_init_state_builds_every_network_from_its_train_config():
 
 
 @pytest.mark.parametrize(
-    "field,value,key", [("intrinsic_lambda", -0.1, "lambda"), ("intrinsic_clip", 0.0, "clip_max")]
+    "field,value,key",
+    [
+        ("intrinsic_lambda", -0.1, "lambda"),
+        ("intrinsic_clip", 0.0, "clip_max"),
+        ("intrinsic_lambda", np.float32("nan"), "lambda"),
+    ],
 )
 def test_init_state_checks_a_run_config_built_in_code(field, value, key):
     """A state is never built from an unchecked config: init_state runs the
-    config's own validate, whose message names the config-file key."""
+    config's own validate, whose message names the config-file key. A float
+    field is checked as a float whatever the value's type, so a NaN given
+    as an np.float32, which is no Python float, is rejected too."""
     with pytest.raises(nav_env.ConfigurationError, match=f"^{key}: "):
         coma.init_state(run_config(2, "mcm", 0, **{field: value}))
 
