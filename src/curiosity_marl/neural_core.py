@@ -37,14 +37,16 @@ returns one loss per copy, (K,), each bit for bit the loss it returns for
 that copy alone; the trained path is the K = 1 case and gets a (1,) array.
 copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
-Each stack keeps one set of trunk work arrays, (M, B, width), per batch
-size B: forward fills them in place and backward overwrites them with the
-trunk's gradients, so repeated passes allocate little beyond head outputs
-and parameter gradients. A ForwardCache is therefore valid only until the
-next forward of the same batch size on the same stack, or until its own
-backward; backward raises on a stale cache. Head outputs and gradients are
-fresh arrays that no later pass touches. A Network must not be used from two
-threads at once.
+Each stack keeps one set of trunk work arrays per batch size B: an
+(M, B, width) activation array per layer and a scratch for the widest, which
+takes each pre-activation in turn. As a > 0 exactly where z > 0 (0 < slope
+< 1), backward takes leaky-ReLU's derivative from the activations and then
+overwrites them with the trunk's gradients, so repeated passes allocate
+little beyond head outputs and parameter gradients. A ForwardCache is
+therefore valid only until the next forward of the same batch size on the
+same stack, or until its own backward; backward raises on a stale cache.
+Head outputs and gradients are fresh arrays that no later pass touches. A
+Network must not be used from two threads at once.
 """
 
 from __future__ import annotations
@@ -95,9 +97,8 @@ class _Buffers:
     """One batch size's trunk work arrays. generation counts the passes that
     have used them, so a cache can tell whether they still hold its data."""
 
-    z: list[np.ndarray]  # pre-activations; backward leaves d_z in them
-    a: list[np.ndarray]  # activations; backward leaves d(loss)/d(a) in them
-    scratch: np.ndarray  # flat, sized for the widest layer: head terms, derivatives
+    a: list[np.ndarray]  # activations; backward leaves each layer's d_z in them
+    scratch: np.ndarray  # flat, sized for the widest layer: pre-activations, d(loss)/d(a)
     head_in: list[np.ndarray | None]  # trunk output + extra input, per head that has one
     generation: int = 0
 
@@ -148,6 +149,7 @@ def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
 
 @dataclass
 class ForwardCache:
+    net: Network  # the stack that ran the pass
     rows: np.ndarray  # trunk input as (M, B, in), or (B, in) shared by every member
     head_inputs: list[np.ndarray]  # (M, B, trunk_out + extra) per head, views of buffers
     buffers: _Buffers  # the network's work arrays for this batch size
@@ -207,13 +209,11 @@ def _buffers_for(net: Network, batch: int) -> _Buffers:
     if bufs is None:
         spec = net.spec
         lead = (net.members, batch)
-        trunk_out = spec.hidden_dims[-1]
         bufs = _Buffers(
-            z=[np.empty((*lead, h)) for h in spec.hidden_dims],
             a=[np.empty((*lead, h)) for h in spec.hidden_dims],
             scratch=np.empty(net.members * batch * max(spec.hidden_dims)),
             head_in=[
-                np.empty((*lead, trunk_out + extra)) if extra else None
+                np.empty((*lead, spec.hidden_dims[-1] + extra)) if extra else None
                 for extra in spec.head_extra_input_dims
             ],
         )
@@ -233,7 +233,8 @@ def _leaky(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
 
 
 def _leaky_grad(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
-    """Derivative of leaky-ReLU at z into out: 1 where z > 0, else slope.
+    """Derivative of leaky-ReLU at z, or at the pre-activation of an
+    activation z, into out (which may be z): 1 where z > 0, else slope.
     z > 0 written as a float is 1.0 or 0.0 (NaN compares false), and for
     0 < slope < 1 the max with slope maps these to exactly 1.0 and slope."""
     np.greater(z, 0.0, out=out)
@@ -254,14 +255,13 @@ def forward(
     with zero extra-input dim.
     """
     spec = net.spec
-    members = net.trunk_w[0].shape[0]
     x = np.asarray(trunk_input, dtype=float)
     if not 2 <= x.ndim <= 3 or x.shape[-1] != spec.input_dim:
         raise ValueError(
             f"trunk input shape {x.shape} is neither (M, B, in) nor (B, in), in = {spec.input_dim}"
         )
-    if x.ndim == 3 and x.shape[0] != members:
-        raise ValueError(f"trunk input has {x.shape[0]} members, network {members}")
+    if x.ndim == 3 and x.shape[0] != net.members:
+        raise ValueError(f"trunk input has {x.shape[0]} members, network {net.members}")
     if head_extra_inputs is None:
         head_extra_inputs = [None] * spec.n_heads
     if len(head_extra_inputs) != spec.n_heads:
@@ -270,8 +270,8 @@ def forward(
     bufs = _buffers_for(net, x.shape[-2])
     bufs.generation += 1
     a = x
-    for w, b, z, act in zip(net.trunk_w, net.trunk_b, bufs.z, bufs.a):
-        np.matmul(a, w.swapaxes(1, 2), out=z)
+    for w, b, act in zip(net.trunk_w, net.trunk_b, bufs.a):
+        z = np.matmul(a, w.swapaxes(1, 2), out=_scratch(bufs, act))
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
@@ -299,7 +299,7 @@ def forward(
         out += b
         outputs.append(out)
 
-    cache = ForwardCache(x, head_inputs, bufs, bufs.generation)
+    cache = ForwardCache(net, x, head_inputs, bufs, bufs.generation)
     return outputs, cache
 
 
@@ -332,44 +332,33 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
     bufs = cache.buffers
     trunk_out_dim = spec.hidden_dims[-1]
 
-    head_w_grads, head_b_grads, gys = [], [], []
+    head_grads, gys = [], []
     for k, (gy, h_in) in enumerate(zip(head_output_grads, cache.head_inputs)):
         gy = np.asarray(gy, dtype=float)
         want = (*h_in.shape[:-1], spec.output_dims[k])
         if gy.shape != want:
             raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
-        head_w_grads.append(_weight_grad(gy, h_in))
-        head_b_grads.append(gy.sum(axis=1, keepdims=True))
+        head_grads += [_weight_grad(gy, h_in), gy.sum(axis=1, keepdims=True)]
         gys.append(gy)
     bufs.generation += 1  # the work arrays are overwritten below
 
-    # The heads have read the trunk output, so its buffer now takes
-    # d(loss)/d(trunk output), head by head; each activation buffer then takes
-    # the gradient flowing into it, and each pre-activation buffer its d_z.
+    # The scratch takes d(loss)/d(a) of each layer, from the last down; each
+    # activation buffer, once the layer above has read it, takes leaky-ReLU's
+    # derivative at that activation and then the layer's d_z.
     last = len(net.trunk_w) - 1
-    d_a = np.matmul(gys[0], net.head_w[0][:, :, :trunk_out_dim], out=bufs.a[last])
+    d_a = np.matmul(gys[0], net.head_w[0][:, :, :trunk_out_dim], out=_scratch(bufs, bufs.a[last]))
     for w, gy in zip(net.head_w[1:], gys[1:]):
-        d_a += np.matmul(gy, w[:, :, :trunk_out_dim], out=_scratch(bufs, d_a))
+        d_a += np.matmul(gy, w[:, :, :trunk_out_dim])
 
-    trunk_w_grads, trunk_b_grads = [], []
+    trunk_grads = []
     for layer in range(last, -1, -1):
-        d_z = bufs.z[layer]
-        factor = _leaky_grad(d_z, spec.leaky_slope, out=_scratch(bufs, d_z))
-        np.multiply(d_a, factor, out=d_z)
+        factor = _leaky_grad(bufs.a[layer], spec.leaky_slope, out=bufs.a[layer])
+        d_z = np.multiply(d_a, factor, out=bufs.a[layer])
         layer_in = cache.rows if layer == 0 else bufs.a[layer - 1]
-        trunk_w_grads.append(_weight_grad(d_z, layer_in))
-        trunk_b_grads.append(d_z.sum(axis=1, keepdims=True))
+        trunk_grads[:0] = [_weight_grad(d_z, layer_in), d_z.sum(axis=1, keepdims=True)]
         if layer > 0:
-            d_a = np.matmul(d_z, net.trunk_w[layer], out=bufs.a[layer - 1])
-    trunk_w_grads.reverse()
-    trunk_b_grads.reverse()
-
-    grads: Gradients = []
-    for gw, gb in zip(trunk_w_grads, trunk_b_grads):
-        grads.extend((gw, gb))
-    for gw, gb in zip(head_w_grads, head_b_grads):
-        grads.extend((gw, gb))
-    return grads
+            d_a = np.matmul(d_z, net.trunk_w[layer], out=_scratch(bufs, layer_in))
+    return trunk_grads + head_grads
 
 
 def adam_step(learner: Learner, grads: Gradients) -> None:
@@ -505,10 +494,13 @@ def sum_per_copy(a: np.ndarray, copies: int) -> np.ndarray:
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
-    """Smallest |pre-activation| in the trunk. Finite-difference probes are
-    only trustworthy when this comfortably exceeds the probe step."""
+    """Smallest |pre-activation| in the trunk, recomputed by forward's
+    arithmetic from the cached layer inputs and the pass's parameters; finite
+    differences are only trustworthy when it clearly exceeds the probe step."""
     cache.check_live()
-    return min(float(np.min(np.abs(z))) for z in cache.buffers.z)
+    layers = zip(cache.net.trunk_w, cache.net.trunk_b, [cache.rows, *cache.buffers.a[:-1]])
+    zs = (np.matmul(x, w.swapaxes(1, 2)) + b for w, b, x in layers)
+    return min(float(np.min(np.abs(z))) for z in zs)
 
 
 # Least relative error the sign-flip mutant of mutation_control must show for

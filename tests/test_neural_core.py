@@ -405,16 +405,42 @@ class TestReusedBuffers:
             for out, ref in zip(outs, ref_outs):
                 assert out.shape == (1, *ref.shape)
                 assert np.array_equal(out[0], ref)
+            # forward keeps no pre-activations; min_kink_distance recomputes them
+            kink = nc.min_kink_distance(cache)
+            ref_kink = min(np.min(np.abs(z)) for z in ref_cache[1])
+            assert kink == ref_kink and np.signbit(kink) == np.signbit(ref_kink)
             grads = nc.backward(net, cache, gys)
             ref_grads = reference_backward(net, ref_cache, [g[0] for g in gys])
             assert len(grads) == len(ref_grads)
             for g, ref in zip(grads, ref_grads):
                 assert np.array_equal(g[0], ref)
 
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_work_arrays_hold_one_activation_per_layer_and_one_scratch(self, members):
+        """After a pass, a batch size's work arrays are M*B*(sum h + max h)
+        trunk floats, the activations and a scratch as large as the widest
+        layer, plus one M*B*(trunk_out + extra) array per head with extras."""
+        spec = nc.NetworkSpec(3, (2, 4), hidden_dims=(5, 7, 6), head_extra_input_dims=(0, 3))
+        net = nc.init_network(spec, np.random.default_rng(36), members)
+        batch = 9
+        x, extras, gys = pass_inputs(spec, batch, np.random.default_rng(37), members)
+        nc.backward(net, nc.forward(net, x, extras)[1], gys)
+        (bufs,) = net._buffers.values()
+        held = 0
+        for f in dataclasses.fields(bufs):
+            value = getattr(bufs, f.name)
+            for a in value if isinstance(value, list) else [value]:
+                held += a.size if isinstance(a, np.ndarray) else 0
+        trunk = members * batch * (5 + 7 + 6 + 7)
+        head_inputs = members * batch * (6 + 3)
+        assert held == trunk + head_inputs
+
     def test_leaky_relu_and_derivative_match_where_on_special_values(self):
         """Signed zeros, subnormals, infinities and NaN: a forward pass cannot
         produce every one of these as a pre-activation (an exact zero sum
-        rounds to +0.0), so the two element-wise maps are checked directly."""
+        rounds to +0.0), so the two element-wise maps are checked directly.
+        Backward takes the derivative from the activation, which has the
+        same derivative as its pre-activation on every one of them."""
         z = np.array(
             [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 2.5, -2.5]
         )
@@ -425,6 +451,8 @@ class TestReusedBuffers:
             assert np.array_equal(np.signbit(act), np.signbit(ref))
             grad = nc._leaky_grad(z, slope, out=np.empty_like(z))
             assert np.array_equal(grad, np.where(z > 0.0, 1.0, slope))
+            from_act = nc._leaky_grad(act, slope, out=act)
+            assert np.array_equal(from_act, grad)
 
     def test_backward_on_stale_cache_raises(self):
         rng = np.random.default_rng(32)
@@ -442,6 +470,8 @@ class TestReusedBuffers:
             assert np.array_equal(g[0], ref)
         with pytest.raises(RuntimeError, match="stale"):
             nc.backward(net, cache_a, gys_a)  # its own backward consumed it
+        with pytest.raises(RuntimeError, match="stale"):
+            nc.min_kink_distance(cache_a)
 
         _, cache_a = nc.forward(net, x_a, extras_a)
         nc.forward(net, x_b, extras_b)
@@ -507,18 +537,22 @@ class TestMemberStack:
         for _ in range(2):  # the second step runs on updated parameters and moments
             x, extras, gys = pass_inputs(net.spec, batch, rng, members, shared)
             outs, cache = nc.forward(net, x, extras)
+            kink = nc.min_kink_distance(cache)
             grads = nc.backward(net, cache, gys)
+            ref_kinks = []
             for m, single in enumerate(singles):
                 x_m = x if shared else x[m]
                 extras_m = [e if e is None or shared else e[m] for e in extras]
                 gys_m = [g[m] for g in gys]
                 ref_outs, ref_cache = reference_forward(single, x_m, extras_m)
+                ref_kinks += [np.min(np.abs(z)) for z in ref_cache[1]]
                 for out, ref in zip(outs, ref_outs):
                     assert np.array_equal(out[m], ref)
                 ref_grads = reference_backward(single, ref_cache, gys_m)
                 for g, ref in zip(grads, ref_grads):
                     assert np.array_equal(g[m], ref)
                 nc.adam_step(single_learners[m], [g[None] for g in ref_grads])
+            assert kink == min(ref_kinks) > 0.0
             nc.adam_step(learner, grads)
             for m, single in enumerate(singles):
                 for p, ref in zip(net.member(m).parameters(), single.parameters()):
