@@ -21,7 +21,7 @@ import numpy as np
 
 from . import curiosity as cur
 from . import neural_core as nc
-from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, check_finite, other_agents
+from .nav_env import N_ACTIONS, ConfigurationError, NavEnv, check_types, other_agents
 
 if TYPE_CHECKING:
     from .harness import RunConfig
@@ -54,7 +54,7 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
-        check_finite(self)
+        check_types(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma: must lie in [0, 1)")
         if not 0.0 <= self.td_lambda <= 1.0:

@@ -18,6 +18,7 @@ import logging
 import multiprocessing
 import os
 from dataclasses import Field, dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class RunConfig:
     trains in, and the training hyperparameters. The config-file keys are
     the fields of all three (see _settings)."""
 
+    KEYS: ClassVar[dict[str, str]] = {}  # every run setting's key is its field's name
+
     method: str = "mcm"
     seed: int = 0
     eval_interval: int = 100
@@ -61,6 +64,7 @@ class RunConfig:
         return self.train.total_episodes or AUTO_EPISODE_BUDGET[self.world.n_agents]
 
     def validate(self) -> None:
+        nav_env.check_types(self)
         known = [k.value for k in curiosity.CuriosityKind]
         if self.method not in known:
             raise ConfigurationError(f"method: unknown method {self.method!r}; choose from {known}")

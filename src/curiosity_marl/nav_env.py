@@ -41,14 +41,18 @@ class EpisodeExhaustedError(RuntimeError):
     """Raised when step() or move() is called after the episode horizon."""
 
 
-def check_finite(section) -> None:
-    """Reject a config section's first non-finite float field, named by its
-    config-file key. A section runs this before its range checks, which a
-    NaN passes: every comparison with it is False."""
+def check_types(section) -> None:
+    """Reject a config section's first value that its field's declared type
+    does not allow, named by its config-file key: a non-finite float, or an
+    int or tuple[int, ...] item that is a bool or no int or numpy integer.
+    It runs before the section's range checks, which a NaN or 5.5 can pass."""
     for f in fields(section):
-        value = getattr(section, f.name)
+        value, key = getattr(section, f.name), section.KEYS.get(f.name, f.name)
         if f.type == "float" and not np.isfinite(value):
-            raise ConfigurationError(f"{section.KEYS.get(f.name, f.name)}: must be finite")
+            raise ConfigurationError(f"{key}: must be finite")
+        items = {"int": [value], "tuple[int, ...]": value}.get(f.type, ())
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in items):
+            raise ConfigurationError(f"{key}: must be an integer")
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class WorldConfig:
         return 2 * self.n_landmarks + 2 * (self.n_agents - 1)
 
     def validate(self) -> None:
-        check_finite(self)
+        check_types(self)
         if self.n_agents not in (2, 4):
             raise ConfigurationError(f"n_agents: must be 2 or 4, got {self.n_agents}")
         if self.scenario not in SCENARIOS:

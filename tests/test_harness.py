@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curiosity_marl import CuriosityKind, coma, harness
+from curiosity_marl import CuriosityKind, coma, harness, nav_env
 from curiosity_marl.nav_env import ConfigurationError
 
 TINY = """
@@ -327,6 +327,48 @@ def test_run_of_a_code_built_config_is_reported(given, declared, tmp_path, caplo
         loaded = harness.load_results(str(tmp_path))
     assert not caplog.records
     assert loaded == [harness.RunSummary(expected, result.final_score)]
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("world", "episode_length", 5.5),
+        ("train", "episodes_per_update", 8.5),
+        ("run", "eval_interval", 2.5),
+        ("run", "seed", 1.5),
+        ("world", "n_agents", 2.0),
+        ("train", "hidden_dims", (7.5, 5)),
+        ("train", "total_episodes", 16.0),
+        ("train", "critic_epochs", True),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_code_built_config_with_a_non_integer_int_setting_writes_nothing(
+    section, field, value, tmp_path
+):
+    """An int setting, or an item of a tuple of them, holds an int or a numpy
+    integer, not a float or a bool: validate names the key before any file
+    is written. Unchecked, a float would die in numpy with a bare TypeError,
+    some after a sidecar and a CSV header are written, and a bool would train."""
+    given = {"run": {}, "world": {}, "train": {"total_episodes": 16}}
+    given[section][field] = value
+    cfg = harness.RunConfig(
+        "none",
+        **given["run"],
+        world=nav_env.WorldConfig(**given["world"]),
+        train=coma.TrainConfig(**given["train"]),
+    )
+    with pytest.raises(ConfigurationError, match=f"^{field}: must be an integer$"):
+        harness.run_experiment(cfg, str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_numpy_integer_seed_trains(tmp_path):
+    cfg = harness.RunConfig("none", seed=np.int64(3), train=coma.TrainConfig(total_episodes=8))
+    harness.run_experiment(cfg, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "none_same_landmark_2ag_s3" + ext for ext in (".config", ".csv", ".summary")
+    ]
 
 
 def test_csv_rows_reach_disk_as_they_are_emitted(tmp_path, monkeypatch):
