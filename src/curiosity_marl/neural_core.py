@@ -233,8 +233,8 @@ def _leaky(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
 
 
 def _leaky_grad(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
-    """Derivative of leaky-ReLU at z, or at the pre-activation of an
-    activation z, into out (which may be z): 1 where z > 0, else slope.
+    """Derivative of leaky-ReLU at z into out (which may be z): 1 where z > 0,
+    else slope. z may be the activation: it is > 0 where its pre-activation is.
     z > 0 written as a float is 1.0 or 0.0 (NaN compares false), and for
     0 < slope < 1 the max with slope maps these to exactly 1.0 and slope."""
     np.greater(z, 0.0, out=out)
@@ -494,9 +494,9 @@ def sum_per_copy(a: np.ndarray, copies: int) -> np.ndarray:
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
-    """Smallest |pre-activation| in the trunk, recomputed by forward's
-    arithmetic from the cached layer inputs and the pass's parameters; finite
-    differences are only trustworthy when it clearly exceeds the probe step."""
+    """Smallest |pre-activation| in the trunk, recomputed by forward's arithmetic
+    from the cached layer inputs and parameters, before an update changes them.
+    Finite differences are only trustworthy when it clearly exceeds PROBE_STEP."""
     cache.check_live()
     layers = zip(cache.net.trunk_w, cache.net.trunk_b, [cache.rows, *cache.buffers.a[:-1]])
     zs = (np.matmul(x, w.swapaxes(1, 2)) + b for w, b, x in layers)
