@@ -37,16 +37,19 @@ returns one loss per copy, (K,), each bit for bit the loss it returns for
 that copy alone; the trained path is the K = 1 case and gets a (1,) array.
 copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
 
-Each stack keeps one set of trunk work arrays per batch size B: an
-(M, B, width) activation array per layer and a scratch for the widest, which
-takes each pre-activation in turn. As a > 0 exactly where z > 0 (0 < slope
-< 1), backward takes leaky-ReLU's derivative from the activations and then
+Every pass takes its trunk work arrays from one process-wide arena: a flat
+array grown to the largest pass so far, of which a pass of M members over
+B rows uses an (M, B, width) activation view per layer, a scratch for the
+widest, which takes each pre-activation in turn, and the input view of each
+head with extra inputs. As a > 0 exactly where z > 0 (0 < slope < 1),
+backward takes leaky-ReLU's derivative from the activations and then
 overwrites them with the trunk's gradients, so repeated passes allocate
 little beyond head outputs and parameter gradients. A ForwardCache is
-therefore valid only until the next forward of the same batch size on the
-same stack, or until its own backward; backward raises on a stale cache.
-Head outputs and gradients are fresh arrays that no later pass touches. A
-Network must not be used from two threads at once.
+therefore valid only until the next pass of any network, or until its own
+backward; backward raises on a stale cache. Head outputs and gradients are
+fresh arrays that no later pass touches. Passes of any two networks must
+not run on two threads at once; a sweep's workers are processes, and a
+forked worker inherits the arena copy-on-write.
 """
 
 from __future__ import annotations
@@ -94,13 +97,27 @@ class NetworkSpec:
 
 @dataclass
 class _Buffers:
-    """One batch size's trunk work arrays. generation counts the passes that
-    have used them, so a cache can tell whether they still hold its data."""
+    """One pass layout's trunk work arrays, all views of the arena's floats."""
 
     a: list[np.ndarray]  # activations; backward leaves each layer's d_z in them
     scratch: np.ndarray  # flat, sized for the widest layer: pre-activations, d(loss)/d(a)
     head_in: list[np.ndarray | None]  # trunk output + extra input, per head that has one
+
+
+@dataclass
+class _Arena:
+    """The process's one set of trunk work arrays. generation counts the
+    passes that have used them, so a cache can tell whether they still hold
+    its data; only the last layout's views are kept, since the audits' probe
+    passes take thousands of layouts."""
+
+    floats: np.ndarray = field(default_factory=lambda: np.empty(0))
     generation: int = 0
+    layout: tuple = ()
+    views: _Buffers | None = None
+
+
+_ARENA = _Arena()
 
 
 @dataclass(frozen=True)
@@ -112,9 +129,6 @@ class Network:
     trunk_b: tuple[np.ndarray, ...]  # (M, 1, out) per layer
     head_w: tuple[np.ndarray, ...]
     head_b: tuple[np.ndarray, ...]
-    _buffers: dict[int, _Buffers] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
@@ -135,7 +149,7 @@ class Network:
 
     def member(self, m: int) -> "Network":
         """Member m as a one-member network whose parameters are views of
-        this stack's (it gets its own work arrays)."""
+        this stack's."""
         m = range(self.members)[m]
         return _from_parameters(self.spec, [p[m : m + 1] for p in self.parameters()])
 
@@ -152,15 +166,12 @@ class ForwardCache:
     net: Network  # the stack that ran the pass
     rows: np.ndarray  # trunk input as (M, B, in), or (B, in) shared by every member
     head_inputs: list[np.ndarray]  # (M, B, trunk_out + extra) per head, views of buffers
-    buffers: _Buffers  # the network's work arrays for this batch size
-    generation: int  # buffers.generation when this forward filled them
+    buffers: _Buffers  # the arena's views for this pass
+    generation: int  # the arena's generation when this forward filled them
 
     def check_live(self) -> None:
-        if self.generation != self.buffers.generation:
-            raise RuntimeError(
-                "stale forward cache: a later pass of the same batch size "
-                "has reused its buffers"
-            )
+        if self.generation != _ARENA.generation:
+            raise RuntimeError("stale forward cache: a later pass has reused the work arrays")
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) -> Network:
@@ -204,21 +215,25 @@ def init_learner(spec: NetworkSpec, rng: np.random.Generator, members: int, lr: 
     return Learner(init_network(spec, rng, members), lr)
 
 
-def _buffers_for(net: Network, batch: int) -> _Buffers:
-    bufs = net._buffers.get(batch)
-    if bufs is None:
-        spec = net.spec
-        lead = (net.members, batch)
-        bufs = _Buffers(
-            a=[np.empty((*lead, h)) for h in spec.hidden_dims],
-            scratch=np.empty(net.members * batch * max(spec.hidden_dims)),
-            head_in=[
-                np.empty((*lead, spec.hidden_dims[-1] + extra)) if extra else None
-                for extra in spec.head_extra_input_dims
-            ],
-        )
-        net._buffers[batch] = bufs
-    return bufs
+def _buffers_for(spec: NetworkSpec, members: int, batch: int) -> _Buffers:
+    """The arena's views for a pass of `members` members over `batch` rows;
+    the arena first grows to fit them, if it must."""
+    layout = (spec.hidden_dims, spec.head_extra_input_dims, members, batch)
+    if layout != _ARENA.layout:
+        n = len(spec.hidden_dims)
+        widths = [*spec.hidden_dims, max(spec.hidden_dims)]
+        widths += [spec.hidden_dims[-1] + extra for extra in spec.head_extra_input_dims if extra]
+        ends = np.cumsum([members * batch * w for w in widths]).tolist()
+        if _ARENA.floats.size < ends[-1]:
+            _ARENA.floats = np.empty(ends[-1])
+        views = [  # the scratch, view n, stays flat
+            _ARENA.floats[lo:hi] if i == n else _ARENA.floats[lo:hi].reshape(members, batch, w)
+            for i, (lo, hi, w) in enumerate(zip([0, *ends], ends, widths))
+        ]
+        heads = iter(views[n + 1 :])
+        head_in = [next(heads) if extra else None for extra in spec.head_extra_input_dims]
+        _ARENA.layout, _ARENA.views = layout, _Buffers(views[:n], views[n], head_in)
+    return _ARENA.views
 
 
 def _scratch(bufs: _Buffers, like: np.ndarray) -> np.ndarray:
@@ -267,8 +282,8 @@ def forward(
     if len(head_extra_inputs) != spec.n_heads:
         raise ValueError("one extra input (or None) per head required")
 
-    bufs = _buffers_for(net, x.shape[-2])
-    bufs.generation += 1
+    bufs = _buffers_for(spec, net.members, x.shape[-2])
+    _ARENA.generation += 1
     a = x
     for w, b, act in zip(net.trunk_w, net.trunk_b, bufs.a):
         z = np.matmul(a, w.swapaxes(1, 2), out=_scratch(bufs, act))
@@ -299,7 +314,7 @@ def forward(
         out += b
         outputs.append(out)
 
-    cache = ForwardCache(net, x, head_inputs, bufs, bufs.generation)
+    cache = ForwardCache(net, x, head_inputs, bufs, _ARENA.generation)
     return outputs, cache
 
 
@@ -340,7 +355,7 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
             raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
         head_grads += [_weight_grad(gy, h_in), gy.sum(axis=1, keepdims=True)]
         gys.append(gy)
-    bufs.generation += 1  # the work arrays are overwritten below
+    _ARENA.generation += 1  # the work arrays are overwritten below
 
     # The scratch takes d(loss)/d(a) of each layer, from the last down; each
     # activation buffer, once the layer above has read it, takes leaky-ReLU's

@@ -416,24 +416,36 @@ class TestReusedBuffers:
                 assert np.array_equal(g[0], ref)
 
     @pytest.mark.parametrize("members", [1, 3])
-    def test_work_arrays_hold_one_activation_per_layer_and_one_scratch(self, members):
-        """After a pass, a batch size's work arrays are M*B*(sum h + max h)
-        trunk floats, the activations and a scratch as large as the widest
-        layer, plus one M*B*(trunk_out + extra) array per head with extras."""
+    def test_work_arrays_hold_one_activation_per_layer_and_one_scratch(self, members, monkeypatch):
+        """After a pass, the arena holds M*B*(sum h + max h) trunk floats, the
+        activations and a scratch as large as the widest layer, plus
+        M*B*(trunk_out + extra) per head with extras, every one a view of it.
+        A later pass of a smaller batch, or of another network, does not
+        grow it."""
+        monkeypatch.setattr(nc, "_ARENA", nc._Arena())
         spec = nc.NetworkSpec(3, (2, 4), hidden_dims=(5, 7, 6), head_extra_input_dims=(0, 3))
-        net = nc.init_network(spec, np.random.default_rng(36), members)
+        rng = np.random.default_rng(36)
+        net = nc.init_network(spec, rng, members)
         batch = 9
         x, extras, gys = pass_inputs(spec, batch, np.random.default_rng(37), members)
-        nc.backward(net, nc.forward(net, x, extras)[1], gys)
-        (bufs,) = net._buffers.values()
+        _, cache = nc.forward(net, x, extras)
+        nc.backward(net, cache, gys)
+        arena = nc._ARENA.floats
         held = 0
-        for f in dataclasses.fields(bufs):
-            value = getattr(bufs, f.name)
+        for f in dataclasses.fields(cache.buffers):
+            value = getattr(cache.buffers, f.name)
             for a in value if isinstance(value, list) else [value]:
-                held += a.size if isinstance(a, np.ndarray) else 0
+                if a is not None:
+                    assert np.shares_memory(a, arena)
+                    held += a.size
         trunk = members * batch * (5 + 7 + 6 + 7)
         head_inputs = members * batch * (6 + 3)
-        assert held == trunk + head_inputs
+        assert held == arena.size == trunk + head_inputs
+        other = nc.init_network(small_spec(two_headed=True), rng, members)
+        for later, rows in ((net, batch - 1), (other, batch)):
+            x, extras, gys = pass_inputs(later.spec, rows, rng, members)
+            nc.backward(later, nc.forward(later, x, extras)[1], gys)
+            assert nc._ARENA.floats is arena and arena.size == trunk + head_inputs
 
     def test_leaky_relu_and_derivative_match_where_on_special_values(self):
         """Signed zeros, subnormals, infinities and NaN: a forward pass cannot
@@ -462,8 +474,6 @@ class TestReusedBuffers:
         x_c, extras_c, _ = pass_inputs(net.spec, 3, rng)
 
         _, cache_a = nc.forward(net, x_a, extras_a)
-        nc.forward(net, x_c, extras_c)  # another batch size has its own buffers
-        nc.forward(copy_network(net), x_a, extras_a)  # and so has a copy
         grads = nc.backward(net, cache_a, gys_a)
         _, ref_cache = reference_forward(net, x_a, extras_a)
         for g, ref in zip(grads, reference_backward(net, ref_cache, [g[0] for g in gys_a])):
@@ -473,12 +483,19 @@ class TestReusedBuffers:
         with pytest.raises(RuntimeError, match="stale"):
             nc.min_kink_distance(cache_a)
 
-        _, cache_a = nc.forward(net, x_a, extras_a)
-        nc.forward(net, x_b, extras_b)
-        with pytest.raises(RuntimeError, match="stale"):
-            nc.backward(net, cache_a, gys_a)
-        with pytest.raises(RuntimeError, match="stale"):
-            nc.min_kink_distance(cache_a)
+        # every pass shares the one arena: a pass of the same batch size, of
+        # another batch size, or of another network makes the cache stale
+        for other, x, extras in (
+            (net, x_b, extras_b),
+            (net, x_c, extras_c),
+            (copy_network(net), x_a, extras_a),
+        ):
+            _, cache_a = nc.forward(net, x_a, extras_a)
+            nc.forward(other, x, extras)
+            with pytest.raises(RuntimeError, match="stale"):
+                nc.backward(net, cache_a, gys_a)
+            with pytest.raises(RuntimeError, match="stale"):
+                nc.min_kink_distance(cache_a)
 
     def test_results_do_not_alias_buffers(self):
         rng = np.random.default_rng(33)
