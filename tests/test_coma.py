@@ -904,6 +904,62 @@ def test_unresolved_budget_trains_as_the_resolved_one_bit_for_bit():
     assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
 
 
+@pytest.mark.parametrize("kind", ["none", "mcm", "icm_min", "mcm_sep"])
+def test_states_trained_in_turn_equal_states_trained_alone(kind, tmp_path, monkeypatch):
+    """Every network's passes take their work arrays from one process-wide
+    arena, and no run sees another's: two states of different seeds,
+    trained round by round in turn, each equal that state trained alone,
+    bit for bit. A run made after the gradient audits have grown the arena
+    writes the CSV bytes of the same run made before them on a fresh one."""
+    monkeypatch.setattr(nc, "_ARENA", nc._Arena())
+    # small enough that the audit of nc.gradient_suite grows the arena
+    small = run_config(2, kind, 70, episodes_per_update=4, total_episodes=12, hidden_dims=(8, 8))
+    harness.run_experiment(small, str(tmp_path / "before"))
+    held = nc._ARENA.floats.size
+    nc.gradient_suite()
+    assert nc._ARENA.floats.size > held
+    harness.run_experiment(small, str(tmp_path / "after"))
+    name = harness.run_id(small) + ".csv"
+    csvs = [(tmp_path / run / name).read_bytes() for run in ("before", "after")]
+    assert csvs[0] == csvs[1]
+
+    runs = [run_config(2, kind, seed, episodes_per_update=4, total_episodes=12) for seed in (70, 71)]
+    alone = []
+    for run in runs:
+        state = coma.init_state(run)
+        alone.append(([coma.train_round(state) for _ in range(3)], trained_state(state)))
+    states = [coma.init_state(run) for run in runs]
+    stats = [[], []]
+    for _ in range(3):
+        for k, state in enumerate(states):
+            stats[k].append(coma.train_round(state))
+    for k, state in enumerate(states):
+        (ref_stats, (ref_arrays, ref_counts)), (arrays, counts) = alone[k], trained_state(state)
+        assert stats[k] == ref_stats
+        assert counts == ref_counts
+        assert len(arrays) == len(ref_arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
+
+
+def test_work_arena_holds_the_largest_pass_of_a_round(monkeypatch):
+    """After one round of a 4-agent `none` state, the arena holds exactly
+    the critic's pass: 8 episodes x 4 agents x 50 steps of rows, times an
+    activation per 64-wide layer and a 64-wide scratch. Later rounds, and
+    the rounds of a second state, reuse that one array."""
+    monkeypatch.setattr(nc, "_ARENA", nc._Arena())
+    state, cfg = fresh_setup(4, "none", 3)
+    assert (cfg.episodes_per_update, state.env.config.episode_length) == (8, 50)
+    assert cfg.hidden_dims == (64, 64)
+    coma.train_round(state)
+    arena = nc._ARENA.floats
+    assert arena.size == (8 * 4 * 50) * (64 + 64 + 64)
+    second, _ = fresh_setup(4, "none", 4)
+    for _ in range(4):
+        coma.train_round(state)
+        coma.train_round(second)
+        assert nc._ARENA.floats is arena
+
+
 def test_train_round_stats_and_determinism():
     results = []
     for _ in range(2):
