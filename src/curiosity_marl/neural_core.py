@@ -220,19 +220,18 @@ def _buffers_for(spec: NetworkSpec, members: int, batch: int) -> _Buffers:
     the arena first grows to fit them, if it must."""
     layout = (spec.hidden_dims, spec.head_extra_input_dims, members, batch)
     if layout != _ARENA.layout:
-        n = len(spec.hidden_dims)
+        n, extras = len(spec.hidden_dims), spec.head_extra_input_dims
         widths = [*spec.hidden_dims, max(spec.hidden_dims)]
-        widths += [spec.hidden_dims[-1] + extra for extra in spec.head_extra_input_dims if extra]
+        widths += [spec.hidden_dims[-1] + extra if extra else 0 for extra in extras]
         ends = np.cumsum([members * batch * w for w in widths]).tolist()
         if _ARENA.floats.size < ends[-1]:
             _ARENA.floats = np.empty(ends[-1])
-        views = [  # the scratch, view n, stays flat
-            _ARENA.floats[lo:hi] if i == n else _ARENA.floats[lo:hi].reshape(members, batch, w)
-            for i, (lo, hi, w) in enumerate(zip([0, *ends], ends, widths))
+        views = [
+            _ARENA.floats[lo:hi].reshape(members, batch, w)
+            for lo, hi, w in zip([0, *ends], ends, widths)
         ]
-        heads = iter(views[n + 1 :])
-        head_in = [next(heads) if extra else None for extra in spec.head_extra_input_dims]
-        _ARENA.layout, _ARENA.views = layout, _Buffers(views[:n], views[n], head_in)
+        head_in = [view if extra else None for view, extra in zip(views[n + 1 :], extras)]
+        _ARENA.layout, _ARENA.views = layout, _Buffers(views[:n], views[n].reshape(-1), head_in)
     return _ARENA.views
 
 
