@@ -379,8 +379,8 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     gradient. A caller that has run nc.forward(net, x) may pass its result
     as forwarded instead of having it run again. The loss is each copy's,
     (K,) on a probe network of K copies of the one-member critic and (1,) on
-    the critic itself. grads_fn() must run before the next forward of this
-    batch size."""
+    the critic itself. grads_fn() must run before the next forward of any
+    network."""
     b = len(taken)
     rows = np.arange(b)
 
@@ -476,7 +476,7 @@ def actor_loss_closure(
     sum of the agents' losses, one per copy: (1,) on the stack itself, (K,)
     on a probe network of K copies of it. actor_update trains on it and
     actor_gradient_suite audits it. grads_fn() must run before the next
-    forward of this batch size."""
+    forward of any network."""
     obs = np.asarray(obs, float)
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)

@@ -160,8 +160,8 @@ def module_loss_closure(
     head's target broadcasts against its (M, B, out) predictions. losses is
     (M,); errors[k] is (M, B), every row's squared error on head k, from
     which intrinsic rewards are made; grads_fn() returns the gradients of
-    the losses' sum, and must run before the next forward of this batch
-    size. On a probe network of K copies of a stack of M members with
+    the losses' sum, and must run before the next forward of any
+    network. On a probe network of K copies of a stack of M members with
     (M, B, in) inputs, the (M, B, ...) inputs, extras and targets are tiled
     per copy, and losses is (K * M,), copy after copy."""
     b = inputs.shape[-2]

@@ -621,7 +621,7 @@ def squared_error_loss_closure(
     of each member of a network, on a trunk input (B, in) shared by them,
     with (B, out) targets: (K,) losses for K members, (1,) for a one-member
     network and one per copy for its probe network. grads_fn() must run
-    before the next forward of this batch size."""
+    before the next forward of any network."""
 
     def loss_and_grads(net: Network):
         outputs, cache = forward(net, trunk_input, head_extra_inputs)
