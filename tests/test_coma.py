@@ -172,10 +172,12 @@ def test_policy_probs_rejects_nonfinite_logits():
         coma.policy_probs(net, np.ones((1, 4)), 0.02)
 
 
-def test_select_actions_matches_probabilities():
+def test_select_actions_matches_probabilities(monkeypatch):
     """Empirical frequencies over 1e5 draws agree with the distribution to
     3.5 sigma. The draws run in ten calls of 1e4 rows, so that the trunk's
-    work arrays stay small."""
+    work arrays stay small, and on a work arena of their own, so that the
+    rest of the session does not keep its 31 MB."""
+    monkeypatch.setattr(nc, "_ARENA", nc._Arena())
     rng = np.random.default_rng(3)
     policies = coma.make_policy_set(2, 8, rng, coma.TrainConfig())
     obs = np.stack([rng.standard_normal(8), rng.standard_normal(8)])
