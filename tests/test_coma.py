@@ -176,7 +176,7 @@ def test_select_actions_matches_probabilities(monkeypatch):
     """Empirical frequencies over 1e5 draws agree with the distribution to
     3.5 sigma. The draws run in ten calls of 1e4 rows, so that the trunk's
     work arrays stay small, and on a work arena of their own, so that the
-    rest of the session does not keep its 31 MB."""
+    rest of the test run does not keep its 31 MB."""
     monkeypatch.setattr(nc, "_ARENA", nc._Arena())
     rng = np.random.default_rng(3)
     policies = coma.make_policy_set(2, 8, rng, coma.TrainConfig())
