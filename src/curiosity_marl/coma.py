@@ -377,27 +377,26 @@ def critic_loss_closure(x: np.ndarray, taken: np.ndarray, targets: np.ndarray):
     """(loss, grads_fn) closure for the critic's regression: the mean over
     rows of (Q(x)[taken] - target)^2. Only the taken action's output gets a
     gradient. A caller that has run nc.forward(net, x) may pass its result
-    as forwarded instead of having it run again. The loss is each copy's,
-    (K,) on a probe network of K copies of the one-member critic and (1,) on
-    the critic itself. grads_fn() must run before the next forward of any
-    network."""
+    as forwarded instead of having it run again. The loss is a scalar on
+    the one-member critic and (K,) on its probe. grads_fn() must run before
+    the next forward of any network."""
     b = len(taken)
     rows = np.arange(b)
 
     def loss_and_grads(net: nc.Network, forwarded=None):
         (q,), cache = nc.forward(net, x) if forwarded is None else forwarded
-        # (K, B), one contiguous row per copy
-        diff = np.ascontiguousarray(q[:, rows, taken] - targets)
+        # the member's (B,), or (K, B) on a probe, one contiguous row per copy
+        diff = np.ascontiguousarray(q[..., 0, rows, taken] - targets)
 
         def grads_fn():
             out_grad = np.zeros_like(q)
-            out_grad[:, rows, taken] = 2.0 * diff / b
+            out_grad[..., 0, rows, taken] = 2.0 * diff / b
             return nc.backward(net, cache, [out_grad])
 
         # diff @ diff per copy: a stacked (1, B) @ (B, 1) product over
         # contiguous rows takes the dot product diff @ diff takes for one
         # copy, bit for bit; a strided row may sum in another order
-        return np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0] / b, grads_fn
+        return np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0] / b, grads_fn
 
     return loss_and_grads
 
@@ -414,7 +413,7 @@ def critic_update(critic: nc.Learner, buf: RolloutBuffer, cfg: TrainConfig) -> f
         nc.adam_step(critic, grads_fn())
         losses.append(loss)
         forwarded = None
-    return float(losses[0][0])
+    return float(losses[0])
 
 
 def critic_gradient_suite(n_critics: int = 20, seed: int = 0) -> tuple[float, float]:
@@ -443,14 +442,15 @@ def actor_loss_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean policy-gradient surrogate -A*log(pi[u]) - beta*H(pi) over a batch
     of B steps for one agent, and its gradient w.r.t. the network logits;
-    probs are (..., B, 5), actions and advantages (..., B). The loss is one
-    batch mean per leading index, (...,): a scalar for one agent.
+    probs are (..., B, 5), and actions and advantages broadcast against
+    their (..., B) leading shape from the end. The loss is one batch mean
+    per leading index, (...,): a scalar for one agent.
 
     probs are the floor-mixed distributions actually sampled from; the floor
     scales the softmax jacobian by (1 - 5*eps).
     """
     b = probs.shape[-2]
-    taken = (*np.indices(actions.shape, sparse=True), actions)
+    taken = (..., *np.indices(actions.shape, sparse=True), actions)
     log_pi = np.log(probs)
     entropy = -np.sum(probs * log_pi, axis=-1)
     loss = np.mean(-advantages * log_pi[taken] - entropy_coeff * entropy, axis=-1)
@@ -473,22 +473,18 @@ def actor_loss_closure(
 ):
     """(loss, grads_fn) closure over a frozen step batch of a stack of N
     policies: obs (N, B, d), actions and advantages (N, B). The loss is the
-    sum of the agents' losses, one per copy: (1,) on the stack itself, (K,)
-    on a probe network of K copies of it. actor_update trains on it and
-    actor_gradient_suite audits it. grads_fn() must run before the next
-    forward of any network."""
+    sum of the agents' losses: a scalar on the stack, (K,) on its probe.
+    actor_update trains on it and actor_gradient_suite audits it. grads_fn()
+    must run before the next forward of any network."""
     obs = np.asarray(obs, float)
     actions = np.asarray(actions, int)
     advantages = np.asarray(advantages, float)
 
     def loss_and_grads(net: nc.Network):
-        copies = nc.copies_of(net, len(obs))
-        # every copy's (N, B) rows, copy after copy
-        x, u, adv = (nc.tile_copies(a, copies) for a in (obs, actions, advantages))
-        outputs, cache = nc.forward(net, x)
+        outputs, cache = nc.forward(net, obs)
         probs = floor_mix(outputs[0], epsilon)
-        loss, dl_dz = actor_loss_grads(probs, u, adv, epsilon, entropy_coeff)
-        return nc.sum_per_copy(loss, copies), lambda: nc.backward(net, cache, [dl_dz])
+        loss, dl_dz = actor_loss_grads(probs, actions, advantages, epsilon, entropy_coeff)
+        return np.sum(loss, axis=-1), lambda: nc.backward(net, cache, [dl_dz])
 
     return loss_and_grads
 
@@ -547,7 +543,7 @@ def actor_update(
     )
     loss, grads_fn = closure(policies.network)
     nc.adam_step(policies, grads_fn())
-    return float(loss[0])
+    return float(loss)
 
 
 def train_round(state: TrainState) -> RoundStats:

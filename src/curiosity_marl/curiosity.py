@@ -160,26 +160,18 @@ def module_loss_closure(
     head's target broadcasts against its (M, B, out) predictions. losses is
     (M,); errors[k] is (M, B), every row's squared error on head k, from
     which intrinsic rewards are made; grads_fn() returns the gradients of
-    the losses' sum, and must run before the next forward of any
-    network. On a probe network of K copies of a stack of M members with
-    (M, B, in) inputs, the (M, B, ...) inputs, extras and targets are tiled
-    per copy, and losses is (K * M,), copy after copy."""
+    the losses' sum, and must run before the next forward of any network.
+    On a probe of K copies both gain the leading copy axis: (K, M) and
+    (K, M, B)."""
     b = inputs.shape[-2]
 
     def loss_and_grads(module: nc.Network):
-        x, ex, ts = inputs, extras, targets
-        if inputs.ndim == 3:  # every copy's (M, B) rows, copy after copy
-            copies = nc.copies_of(module, len(inputs))
-            x = nc.tile_copies(inputs, copies)
-            if extras is not None:
-                ex = [None if e is None else nc.tile_copies(e, copies) for e in extras]
-            ts = [t if t.ndim < 3 else nc.tile_copies(t, copies) for t in targets]
-        outputs, cache = nc.forward(module, x, ex)
-        diffs = [out - target for out, target in zip(outputs, ts)]
+        outputs, cache = nc.forward(module, inputs, extras)
+        diffs = [out - target for out, target in zip(outputs, targets)]
         squares = [diff * diff for diff in diffs]
         losses = 0.0
         for sq in squares:
-            losses = losses + np.sum(sq, axis=(1, 2))
+            losses = losses + np.sum(sq, axis=(-2, -1))
         errors = [np.sum(sq, axis=-1) for sq in squares]
         if module.spec.n_heads == 2:
             # d(mean loss)/d(out): the 1/2 cancels the 2 of the squared norm
@@ -231,10 +223,9 @@ def curiosity_update(
 def curiosity_gradient_suite(n_modules: int = 20, seed: int = 0) -> tuple[float, float]:
     """Finite-difference audit of the forward-model losses on random small
     stacks of 1-3 modules and frozen batches, alternating one- and
-    two-headed shapes; the audited loss is the sum of the members' losses,
-    one per copy: (1,) on the stack, (K,) on a probe network. Returns (max
-    relative error, relative error of the sign-flip mutant from the first
-    stack)."""
+    two-headed shapes; the audited loss is the sum of the members' losses:
+    a scalar on the stack, (K,) on its probe. Returns (max relative error,
+    relative error of the sign-flip mutant from the first stack)."""
     return nc.audit(_module_case, n_modules, seed)
 
 
@@ -258,7 +249,7 @@ def _module_case(rng: np.random.Generator, i: int):
 
     def closure(net: nc.Network):
         losses, _, grads_fn = member_closure(net)
-        return nc.sum_per_copy(losses, nc.copies_of(net, members)), grads_fn
+        return np.sum(losses, axis=-1), grads_fn
 
     return module, closure
 

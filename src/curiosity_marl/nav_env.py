@@ -43,13 +43,18 @@ class EpisodeExhaustedError(RuntimeError):
 
 def check_types(section) -> None:
     """Reject a config section's first value that its field's declared type
-    does not allow, named by its config-file key: a non-finite float, or an
-    int or tuple[int, ...] item that is a bool or no int or numpy integer.
-    It runs before the section's range checks, which a NaN or 5.5 can pass."""
+    does not allow, named by its config-file key: a float that is a bool or
+    no int, float or numpy integer or floating, or is not finite; an int or
+    tuple[int, ...] item that is a bool or no int or numpy integer. It runs
+    before the section's range checks, which a NaN, 5.5 or True can pass."""
     for f in fields(section):
         value, key = getattr(section, f.name), section.KEYS.get(f.name, f.name)
-        if f.type == "float" and not np.isfinite(value):
-            raise ConfigurationError(f"{key}: must be finite")
+        if f.type == "float":
+            number = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not number:
+                raise ConfigurationError(f"{key}: must be a number")
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{key}: must be finite")
         items = {"int": [value], "tuple[int, ...]": value}.get(f.type, ())
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in items):
             raise ConfigurationError(f"{key}: must be an integer")

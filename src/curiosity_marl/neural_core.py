@@ -11,7 +11,7 @@ Agents that own one network each (the policies, the per-agent curiosity
 modules) are one stack, trained by one forward, backward and Adam step; the
 critic is a stack of one. A trunk input of shape (M, B, in) gives each member
 its own rows, and a (B, in) matrix is shared by all; outputs, and the output
-gradients backward takes, are always (M, B, out). Each member's arithmetic is
+gradients backward takes, are (M, B, out). Each member's arithmetic is
 a one-member network's, bit for bit: stacked products run one 2-D BLAS call
 per member, and batch reductions keep the one-member axis and layout. Each
 parameter is one C-contiguous array, updated only in place; a forward
@@ -31,11 +31,13 @@ the flat index of all parameters, in parameters() order and across tensor
 boundaries, and every chunk but the last has the one length that keeps a
 probe's parameter floats within PROBE_FLOATS: a network of P floats (every
 member counted) with 2 * P * P within it (P up to 724, every network of the
-network and actor suites) is audited in one probe forward. A loss closure
-therefore takes a network of K times the members its data describe and
-returns one loss per copy, (K,), each bit for bit the loss it returns for
-that copy alone; the trained path is the K = 1 case and gets a (1,) array.
-copies_of, tile_copies and sum_per_copy are the closures' helpers for this.
+network and actor suites) is audited in one probe forward. A probe is the
+audited network with a leading copy axis: each tensor is (K, M, ...), and
+every pass indexes members, rows and features from the end, so the
+closure's per-member or shared rows, extra inputs and targets broadcast
+over the copies as they stand. A loss closure reduces only its own axes:
+where it returns a scalar on the network, it returns (K,) on a probe, each
+bit for bit the loss of that copy alone.
 
 Every pass takes its trunk work arrays from one process-wide arena: a flat
 array grown to the largest pass so far, of which a pass of M members over
@@ -54,6 +56,7 @@ forked worker inherits the arena copy-on-write.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +139,7 @@ class Network:
 
     @property
     def members(self) -> int:
-        return self.trunk_w[0].shape[0]
+        return self.trunk_w[0].shape[-3]
 
     def parameters(self) -> list[np.ndarray]:
         """Canonical flat parameter list (views, not copies)."""
@@ -151,7 +154,7 @@ class Network:
         """Member m as a one-member network whose parameters are views of
         this stack's."""
         m = range(self.members)[m]
-        return _from_parameters(self.spec, [p[m : m + 1] for p in self.parameters()])
+        return _from_parameters(self.spec, [p[..., m : m + 1, :, :] for p in self.parameters()])
 
 
 def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
@@ -165,7 +168,7 @@ def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
 class ForwardCache:
     net: Network  # the stack that ran the pass
     rows: np.ndarray  # trunk input as (M, B, in), or (B, in) shared by every member
-    head_inputs: list[np.ndarray]  # (M, B, trunk_out + extra) per head, views of buffers
+    head_inputs: list[np.ndarray]  # (..., M, B, trunk_out + extra) per head, views of buffers
     buffers: _Buffers  # the arena's views for this pass
     generation: int  # the arena's generation when this forward filled them
 
@@ -215,19 +218,20 @@ def init_learner(spec: NetworkSpec, rng: np.random.Generator, members: int, lr: 
     return Learner(init_network(spec, rng, members), lr)
 
 
-def _buffers_for(spec: NetworkSpec, members: int, batch: int) -> _Buffers:
-    """The arena's views for a pass of `members` members over `batch` rows;
-    the arena first grows to fit them, if it must."""
-    layout = (spec.hidden_dims, spec.head_extra_input_dims, members, batch)
+def _buffers_for(spec: NetworkSpec, lead: tuple[int, ...], batch: int) -> _Buffers:
+    """The arena's views for a pass of a network whose tensors' leading
+    shape is lead, (M,) or a probe's (K, M), over `batch` rows; the arena
+    first grows to fit them, if it must."""
+    layout = (spec.hidden_dims, spec.head_extra_input_dims, lead, batch)
     if layout != _ARENA.layout:
         n, extras = len(spec.hidden_dims), spec.head_extra_input_dims
         widths = [*spec.hidden_dims, max(spec.hidden_dims)]
         widths += [spec.hidden_dims[-1] + extra if extra else 0 for extra in extras]
-        ends = np.cumsum([members * batch * w for w in widths]).tolist()
+        ends = np.cumsum([math.prod(lead) * batch * w for w in widths]).tolist()
         if _ARENA.floats.size < ends[-1]:
             _ARENA.floats = np.empty(ends[-1])
         views = [
-            _ARENA.floats[lo:hi].reshape(members, batch, w)
+            _ARENA.floats[lo:hi].reshape(*lead, batch, w)
             for lo, hi, w in zip([0, *ends], ends, widths)
         ]
         head_in = [view if extra else None for view, extra in zip(views[n + 1 :], extras)]
@@ -262,7 +266,7 @@ def forward(
 ) -> tuple[list[np.ndarray], ForwardCache]:
     """Run the trunk and all heads of every member on (M, B, in) rows per
     member, or a (B, in) matrix shared by every member; each head's output
-    is (M, B, out).
+    is (M, B, out), or (K, M, B, out) for a probe of K copies.
 
     head_extra_inputs[k] is concatenated to the trunk output before head k's
     affine layer and has the trunk input's leading shape; pass None for heads
@@ -281,11 +285,11 @@ def forward(
     if len(head_extra_inputs) != spec.n_heads:
         raise ValueError("one extra input (or None) per head required")
 
-    bufs = _buffers_for(spec, net.members, x.shape[-2])
+    bufs = _buffers_for(spec, net.trunk_w[0].shape[:-2], x.shape[-2])
     _ARENA.generation += 1
     a = x
     for w, b, act in zip(net.trunk_w, net.trunk_b, bufs.a):
-        z = np.matmul(a, w.swapaxes(1, 2), out=_scratch(bufs, act))
+        z = np.matmul(a, w.swapaxes(-1, -2), out=_scratch(bufs, act))
         z += b
         a = _leaky(z, spec.leaky_slope, out=act)
 
@@ -309,7 +313,7 @@ def forward(
             h_in[..., : a.shape[-1]] = a
             h_in[..., a.shape[-1] :] = extra
         head_inputs.append(h_in)
-        out = np.matmul(h_in, w.swapaxes(1, 2))
+        out = np.matmul(h_in, w.swapaxes(-1, -2))
         out += b
         outputs.append(out)
 
@@ -323,13 +327,15 @@ GRAD_BLOCK_ROWS = 128
 
 
 def _weight_grad(d_out: np.ndarray, layer_in: np.ndarray) -> np.ndarray:
-    """Each member's d_out^T @ layer_in, (M, out, in), for d_out (M, B, out)
-    and layer_in (M, B, in) or a (B, in) shared by every member, as the sum
-    of the products over blocks of GRAD_BLOCK_ROWS rows in block order."""
+    """Each member's d_out^T @ layer_in, (..., M, out, in), for d_out
+    (..., M, B, out) and layer_in (M, B, in) or a (B, in) shared by every
+    member, as the sum of the products over blocks of GRAD_BLOCK_ROWS rows
+    in block order."""
     rows = GRAD_BLOCK_ROWS
-    grad = np.matmul(d_out[:, :rows].swapaxes(1, 2), layer_in[..., :rows, :])
-    for lo in range(rows, d_out.shape[1], rows):
-        grad += np.matmul(d_out[:, lo : lo + rows].swapaxes(1, 2), layer_in[..., lo : lo + rows, :])
+    grad = np.matmul(d_out[..., :rows, :].swapaxes(-1, -2), layer_in[..., :rows, :])
+    for lo in range(rows, d_out.shape[-2], rows):
+        block = slice(lo, lo + rows)
+        grad += np.matmul(d_out[..., block, :].swapaxes(-1, -2), layer_in[..., block, :])
     return grad
 
 
@@ -352,7 +358,7 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
         want = (*h_in.shape[:-1], spec.output_dims[k])
         if gy.shape != want:
             raise ValueError(f"head {k} output grad shape {gy.shape} != {want}")
-        head_grads += [_weight_grad(gy, h_in), gy.sum(axis=1, keepdims=True)]
+        head_grads += [_weight_grad(gy, h_in), gy.sum(axis=-2, keepdims=True)]
         gys.append(gy)
     _ARENA.generation += 1  # the work arrays are overwritten below
 
@@ -360,16 +366,16 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
     # activation buffer, once the layer above has read it, takes leaky-ReLU's
     # derivative at that activation and then the layer's d_z.
     last = len(net.trunk_w) - 1
-    d_a = np.matmul(gys[0], net.head_w[0][:, :, :trunk_out_dim], out=_scratch(bufs, bufs.a[last]))
+    d_a = np.matmul(gys[0], net.head_w[0][..., :trunk_out_dim], out=_scratch(bufs, bufs.a[last]))
     for w, gy in zip(net.head_w[1:], gys[1:]):
-        d_a += np.matmul(gy, w[:, :, :trunk_out_dim])
+        d_a += np.matmul(gy, w[..., :trunk_out_dim])
 
     trunk_grads = []
     for layer in range(last, -1, -1):
         factor = _leaky_grad(bufs.a[layer], spec.leaky_slope, out=bufs.a[layer])
         d_z = np.multiply(d_a, factor, out=bufs.a[layer])
         layer_in = cache.rows if layer == 0 else bufs.a[layer - 1]
-        trunk_grads[:0] = [_weight_grad(d_z, layer_in), d_z.sum(axis=1, keepdims=True)]
+        trunk_grads[:0] = [_weight_grad(d_z, layer_in), d_z.sum(axis=-2, keepdims=True)]
         if layer > 0:
             d_a = np.matmul(d_z, net.trunk_w[layer], out=_scratch(bufs, layer_in))
     return trunk_grads + head_grads
@@ -461,8 +467,8 @@ def _central_differences(net: Network, loss_and_grads, elements: np.ndarray) -> 
 
 
 def _probe_network(net: Network, elements: np.ndarray) -> Network:
-    """K = 2 * len(elements) copies of net in one stack, copy k as members
-    k*M to (k+1)*M - 1: copy 2j holds flat element elements[j] of the
+    """K = 2 * len(elements) copies of net on a leading copy axis, each
+    tensor (K, *its shape): copy 2j holds flat element elements[j] of the
     parameters (ascending indices, in parameters() order) plus PROBE_STEP,
     copy 2j + 1 the same element minus PROBE_STEP. Every tensor holds its
     own values for every copy; none is a view of net's."""
@@ -478,33 +484,9 @@ def _probe_network(net: Network, elements: np.ndarray) -> Network:
         orig = p.reshape(-1)[idx]
         flat[2 * j, idx] = orig + PROBE_STEP
         flat[2 * j + 1, idx] = orig - PROBE_STEP
-        probes.append(flat.reshape(copies * p.shape[0], *p.shape[1:]))
+        probes.append(flat.reshape(copies, *p.shape))
         lo, offset = hi, offset + p.size
     return _from_parameters(net.spec, probes)
-
-
-def copies_of(net: Network, members: int) -> int:
-    """How many copies of a `members`-member network net stacks: 1 for such
-    a network itself, K for a probe network of grad_check."""
-    copies, rest = divmod(net.members, members)
-    if rest or not copies:
-        raise ValueError(f"a {net.members}-member network is no stack of {members}-member copies")
-    return copies
-
-
-def tile_copies(a: np.ndarray, copies: int) -> np.ndarray:
-    """Per-member data (M, ...) repeated for every copy, (copies * M, ...),
-    for a network of that many copies of an M-member network: a read-only
-    view of a for one copy."""
-    return np.broadcast_to(a, (copies, *a.shape)).reshape(copies * len(a), *a.shape[1:])
-
-
-def sum_per_copy(a: np.ndarray, copies: int) -> np.ndarray:
-    """Each copy's sum of a's entries, (copies,), over its equal share of
-    a's leading axis. A share is one contiguous run, summed as a whole
-    array's entries are, so each copy's sum is bit for bit the one that copy
-    alone gives."""
-    return np.sum(a.reshape(copies, -1), axis=1)
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
@@ -513,7 +495,7 @@ def min_kink_distance(cache: ForwardCache) -> float:
     Finite differences are only trustworthy when it clearly exceeds PROBE_STEP."""
     cache.check_live()
     layers = zip(cache.net.trunk_w, cache.net.trunk_b, [cache.rows, *cache.buffers.a[:-1]])
-    zs = (np.matmul(x, w.swapaxes(1, 2)) + b for w, b, x in layers)
+    zs = (np.matmul(x, w.swapaxes(-1, -2)) + b for w, b, x in layers)
     return min(float(np.min(np.abs(z))) for z in zs)
 
 
@@ -617,16 +599,15 @@ def squared_error_loss_closure(
     targets: list[np.ndarray],
     head_extra_inputs: list[np.ndarray | None] | None = None,
 ):
-    """(loss, grads_fn) closure for sum over heads of ||output - target||^2
-    of each member of a network, on a trunk input (B, in) shared by them,
-    with (B, out) targets: (K,) losses for K members, (1,) for a one-member
-    network and one per copy for its probe network. grads_fn() must run
-    before the next forward of any network."""
+    """(loss, grads_fn) closure for the sum over heads, members and rows of
+    ||output - target||^2, on a trunk input (B, in) shared by the members,
+    with (B, out) targets: a scalar on a network, (K,) on its probe.
+    grads_fn() must run before the next forward of any network."""
 
     def loss_and_grads(net: Network):
         outputs, cache = forward(net, trunk_input, head_extra_inputs)
         diffs = [out - target for out, target in zip(outputs, targets)]
-        loss = sum(sum_per_copy(diff * diff, net.members) for diff in diffs)
+        loss = sum(np.sum(diff * diff, axis=(-3, -2, -1)) for diff in diffs)
         return loss, lambda: backward(net, cache, [2.0 * diff for diff in diffs])
 
     return loss_and_grads

@@ -569,10 +569,10 @@ def test_stacked_actor_closure_equals_member_closures(n_agents):
             obs[m][None], actions[m][None], advantages[m][None], 0.05, 0.01
         )
         member_loss, member_grads_fn = closure(policies.network.member(m))
-        member_losses.append(float(member_loss[0]))
+        member_losses.append(float(member_loss))
         for g, member_g in zip(grads, member_grads_fn()):
             assert np.array_equal(g[m : m + 1], member_g)
-    assert np.array_equal(loss, [np.sum(member_losses)])
+    assert loss == np.sum(member_losses)
 
 
 def test_actor_update_trains_on_the_audited_closure(monkeypatch):
@@ -618,8 +618,8 @@ def test_critic_loss_closure_matches_hand_formula():
     q = nc.forward(net, x)[0][0][0]
     loss, grads_fn = coma.critic_loss_closure(x, taken, targets)(net)
     hand = sum((q[r, taken[r]] - targets[r]) ** 2 for r in range(4)) / 4
-    assert loss.shape == (1,)
-    assert float(loss[0]) == pytest.approx(hand, rel=1e-12)
+    assert loss.shape == ()
+    assert float(loss) == pytest.approx(hand, rel=1e-12)
     head_b_grad = grads_fn()[-1][0, 0]  # summed output gradient per action
     assert np.all(head_b_grad[[1, 3]] == 0.0)
     assert np.all(head_b_grad[[0, 2, 4]] != 0.0)
@@ -778,7 +778,7 @@ def reference_round(state):
         state.mean_intrinsic[slot] = intrinsic[k].mean()
         state.curiosity_loss[slot] = round_loss
     state.episodes += e
-    return coma.RoundStats(critic_loss=float(critic_losses[0][0]), actor_loss=actor_loss)
+    return coma.RoundStats(critic_loss=float(critic_losses[0]), actor_loss=actor_loss)
 
 
 def trained_state(state):

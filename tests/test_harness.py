@@ -363,6 +363,39 @@ def test_code_built_config_with_a_non_integer_int_setting_writes_nothing(
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "section,field,value,key",
+    [
+        ("train", "gamma", "0.9", "gamma"),
+        ("world", "step_size", None, "step_size"),
+        ("train", "intrinsic_lambda", 1 + 0j, "lambda"),
+        ("train", "actor_lr", True, "actor_lr"),
+        ("world", "c_success", np.bool_(True), "c_success"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_code_built_config_with_a_non_number_float_setting_writes_nothing(
+    section, field, value, key, tmp_path
+):
+    """A float setting holds an int, a float, a numpy integer or a numpy
+    floating, not a bool: validate names the key before any file is
+    written. Unchecked, a string, None or a complex number would die in
+    numpy's finite check with a bare TypeError, and True would train at 1.0."""
+    given = {"world": {}, "train": {"total_episodes": 16}}
+    given[section][field] = value
+    world, train = nav_env.WorldConfig(**given["world"]), coma.TrainConfig(**given["train"])
+    cfg = harness.RunConfig("none", world=world, train=train)
+    with pytest.raises(ConfigurationError, match=f"^{key}: must be a number$"):
+        harness.run_experiment(cfg, str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_numpy_float32_and_int_float_settings_are_accepted():
+    world = nav_env.WorldConfig(half_extent=2, step_size=np.float32(0.25))
+    harness.RunConfig("none", world=world, train=coma.TrainConfig(gamma=np.float32(0.9))).validate()
+    harness.RunConfig("none", train=coma.TrainConfig(actor_lr=1, intrinsic_lambda=0)).validate()
+
+
 def test_numpy_integer_seed_trains(tmp_path):
     cfg = harness.RunConfig("none", seed=np.int64(3), train=coma.TrainConfig(total_episodes=8))
     harness.run_experiment(cfg, str(tmp_path))

@@ -311,13 +311,13 @@ class TestLossClosure:
         loss, _ = nc.squared_error_loss_closure(
             x[None], [t[None] for t in targets], [None, extra[None]]
         )(net)
-        assert loss.shape == (1,)
+        assert loss.shape == ()
         outs, _ = nc.forward(net, x[None], [None, extra[None]])
         manual = 0.0
         for out, target in zip(outs, targets):
             for a, b in zip(out[0, 0], target):
                 manual += (a - b) ** 2
-        assert float(loss[0]) == pytest.approx(manual, rel=1e-12)
+        assert float(loss) == pytest.approx(manual, rel=1e-12)
 
 
 def reference_forward(net, x, extras=None):
@@ -607,6 +607,36 @@ class TestMemberStack:
         with pytest.raises(IndexError):
             net.member(2)
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("two_headed", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_copy_axis_passes_equal_each_copys_own(self, members, two_headed, shared):
+        """Four independently drawn stacks on a leading copy axis: each
+        copy's outputs and gradients are its own passes', bit for bit, with
+        one stack's rows and extra inputs broadcast over the copies. 300
+        rows span three GRAD_BLOCK_ROWS blocks of the weight gradients."""
+        rng = np.random.default_rng(80 + members)
+        spec = small_spec(two_headed)
+        copies = [nc.init_network(spec, rng, members) for _ in range(4)]
+        params = zip(*(net.parameters() for net in copies))
+        stacked = nc._from_parameters(spec, [np.stack(tensors) for tensors in params])
+        assert stacked.members == members
+        x, extras, _ = pass_inputs(spec, 300, rng, members, shared)
+        gys = [rng.standard_normal((4, members, 300, d)) for d in spec.output_dims]
+        outs, cache = nc.forward(stacked, x, extras)
+        kink = nc.min_kink_distance(cache)
+        grads = nc.backward(stacked, cache, gys)
+        kinks = []
+        for k, net in enumerate(copies):
+            copy_outs, copy_cache = nc.forward(net, x, extras)
+            kinks.append(nc.min_kink_distance(copy_cache))
+            copy_grads = nc.backward(net, copy_cache, [gy[k] for gy in gys])
+            for out, copy_out in zip(outs, copy_outs):
+                assert np.array_equal(out[k], copy_out)
+            for g, copy_g in zip(grads, copy_grads):
+                assert np.array_equal(g[k], copy_g)
+        assert kink == min(kinks)
+
     def test_input_shape_errors(self):
         net = nc.init_network(small_spec(two_headed=True), np.random.default_rng(63), members=2)
         rng = np.random.default_rng(64)
@@ -628,9 +658,9 @@ def one_at_a_time(net, closure):
     def central_difference(flat, i):
         orig = flat[i]
         flat[i] = orig + h
-        (loss_plus,), _ = closure(net)
+        loss_plus, _ = closure(net)
         flat[i] = orig - h
-        (loss_minus,), _ = closure(net)
+        loss_minus, _ = closure(net)
         flat[i] = orig
         return (loss_plus - loss_minus) / (2.0 * h)
 
@@ -652,8 +682,8 @@ def one_at_a_time(net, closure):
 
 def record_probes(monkeypatch, net):
     """Patch nc.forward to record, for every forward of a network other
-    than net, (copies of net, indices of the parameters it owns rather than
-    zero-stride views, floats it owns)."""
+    than net, (copies of net on its leading copy axis, indices of the
+    parameters it owns rather than zero-stride views, floats it owns)."""
     probes = []
     forward = nc.forward
 
@@ -661,7 +691,7 @@ def record_probes(monkeypatch, net):
         if probe is not net:
             owned = [j for j, p in enumerate(probe.parameters()) if p.strides[0] != 0]
             floats = sum(probe.parameters()[j].size for j in owned)
-            probes.append((probe.members // net.members, owned, floats))
+            probes.append((len(probe.trunk_w[0]), owned, floats))
         return forward(probe, *args, **kwargs)
 
     monkeypatch.setattr(nc, "forward", recorded)
@@ -682,8 +712,9 @@ def tensors_probed(probes, sizes):
 
 class TestProbeNetworks:
     """grad_check and mutation_control take every central difference from
-    member-stacked probe networks; each must be what moving one element of
-    the audited network gives, bit for bit."""
+    probe networks, copies of the audited network on a leading axis; each
+    must be what moving one element of the audited network gives, bit for
+    bit."""
 
     @pytest.mark.parametrize(
         "make_case, seed",
