@@ -144,7 +144,7 @@ def make_policy_set(
 ) -> nc.Learner:
     """The agents' policies, trained at cfg.actor_lr: member n of the stack
     is agent n's."""
-    return nc.init_learner(_action_spec(obs_dim, cfg), rng, n_agents, cfg.actor_lr)
+    return nc.Learner(nc.init_network(_action_spec(obs_dim, cfg), rng, n_agents), cfg.actor_lr)
 
 
 def critic_input_dim(n_agents: int, obs_dim: int) -> int:
@@ -156,7 +156,7 @@ def make_critic(
 ) -> nc.Learner:
     """The shared critic, a stack of one, trained at cfg.critic_lr."""
     spec = _action_spec(critic_input_dim(n_agents, obs_dim), cfg)
-    return nc.init_learner(spec, rng, 1, cfg.critic_lr)
+    return nc.Learner(nc.init_network(spec, rng), cfg.critic_lr)
 
 
 @dataclass

@@ -100,12 +100,12 @@ def make_bank(
     agents = joint = None
     if heads:
         spec = _agent_spec(heads, n_agents, obs_dim, hidden, slope)
-        agents = nc.init_learner(spec, rng, n_agents, cfg.curiosity_lr)
+        agents = nc.Learner(nc.init_network(spec, rng, n_agents), cfg.curiosity_lr)
     if has_joint:
         spec = nc.NetworkSpec(
             n_agents * (obs_dim + N_ACTIONS), (n_agents * obs_dim,), hidden, slope
         )
-        joint = nc.init_learner(spec, rng, 1, cfg.curiosity_lr)
+        joint = nc.Learner(nc.init_network(spec, rng), cfg.curiosity_lr)
     return CuriosityBank(kind, n_agents, agents, joint)
 
 

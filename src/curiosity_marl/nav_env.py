@@ -44,9 +44,10 @@ class EpisodeExhaustedError(RuntimeError):
 def check_types(section) -> None:
     """Reject a config section's first value that its field's declared type
     does not allow, named by its config-file key: a float that is a bool or
-    no int, float or numpy integer or floating, or is not finite; an int or
-    tuple[int, ...] item that is a bool or no int or numpy integer. It runs
-    before the section's range checks, which a NaN, 5.5 or True can pass."""
+    no int, float or numpy integer or floating, or is not finite; a
+    tuple[int, ...] that is no tuple or list; an int or tuple[int, ...] item
+    that is a bool or no int or numpy integer. It runs before the section's
+    range checks, which a NaN, 5.5 or True can pass."""
     for f in fields(section):
         value, key = getattr(section, f.name), section.KEYS.get(f.name, f.name)
         if f.type == "float":
@@ -55,6 +56,8 @@ def check_types(section) -> None:
                 raise ConfigurationError(f"{key}: must be a number")
             if not np.isfinite(value):
                 raise ConfigurationError(f"{key}: must be finite")
+        if f.type == "tuple[int, ...]" and not isinstance(value, (tuple, list)):
+            raise ConfigurationError(f"{key}: must be a tuple or list of integers")
         items = {"int": [value], "tuple[int, ...]": value}.get(f.type, ())
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in items):
             raise ConfigurationError(f"{key}: must be an integer")

@@ -13,26 +13,26 @@ critic is a stack of one. A trunk input of shape (M, B, in) gives each member
 its own rows, and a (B, in) matrix is shared by all; outputs, and the output
 gradients backward takes, are (M, B, out). Each member's arithmetic is
 a one-member network's, bit for bit: stacked products run one 2-D BLAS call
-per member, and batch reductions keep the one-member axis and layout. Each
-parameter is one C-contiguous array, updated only in place; a forward
-multiplies by each weight's transposed view, built as it runs.
-Parameter order (used by Gradients and Adam): trunk layer 0 weight, trunk
-layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight, ... A
-Learner holds a trained network with its Adam state: the learning rate, the
-step count, and the moments as two flat arrays over every parameter float in
-this order, so an update runs each of its operations once for the whole
-network. Adam's beta1, beta2 and eps are module constants.
+per member, and batch reductions keep the one-member axis and layout.
+Parameter order (used by Gradients, Adam and the audits): trunk layer 0
+weight, trunk layer 0 bias, ..., head 0 weight, head 0 bias, head 1 weight,
+..., each with every member's values. A network stores its P parameter
+floats (every member counted) in this order in one C-contiguous (P,) array,
+flat, of which each parameter is a view; a forward multiplies by each
+weight's transposed view, built as it runs. A Learner holds a trained
+network with its Adam state: the learning rate, the step count, and two
+moments in flat's layout, so an update runs each operation once, in place,
+over flat. Adam's beta1, beta2 and eps are module constants.
 
 Finite-difference audits use the same guarantee. grad_check stacks K copies
 of the audited network into one probe network, copy 2j with one parameter
 element raised by the fixed step PROBE_STEP and copy 2j + 1 with it
 lowered, and runs every probe of a chunk in one forward. Chunks run over
-the flat index of all parameters, in parameters() order and across tensor
-boundaries, and every chunk but the last has the one length that keeps a
-probe's parameter floats within PROBE_FLOATS: a network of P floats (every
-member counted) with 2 * P * P within it (P up to 724, every network of the
-network and actor suites) is audited in one probe forward. A probe is the
-audited network with a leading copy axis: each tensor is (K, M, ...), and
+the index into flat, across tensor boundaries, and every chunk but the
+last has the one length that keeps a probe's parameter floats within
+PROBE_FLOATS: a network with 2 * P * P within it (P up to 724, every
+network of the network and actor suites) is audited in one probe forward.
+A probe's flat is (K, P), a row per copy, so its tensors are (K, M, ...);
 every pass indexes members, rows and features from the end, so the
 closure's per-member or shared rows, extra inputs and targets broadcast
 over the copies as they stand. A loss closure reduces only its own axes:
@@ -97,6 +97,16 @@ class NetworkSpec:
     def n_heads(self) -> int:
         return len(self.output_dims)
 
+    def layers(self) -> list[tuple[int, int]]:
+        """(out, in) of each affine layer: the trunk's, then each head's."""
+        fan_ins = (self.input_dim, *self.hidden_dims[:-1])
+        fan_ins += tuple(self.hidden_dims[-1] + extra for extra in self.head_extra_input_dims)
+        return list(zip((*self.hidden_dims, *self.output_dims), fan_ins))
+
+    def member_floats(self) -> int:
+        """Parameter floats of one member: every layer's weight and bias."""
+        return sum(out * (fan_in + 1) for out, fan_in in self.layers())
+
 
 @dataclass
 class _Buffers:
@@ -125,43 +135,46 @@ _ARENA = _Arena()
 
 @dataclass(frozen=True)
 class Network:
-    """Parameters are tuples of arrays that are only ever updated in place."""
+    """flat holds every parameter float in parameters() order, (P,) or a
+    probe's (K, P); the tensors are views of it, built here."""
 
     spec: NetworkSpec
-    trunk_w: tuple[np.ndarray, ...]  # (M, out, in) per layer
-    trunk_b: tuple[np.ndarray, ...]  # (M, 1, out) per layer
-    head_w: tuple[np.ndarray, ...]
-    head_b: tuple[np.ndarray, ...]
+    flat: np.ndarray
+    members: int = field(init=False, repr=False)
+    trunk_w: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (..., M, out, in) per layer
+    trunk_b: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (..., M, 1, out) per layer
+    head_w: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    head_b: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("trunk_w", "trunk_b", "head_w", "head_b"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        flat, per_member = self.flat, self.spec.member_floats()
+        if not flat.flags.c_contiguous:
+            raise ValueError("a network's flat parameters must be C-contiguous")
+        members, rest = divmod(flat.shape[-1], per_member)
+        if members < 1 or rest:
+            raise ValueError(
+                f"{flat.shape[-1]} floats are no whole number of members of {per_member} floats"
+            )
+        lead = (*flat.shape[:-1], members)
+        shapes = [s for out, fan_in in self.spec.layers() for s in ((out, fan_in), (1, out))]
+        ends = np.cumsum([members * math.prod(s) for s in shapes])[:-1]
+        tensors = [t.reshape(*lead, *s) for t, s in zip(np.split(flat, ends, axis=-1), shapes)]
+        n = 2 * len(self.spec.hidden_dims)
+        trunk, heads = tensors[:n], tensors[n:]
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "trunk_w", tuple(trunk[0::2]))
+        object.__setattr__(self, "trunk_b", tuple(trunk[1::2]))
+        object.__setattr__(self, "head_w", tuple(heads[0::2]))
+        object.__setattr__(self, "head_b", tuple(heads[1::2]))
 
-    @property
-    def members(self) -> int:
-        return self.trunk_w[0].shape[-3]
+    def __reduce__(self):
+        # a copy or unpickled network builds its tensors on its own flat
+        return Network, (self.spec, self.flat)
 
     def parameters(self) -> list[np.ndarray]:
         """Canonical flat parameter list (views, not copies)."""
-        params: list[np.ndarray] = []
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            params.extend((w, b))
-        for w, b in zip(self.head_w, self.head_b):
-            params.extend((w, b))
-        return params
-
-    def member(self, m: int) -> "Network":
-        """Member m as a one-member network whose parameters are views of
-        this stack's."""
-        m = range(self.members)[m]
-        return _from_parameters(self.spec, [p[..., m : m + 1, :, :] for p in self.parameters()])
-
-
-def _from_parameters(spec: NetworkSpec, params: list[np.ndarray]) -> Network:
-    """The network whose parameters() are params, in canonical order."""
-    n_trunk = 2 * len(spec.hidden_dims)
-    trunk, heads = params[:n_trunk], params[n_trunk:]
-    return Network(spec, trunk[0::2], trunk[1::2], heads[0::2], heads[1::2])
+        layers = zip((*self.trunk_w, *self.head_w), (*self.trunk_b, *self.head_b))
+        return [p for layer in layers for p in layer]
 
 
 @dataclass
@@ -184,15 +197,12 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator, members: int = 1) 
     member m equals the m-th of `members` one-member networks drawn in turn."""
     if members < 1:
         raise ValueError("a network needs at least one member")
-    fan_ins = (spec.input_dim, *spec.hidden_dims[:-1])
-    fan_ins += tuple(spec.hidden_dims[-1] + extra for extra in spec.head_extra_input_dims)
-    shapes = list(zip((*spec.hidden_dims, *spec.output_dims), fan_ins))
-    bounds = [1.0 / np.sqrt(fan_in) for fan_in in fan_ins]
-    draws = [[rng.uniform(-b, b, size=s) for b, s in zip(bounds, shapes)] for _ in range(members)]
-    weights = [np.stack(layer) for layer in zip(*draws)]
-    biases = [np.zeros((members, 1, out_dim)) for out_dim, _ in shapes]
-    n_trunk = len(spec.hidden_dims)
-    return Network(spec, weights[:n_trunk], biases[:n_trunk], weights[n_trunk:], biases[n_trunk:])
+    net = Network(spec, np.zeros(members * spec.member_floats()))
+    for m in range(members):
+        for w in (*net.trunk_w, *net.head_w):
+            bound = 1.0 / np.sqrt(w.shape[-1])
+            w[m] = rng.uniform(-bound, bound, size=w.shape[1:])
+    return net
 
 
 @dataclass
@@ -203,19 +213,13 @@ class Learner:
     network: Network
     lr: float
     step_count: int = field(default=0, init=False)
-    # first and second moments of every parameter float, flat in parameters() order
+    # first and second moments of every parameter float, in the network's flat layout
     m: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        size = sum(p.size for p in self.network.parameters())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-
-
-def init_learner(spec: NetworkSpec, rng: np.random.Generator, members: int, lr: float) -> Learner:
-    """init_network's stack of members with a fresh Adam state at rate lr."""
-    return Learner(init_network(spec, rng, members), lr)
+        self.m = np.zeros_like(self.network.flat)
+        self.v = np.zeros_like(self.network.flat)
 
 
 def _buffers_for(spec: NetworkSpec, lead: tuple[int, ...], batch: int) -> _Buffers:
@@ -383,14 +387,11 @@ def backward(net: Network, cache: ForwardCache, head_output_grads: list[np.ndarr
 
 def adam_step(learner: Learner, grads: Gradients) -> None:
     """Standard Adam with bias correction, each operation run once over the
-    flat moments of every parameter float; updates the learner in place. A
+    network's flat and its moments; updates the learner in place. A
     non-finite gradient is rejected before anything changes."""
-    params = learner.network.parameters()
-    if len(grads) != len(params):
-        raise ValueError("gradient list does not match parameter list")
-    for g, p in zip(grads, params):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    shapes = [p.shape for p in learner.network.parameters()]
+    if [g.shape for g in grads] != shapes:
+        raise ValueError(f"gradient shapes {[g.shape for g in grads]} != parameter shapes {shapes}")
     g = np.concatenate([g.ravel() for g in grads])
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient; update rejected")
@@ -403,11 +404,8 @@ def adam_step(learner: Learner, grads: Gradients) -> None:
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
-    step = learner.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    start = 0
-    for p in params:
-        p -= step[start : start + p.size].reshape(p.shape)
-        start += p.size
+    flat = learner.network.flat
+    flat -= learner.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # Largest number of parameter floats a probe network of grad_check or
@@ -426,7 +424,7 @@ def grad_check(net: Network, loss_and_grads) -> float:
     loss_and_grads(net) must deterministically return (loss, grads_fn), where
     grads_fn() runs the backward pass of that forward and returns its
     Gradients. Only the analytic side calls grads_fn. The central differences
-    of every element of every parameter, in flat parameters() order, come
+    of every element of every parameter, in net.flat's order, come
     from probe networks of K copies of net (see the module docstring), one
     per chunk of elements: one in all for a network of up to 724 floats.
     On them loss_and_grads must return one loss per copy; each copy's loss
@@ -447,13 +445,12 @@ def grad_check(net: Network, loss_and_grads) -> float:
 
 def _central_differences(net: Network, loss_and_grads, elements: np.ndarray) -> np.ndarray:
     """(loss(x[i] + h) - loss(x[i] - h)) / 2h for h = PROBE_STEP and each
-    index i in elements, ascending indices into the flat concatenation x of
-    net.parameters(); one closure call per chunk of elements. Every chunk
-    but the last holds the most elements whose probe network, 2 * (elements)
-    * P floats for a net of P parameter floats, fits within PROBE_FLOATS,
-    and at least one."""
+    index i in elements, ascending indices into x = net.flat; one closure
+    call per chunk of elements. Every chunk but the last holds the most
+    elements whose probe network, 2 * (elements) * P floats for a net of P
+    parameter floats, fits within PROBE_FLOATS, and at least one."""
     numeric = np.empty(len(elements))
-    chunk = max(1, PROBE_FLOATS // (2 * sum(p.size for p in net.parameters())))
+    chunk = max(1, PROBE_FLOATS // (2 * net.flat.size))
     for start in range(0, len(elements), chunk):
         idx = elements[start : start + chunk]
         losses = np.asarray(loss_and_grads(_probe_network(net, idx))[0])
@@ -467,26 +464,15 @@ def _central_differences(net: Network, loss_and_grads, elements: np.ndarray) -> 
 
 
 def _probe_network(net: Network, elements: np.ndarray) -> Network:
-    """K = 2 * len(elements) copies of net on a leading copy axis, each
-    tensor (K, *its shape): copy 2j holds flat element elements[j] of the
-    parameters (ascending indices, in parameters() order) plus PROBE_STEP,
-    copy 2j + 1 the same element minus PROBE_STEP. Every tensor holds its
-    own values for every copy; none is a view of net's."""
-    copies = 2 * len(elements)
-    params = net.parameters()
-    ends = np.searchsorted(elements, np.cumsum([p.size for p in params])).tolist()
-    probes = []
-    lo = offset = 0
-    for p, hi in zip(params, ends):
-        flat = np.empty((copies, p.size))
-        flat[...] = p.reshape(1, -1)
-        j, idx = np.arange(lo, hi), elements[lo:hi] - offset
-        orig = p.reshape(-1)[idx]
-        flat[2 * j, idx] = orig + PROBE_STEP
-        flat[2 * j + 1, idx] = orig - PROBE_STEP
-        probes.append(flat.reshape(copies, *p.shape))
-        lo, offset = hi, offset + p.size
-    return _from_parameters(net.spec, probes)
+    """K = 2 * len(elements) copies of net on a leading copy axis, a (K, P)
+    flat: copy 2j holds flat element elements[j] of the parameters plus
+    PROBE_STEP, copy 2j + 1 the same element minus PROBE_STEP. The probe
+    owns its floats; none is a view of net's."""
+    flat = np.tile(net.flat, (2 * len(elements), 1))
+    j, orig = np.arange(len(elements)), net.flat[elements]
+    flat[2 * j, elements] = orig + PROBE_STEP
+    flat[2 * j + 1, elements] = orig - PROBE_STEP
+    return Network(net.spec, flat)
 
 
 def min_kink_distance(cache: ForwardCache) -> float:
@@ -509,7 +495,7 @@ def mutation_control(net: Network, loss_and_grads) -> float:
 
     A working checker must report a large value here (the flip doubles the
     discrepancy); this guards against a checker that silently passes
-    everything. The entry is the first largest in flat parameters() order,
+    everything. The entry is the first largest in net.flat's order,
     and its central difference comes from a two-copy probe network, as
     grad_check's do.
     """

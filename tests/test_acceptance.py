@@ -13,6 +13,7 @@ import pytest
 
 from curiosity_marl import coma, curiosity, harness, nav_env
 from curiosity_marl import neural_core as nc
+from member_copies import member
 
 
 def _verdict(name: str):
@@ -84,7 +85,7 @@ def test_criterion_2_formula_oracles():
                 trunk_in = np.concatenate([joint_obs[n], curiosity.one_hot_action(acts[n])])
                 extra = np.concatenate([o_others, u_others])
                 (own_pred, joint_pred), _ = nc.forward(
-                    banks["mcm"].agents.network.member(n), trunk_in[None], [None, extra[None]]
+                    member(banks["mcm"].agents.network, n), trunk_in[None], [None, extra[None]]
                 )
                 own_errs.append(sq_err(own_pred, nxt[n]))
                 joint_errs.append(sq_err(joint_pred, nxt.ravel()))
@@ -104,7 +105,8 @@ def test_criterion_2_formula_oracles():
                 own_input = np.concatenate([joint_obs[n], curiosity.one_hot_action(acts[n])])
                 errs = []
                 for m in range(n_agents):
-                    pred, _ = nc.forward(banks["icm_min"].agents.network.member(m), own_input[None])
+                    model = member(banks["icm_min"].agents.network, m)
+                    pred, _ = nc.forward(model, own_input[None])
                     errs.append(sq_err(pred[0], nxt[n]))
                 assert abs(r_min[n] - min(errs)) < 1e-12
 

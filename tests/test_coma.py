@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from curiosity_marl import coma, curiosity, harness, nav_env
 from curiosity_marl import neural_core as nc
+from member_copies import member
 
 
 def zero_network(net):
@@ -183,7 +184,7 @@ def test_select_actions_matches_probabilities(monkeypatch):
     obs = np.stack([rng.standard_normal(8), rng.standard_normal(8)])
     eps = 0.05
     expected = np.stack(
-        [coma.policy_probs(policies.network.member(i), obs[i][None], eps)[0, 0] for i in range(2)]
+        [coma.policy_probs(member(policies.network, i), obs[i][None], eps)[0, 0] for i in range(2)]
     )
     n_draws, chunk = 100_000, 10_000
     u = rng.random((n_draws, 2))
@@ -228,7 +229,7 @@ def test_lockstep_select_actions_match_per_row_oracle(n_agents):
     for row in range(16):
         for i in range(n_agents):
             expected = coma.policy_probs(
-                policies.network.member(i), obs[row, i][None], 0.05
+                member(policies.network, i), obs[row, i][None], 0.05
             )[0, 0]
             np.testing.assert_allclose(probs[row, i], expected, rtol=0, atol=1e-12)
             assert acts[row, i] == sample_one(expected, uniforms[row, i])
@@ -254,7 +255,7 @@ def test_lockstep_rollout_matches_sequential_episodes(n_agents, reward_mode):
         for t in range(t_max):
             acts = [
                 sample_one(coma.policy_probs(net, obs[i][None], eps)[0, 0], action_rng.random())
-                for i, net in enumerate(map(policies.network.member, range(n_agents)))
+                for i, net in enumerate(member(policies.network, n) for n in range(n_agents))
             ]
             result = env.step(acts)
             obs = result.next_joint_obs
@@ -568,7 +569,7 @@ def test_stacked_actor_closure_equals_member_closures(n_agents):
         closure = coma.actor_loss_closure(
             obs[m][None], actions[m][None], advantages[m][None], 0.05, 0.01
         )
-        member_loss, member_grads_fn = closure(policies.network.member(m))
+        member_loss, member_grads_fn = closure(member(policies.network, m))
         member_losses.append(float(member_loss))
         for g, member_g in zip(grads, member_grads_fn()):
             assert np.array_equal(g[m : m + 1], member_g)
@@ -971,7 +972,7 @@ def test_train_round_stats_and_determinism():
             stats = coma.train_round(state)
         results.append(
             (
-                [w.copy() for w in state.policies.network.member(0).parameters()],
+                [w.copy() for w in member(state.policies.network, 0).parameters()],
                 state.extrinsic.tolist(),
                 stats.critic_loss,
             )
@@ -1015,7 +1016,7 @@ def test_policies_stay_valid_distributions_after_training():
     obs = state.env.reset(state.env_rng)
     eps = coma.epsilon_at(state)
     for i in range(2):
-        p = coma.policy_probs(state.policies.network.member(i), obs[i][None], eps)
+        p = coma.policy_probs(member(state.policies.network, i), obs[i][None], eps)
         assert np.all(p >= eps - 1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -1029,7 +1030,7 @@ def test_mixing_weight_zero_leaves_policy_trajectory_unchanged():
         critic_losses = []
         while state.episodes < 48:
             critic_losses.append(coma.train_round(state).critic_loss)
-        params = [p.copy() for p in state.policies.network.member(0).parameters()]
+        params = [p.copy() for p in member(state.policies.network, 0).parameters()]
         trajectories.append(
             (state.extrinsic.tolist(), state.normalized.tolist(), critic_losses, params)
         )

@@ -13,6 +13,7 @@ from curiosity_marl import curiosity as cur
 from curiosity_marl import neural_core as nc
 from curiosity_marl.curiosity import CuriosityKind
 from curiosity_marl.nav_env import N_ACTIONS
+from member_copies import member
 
 HIDDEN = (8, 8)
 
@@ -37,9 +38,9 @@ def bank_of(kind, seed, n_agents=2, obs_dim=4, lr=1e-3):
 
 def modules(bank):
     """Every module of the bank as a one-member network, in roster order:
-    member slices of the per-agent stack by agent, then the joint module."""
+    copies of the per-agent stack's members by agent, then the joint module."""
     stack = bank.agents
-    agents = [] if stack is None else [stack.network.member(a) for a in range(bank.n_agents)]
+    agents = [] if stack is None else [member(stack.network, a) for a in range(bank.n_agents)]
     return agents + ([] if bank.joint is None else [bank.joint.network])
 
 
@@ -71,7 +72,7 @@ def two_headed_oracle(bank, obs, actions, next_obs, agent):
     trunk_in = np.concatenate([o_n, u_n])
     extra = np.concatenate([o_others, u_others])
     pred_own, pred_joint = nc.forward(
-        bank.agents.network.member(agent), trunk_in[None], [None, extra[None]]
+        member(bank.agents.network, agent), trunk_in[None], [None, extra[None]]
     )[0]
     own_err = scalar_sq_err(pred_own, next_obs[agent])
     joint_err = scalar_sq_err(pred_joint, next_obs.ravel())
@@ -99,14 +100,14 @@ def per_row_oracle(bank, obs, actions, next_obs):
         }[kind]
         return np.array([pick(own, joint) for own, joint in errs])
     if kind is CuriosityKind.ICM_INDIV:
-        return np.array([indiv_err(bank.agents.network.member(a), a) for a in range(n)])
+        return np.array([indiv_err(member(bank.agents.network, a), a) for a in range(n)])
     if kind is CuriosityKind.ICM_MIN:
         return np.array([min(indiv_err(m, a) for m in modules(bank)) for a in range(n)])
     joint_pred = nc.forward(bank.joint.network, joint_oracle_input(obs, actions))[0][0]
     joint_err = scalar_sq_err(joint_pred, next_obs.ravel())
     if kind is CuriosityKind.ICM_JOINT:
         return np.full(n, joint_err)
-    return np.array([indiv_err(bank.agents.network.member(a), a) + joint_err for a in range(n)])
+    return np.array([indiv_err(member(bank.agents.network, a), a) + joint_err for a in range(n)])
 
 
 class TestRoster:
@@ -179,7 +180,7 @@ class TestIntrinsicOracles:
         for reward, (obs, actions, next_obs) in zip(rewards, rows(batch)):
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
-                pred = nc.forward(bank.agents.network.member(agent), x)[0][0]
+                pred = nc.forward(member(bank.agents.network, agent), x)[0][0]
                 assert reward[agent] == pytest.approx(
                     scalar_sq_err(pred, next_obs[agent]), abs=1e-12
                 )
@@ -223,7 +224,7 @@ class TestIntrinsicOracles:
             for agent in range(2):
                 x = indiv_oracle_input(obs, actions, agent)
                 own_err = scalar_sq_err(
-                    nc.forward(bank.agents.network.member(agent), x)[0][0], next_obs[agent]
+                    nc.forward(member(bank.agents.network, agent), x)[0][0], next_obs[agent]
                 )
                 assert reward[agent] == pytest.approx(own_err + joint_err, abs=1e-12)
 

@@ -363,6 +363,19 @@ def test_code_built_config_with_a_non_integer_int_setting_writes_nothing(
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("value", [5, None, 5.0])
+def test_code_built_config_with_a_non_sequence_tuple_setting_writes_nothing(value, tmp_path):
+    """A tuple[int, ...] setting holds a tuple or a list: validate names the
+    key before any file is written. Unchecked, an int, None or a float would
+    die on iteration with a bare TypeError."""
+    train = coma.TrainConfig(total_episodes=16, hidden_dims=value)
+    message = "^hidden_dims: must be a tuple or list of integers$"
+    with pytest.raises(ConfigurationError, match=message):
+        harness.run_experiment(harness.RunConfig("none", train=train), str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+    harness.RunConfig("none", train=coma.TrainConfig(hidden_dims=[7, 5])).validate()
+
+
 @pytest.mark.parametrize(
     "section,field,value,key",
     [

@@ -1,7 +1,9 @@
 """Network library tests: shapes, init bounds, exact gradients, Adam, reused
 buffers, member stacks."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from curiosity_marl import coma
 from curiosity_marl import curiosity as cur
 from curiosity_marl import neural_core as nc
+from member_copies import member
 
 
 def full_size_case():
@@ -29,7 +32,7 @@ def full_size_case():
 
 def copy_network(net):
     """net with every parameter copied: it shares no array with net."""
-    return nc._from_parameters(net.spec, [p.copy() for p in net.parameters()])
+    return nc.Network(net.spec, net.flat.copy())
 
 
 def small_spec(two_headed=False):
@@ -549,7 +552,7 @@ class TestMemberStack:
         rng = np.random.default_rng(50 + members + batch)
         net = nc.init_network(small_spec(two_headed), rng, members)
         learner = nc.Learner(net, lr=0.01)
-        singles = [copy_network(net.member(m)) for m in range(members)]
+        singles = [member(net, m) for m in range(members)]
         single_learners = [nc.Learner(single, lr=0.01) for single in singles]
         for _ in range(2):  # the second step runs on updated parameters and moments
             x, extras, gys = pass_inputs(net.spec, batch, rng, members, shared)
@@ -572,7 +575,7 @@ class TestMemberStack:
             assert kink == min(ref_kinks) > 0.0
             nc.adam_step(learner, grads)
             for m, single in enumerate(singles):
-                for p, ref in zip(net.member(m).parameters(), single.parameters()):
+                for p, ref in zip(member(net, m).parameters(), single.parameters()):
                     assert np.array_equal(p, ref)
 
     def test_members_draw_in_turn_and_stay_contiguous(self):
@@ -581,7 +584,7 @@ class TestMemberStack:
         rng = np.random.default_rng(61)
         for m in range(3):
             alone = nc.init_network(spec, rng)
-            for p, ref in zip(net.member(m).parameters(), alone.parameters()):
+            for p, ref in zip(member(net, m).parameters(), alone.parameters()):
                 assert np.array_equal(p, ref)
         for p in net.parameters():
             assert p.flags.c_contiguous and p.shape[0] == 3
@@ -600,12 +603,51 @@ class TestMemberStack:
         net.head_b[0][...] = 1.5
         assert np.all(nc.forward(net, x)[0][0] == 1.5)
 
-    def test_member_slice_is_a_view(self):
-        net = nc.init_network(small_spec(), np.random.default_rng(62), members=2)
-        net.member(1).head_b[0][...] = 7.0
-        assert np.all(net.head_b[0][1] == 7.0) and np.all(net.head_b[0][0] == 0.0)
-        with pytest.raises(IndexError):
-            net.member(2)
+    def test_network_on_a_stack_row_is_a_view(self):
+        """A network built on row s of a stack's (S, P) flat has parameters
+        that are views of the stack's, and a write through it reaches the
+        stack's forward, for row s only."""
+        spec, rng = small_spec(), np.random.default_rng(62)
+        stack = nc.Network(spec, np.stack([nc.init_network(spec, rng, 2).flat for _ in range(3)]))
+        row = nc.Network(spec, stack.flat[1])
+        assert row.members == 2
+        for p, stacked in zip(row.parameters(), stack.parameters()):
+            assert np.shares_memory(p, stack.flat) and np.array_equal(p, stacked[1])
+        row.head_w[0][...] = 0.0
+        row.head_b[0][...] = 7.0
+        (outs,), _ = nc.forward(stack, np.ones((4, 3)))
+        assert np.all(outs[1] == 7.0) and not np.any(outs[[0, 2]] == 7.0)
+
+    def test_rejects_a_flat_of_no_contiguous_whole_members(self):
+        spec = small_spec()
+        flat = nc.init_network(spec, np.random.default_rng(66), members=2).flat
+        for strided in (np.stack([flat, flat], axis=1)[:, 0], np.asfortranarray([flat, flat])):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                nc.Network(spec, strided)
+        for cut in (flat[:-1], flat[: flat.size // 2 + 1], np.zeros(0), np.zeros((2, 0))):
+            with pytest.raises(ValueError, match="no whole number"):
+                nc.Network(spec, cut)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_builds_its_tensors_on_its_own_flat(self, clone):
+        """Every tensor of a deep copy or an unpickled network is a view of
+        its own flat and shares no memory with the original's, so Adam's
+        update of the copy moves the copy's outputs and not the original's."""
+        rng = np.random.default_rng(67)
+        net = nc.init_network(small_spec(two_headed=True), rng, members=2)
+        twin = clone(net)
+        for p in twin.parameters():
+            assert np.shares_memory(p, twin.flat) and not np.shares_memory(p, net.flat)
+        x, extras, gys = pass_inputs(net.spec, 5, rng, members=2, shared=False)
+        before, cache = nc.forward(twin, x, extras)
+        nc.adam_step(nc.Learner(twin, lr=0.01), nc.backward(twin, cache, gys))
+        outs, twin_outs = nc.forward(net, x, extras)[0], nc.forward(twin, x, extras)[0]
+        for out, twin_out, ref in zip(outs, twin_outs, before):
+            assert np.array_equal(out, ref) and not np.array_equal(twin_out, ref)
 
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("two_headed", [False, True])
@@ -618,8 +660,7 @@ class TestMemberStack:
         rng = np.random.default_rng(80 + members)
         spec = small_spec(two_headed)
         copies = [nc.init_network(spec, rng, members) for _ in range(4)]
-        params = zip(*(net.parameters() for net in copies))
-        stacked = nc._from_parameters(spec, [np.stack(tensors) for tensors in params])
+        stacked = nc.Network(spec, np.stack([net.flat for net in copies]))
         assert stacked.members == members
         x, extras, _ = pass_inputs(spec, 300, rng, members, shared)
         gys = [rng.standard_normal((4, members, 300, d)) for d in spec.output_dims]
